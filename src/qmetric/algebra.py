@@ -8,15 +8,25 @@ defined here: the leg swap (flip), the embedding that inserts an identity
 tensor leg in the middle, the multiplication map a (x) b -> ab, and the
 projector onto the quantum diagonal.
 
+A supported element of order m is block diagonal once its coordinates are
+grouped by block-label tuple: it is the direct sum of its K^m cells, the
+cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
+groups, and the spectral functions (`op_norm` and `min_eig` on elements,
+`cellwise_eigh`, `cellwise_norm`, `cellwise_min_eig`) work one stacked
+LAPACK call per cell size instead of one call on the dense D^m x D^m matrix.
+Cells of size one need no LAPACK call at all.  The dense maps stay as the
+reference the tests compare against.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +40,10 @@ class SupportError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Operands belong to different algebra shapes or tensor orders."""
+
+
+class NonFiniteError(ValueError):
+    """Matrix data holds a NaN or infinite entry."""
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,161 @@ def support_mask(blocks: tuple[int, ...], order: int) -> np.ndarray:
     return mask
 
 
+class CellGroup(NamedTuple):
+    """Cells of order-m elements whose tensor legs have block sizes `legs`.
+
+    Row c of `labels` is the block-label tuple (k1, ..., km) of one cell and
+    row c of `index` lists its coordinates in ascending order, which is
+    row-major in the local leg offsets, so a cell of a @ b (x) c is the
+    Kronecker product of the corresponding blocks.
+    """
+
+    legs: tuple[int, ...]
+    labels: np.ndarray
+    index: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def cells(blocks: tuple[int, ...], order: int) -> tuple[CellGroup, ...]:
+    """The cells of order-fold tensor elements, grouped by leg block sizes.
+
+    Coordinate (r1..rm) lies in the cell of its block-label tuple.  An entry
+    is admissible (see `support_mask`) iff its row and column lie in the
+    same cell, so every supported element is the direct sum of its cells.
+    Each coordinate lies in exactly one cell.
+    """
+    if order not in (1, 2, 3):
+        raise ValueError("only tensor orders 1, 2, 3 are supported")
+    shape = AlgebraShape(blocks)
+    sizes = np.asarray(shape.blocks)
+    starts = np.asarray([a for a, _ in shape.block_ranges()])
+    labels = np.asarray(list(itertools.product(range(shape.num_blocks), repeat=order)))
+    leg_sizes = sizes[labels]
+    weights = shape.dim ** np.arange(order - 1, -1, -1)
+    groups = []
+    for legs in sorted(set(map(tuple, leg_sizes.tolist()))):
+        sel = labels[(leg_sizes == legs).all(axis=1)]
+        offsets = np.asarray(list(np.ndindex(*legs)))
+        index = (starts[sel][:, None, :] + offsets[None, :, :]) @ weights
+        sel.setflags(write=False)
+        index.setflags(write=False)
+        groups.append(CellGroup(tuple(legs), sel, index))
+    return tuple(groups)
+
+
+# A list of (index, mats) pairs: mats[c] is the restriction of a matrix to
+# the coordinates index[c], so together the pairs describe a direct sum.
+CellStacks = list[tuple[np.ndarray, np.ndarray]]
+
+
+def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
+    """Cells of a supported order-fold matrix, one stack per leg pattern."""
+    return [
+        (g.index, arr[g.index[:, :, None], g.index[:, None, :]])
+        for g in cells(blocks, order)
+    ]
+
+
+def assemble(stacks: CellStacks, dim: int) -> np.ndarray:
+    """The dense dim x dim matrix of a direct sum, zero outside its cells."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for index, mats in stacks:
+        out[index[:, :, None], index[:, None, :]] = mats
+    return out
+
+
+def _by_size(stacks: CellStacks) -> CellStacks:
+    """Merge stacks whose cells have equal size, one stack per size."""
+    merged: dict[int, list] = {}
+    for index, mats in stacks:
+        merged.setdefault(index.shape[1], []).append((index, mats))
+    return [
+        parts[0] if len(parts) == 1
+        else (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+        for _, parts in sorted(merged.items())
+    ]
+
+
+def adjoints(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return mats.conj().swapaxes(-1, -2)
+
+
+def cellwise_norm(stacks: CellStacks) -> float:
+    """Operator norm of a direct sum: the largest cell norm."""
+    best = 0.0
+    for _, mats in _by_size(stacks):
+        if mats.shape[1] == 1:
+            best = max(best, float(np.abs(mats).max()))
+        else:
+            best = max(best, float(np.linalg.norm(mats, 2, axis=(1, 2)).max()))
+    return best
+
+
+def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigen-decomposition of the hermitian part of every cell.
+
+    Returns (index, vals, vecs) triples, one per cell size, with vals[c]
+    ascending and vecs[c][:, j] the unit eigenvector of vals[c][j].
+    """
+    out = []
+    for index, mats in _by_size(stacks):
+        if mats.shape[1] == 1:
+            vals, vecs = mats[:, :, 0].real.copy(), np.ones_like(mats)
+        else:
+            vals, vecs = np.linalg.eigh((mats + adjoints(mats)) / 2.0)
+        out.append((index, vals, vecs))
+    return out
+
+
+def _smallest(per_cell) -> tuple[float, np.ndarray]:
+    """The least of (index, values, vectors) triples, one value per cell.
+
+    Returns that value and its cell's vector, embedded into the full
+    coordinates, which the cells partition.
+    """
+    best, where, vec = np.inf, None, None
+    dim = 0
+    for index, values, vectors in per_cell:
+        dim += index.size
+        c = int(np.argmin(values))
+        if where is None or values[c] < best:
+            best, where, vec = float(values[c]), index[c], vectors[c]
+    out = np.zeros(dim, dtype=complex)
+    out[where] = vec
+    return best, out
+
+
+def lowest_eigenpair(eighs) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a `cellwise_eigh` result, with a unit eigenvector."""
+    return _smallest((index, vals[:, 0], vecs[:, :, 0]) for index, vals, vecs in eighs)
+
+
+def hermitian_defect(stacks: CellStacks) -> float:
+    """Operator norm of x - x* for the direct sum x."""
+    return cellwise_norm([(index, mats - adjoints(mats)) for index, mats in stacks])
+
+
+def cellwise_min_eig(stacks: CellStacks, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:
+    """`min_eig` of a direct sum, computed one cell size at a time."""
+    gap = hermitian_defect(stacks)
+    if gap > tol * max(1.0, cellwise_norm(stacks)):
+        raise ValueError(f"input is not self-adjoint within tolerance (defect {gap:.3e})")
+    return lowest_eigenpair(cellwise_eigh(stacks))
+
+
+def cellwise_min_singular(stacks: CellStacks) -> tuple[float, np.ndarray]:
+    """Smallest singular value of a direct sum, with a unit right singular vector."""
+    per_cell = []
+    for index, mats in _by_size(stacks):
+        if mats.shape[1] == 1:
+            s, vh = np.abs(mats[:, :, 0]), np.ones_like(mats)
+        else:
+            _, s, vh = np.linalg.svd(mats)
+        per_cell.append((index, s[:, -1], vh[:, -1].conj()))
+    return _smallest(per_cell)
+
+
 def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
     d = shape.dim**order
     arr = np.asarray(data, dtype=complex)
@@ -107,6 +276,11 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected a {d}x{d} matrix for order {order} over blocks "
             f"{shape.blocks}, got {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(
+            f"matrix data must be finite; found {int(np.count_nonzero(~np.isfinite(arr)))} "
+            "NaN or infinite entries"
         )
     mask = support_mask(shape.blocks, order)
     off = arr[~mask]
@@ -152,9 +326,13 @@ class _Element:
     def adjoint(self):
         return self._like(self.data.conj().T)
 
+    @property
+    def cells(self) -> CellStacks:
+        """The cells of this element, see `cell_stacks`."""
+        return cell_stacks(self.data, self.shape.blocks, self.order)
+
     def is_selfadjoint(self, tol: float = HERM_TOL) -> bool:
-        scale = max(1.0, op_norm(self))
-        return op_norm_array(self.data - self.data.conj().T) <= tol * scale
+        return op_norm(self - self.adjoint) <= tol * max(1.0, op_norm(self))
 
     def __add__(self, other):
         self._check_same(other)
@@ -307,7 +485,9 @@ def op_norm_array(arr: np.ndarray) -> float:
 
 
 def op_norm(x) -> float:
-    """Operator norm (largest singular value)."""
+    """Operator norm (largest singular value); cell by cell on an element."""
+    if isinstance(x, _Element):
+        return cellwise_norm(x.cells)
     return op_norm_array(_as_array(x))
 
 
@@ -315,7 +495,10 @@ def min_eig(x, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a self-adjoint element, with a unit eigenvector.
 
     Raises ValueError when the input fails the self-adjointness tolerance.
+    An element is solved cell by cell; a bare array densely.
     """
+    if isinstance(x, _Element):
+        return cellwise_min_eig(x.cells, tol)
     arr = _as_array(x)
     gap = op_norm_array(arr - arr.conj().T)
     if gap > tol * max(1.0, op_norm_array(arr)):

@@ -13,11 +13,19 @@ m(nu) = 1 (iii_alg, checked by sampling, so a pass means "not falsified").
 Every check returns a record with a signed margin (positive means satisfied
 with slack) instead of raising, so failing candidates produce a complete
 diagnostic profile.
+
+The spectral work runs on the cells of rho (see `algebra.cells`): rho is
+the direct sum of its K^2 pair cells and the triangle slack of its K^3
+triple cells, so the cost grows with the sum of the cell sizes cubed, not
+with D^9.  The triangle check builds each slack cell straight from the
+cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
+the dense slack as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,16 +33,25 @@ import numpy as np
 from .algebra import (
     AlgebraShape,
     BiElement,
+    CellStacks,
     ShapeMismatchError,
     TriElement,
+    adjoints,
     as_shape,
+    assemble,
+    cell_stacks,
+    cells,
+    cellwise_eigh,
+    cellwise_min_singular,
+    cellwise_norm,
     diag_projector,
     flip,
+    hermitian_defect,
+    lowest_eigenpair,
     mid_embed,
-    min_eig,
     mult_map,
     op_norm,
-    op_norm_array,
+    permute_legs,
     random_element,
 )
 
@@ -178,14 +195,12 @@ def _cfg(cfg: ToleranceConfig | None) -> ToleranceConfig:
 def check_positive(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Positivity: rho self-adjoint and with nonnegative spectrum."""
     cfg = _cfg(cfg)
-    arr = rho.data
-    herm_defect = op_norm_array(arr - arr.conj().T)
-    sym = (arr + arr.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    margin = float(vals[0])
+    stacks = rho.cells
+    herm_defect = hermitian_defect(stacks)
+    margin, vec = lowest_eigenpair(cellwise_eigh(stacks))
     selfadj = herm_defect <= cfg.eq_tol * scale
     passed = selfadj and margin >= -cfg.psd_tol * scale
-    witness = None if passed else vecs[:, 0]
+    witness = None if passed else vec
     note = "" if selfadj else f"self-adjointness defect {herm_defect:.3e}"
     return AxiomRecord("i", passed, margin, witness=witness, note=note)
 
@@ -201,7 +216,7 @@ def check_diag_vanish(rho: BiElement, cfg: ToleranceConfig | None = None, scale:
     """Diagonal vanishing: rho annihilates the diagonal projector."""
     cfg = _cfg(cfg)
     p = diag_projector(rho.shape)
-    defect = op_norm_array(rho.data @ p.data)
+    defect = cellwise_norm([(i, r @ q) for (i, r), (_, q) in zip(rho.cells, p.cells)])
     return AxiomRecord("ii", defect <= cfg.eq_tol * scale, -defect)
 
 
@@ -235,9 +250,7 @@ def check_nondegenerate(
             note="positivity or diagonal vanishing failed; restriction ill-defined",
         )
     floor = cfg.resolved_floor(op_norm(rho))
-    p = diag_projector(rho.shape)
-    shifted = rho.data + p.data
-    lam, vec = min_eig((shifted + shifted.conj().T) / 2.0)
+    lam, vec = lowest_eigenpair(cellwise_eigh((rho + diag_projector(rho.shape)).cells))
     margin = lam - floor
     witness = None if margin >= 0 else vec
     return AxiomRecord("iii", margin >= 0, margin, witness=witness)
@@ -251,11 +264,49 @@ def triangle_defect(rho: BiElement) -> TriElement:
     return TriElement(rho.shape, data)
 
 
+@lru_cache(maxsize=None)
+def _slack_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Where each entry of each triangle-slack cell reads rho.
+
+    For row (r1 r2 r3) and column (c1 c2 c3) of one triple cell the slack
+    entry is rho[r1 r2, c1 c2] [r3 = c3] + [r1 = c1] rho[r2 r3, c2 c3]
+    - [r2 = c2] rho[r1 r3, c1 c3].  Per leg pattern this returns the cell
+    coordinates and three flat indices into rho's entries, one per term,
+    pointing one past the last entry (a zero) where the bracket is 0.
+    """
+    d = sum(blocks)
+    zero = d**4
+
+    def at(a, b, c, e, keep):
+        return np.where(keep, (a * d + b) * d * d + c * d + e, zero)
+
+    out = []
+    for g in cells(blocks, 3):
+        rows, cols = g.index[:, :, None], g.index[:, None, :]
+        r1, r2, r3 = rows // (d * d), rows // d % d, rows % d
+        c1, c2, c3 = cols // (d * d), cols // d % d, cols % d
+        out.append((
+            g.index,
+            at(r1, r2, c1, c2, r3 == c3),
+            at(r2, r3, c2, c3, r1 == c1),
+            at(r1, r3, c1, c3, r2 == c2),
+        ))
+    return tuple(out)
+
+
+def triangle_slack_cells(rho: BiElement) -> CellStacks:
+    """The cells of `triangle_defect(rho)`, built from the entries of rho.
+
+    Entry for entry equal to the dense slack, which is never formed.
+    """
+    flat = np.append(rho.data.ravel(), 0.0)
+    return [(index, flat[a] + flat[b] - flat[c]) for index, a, b, c in _slack_gathers(rho.shape.blocks)]
+
+
 def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Triangle inequality: the triangle slack operator is positive."""
     cfg = _cfg(cfg)
-    defect = triangle_defect(rho).data
-    lam, vec = min_eig((defect + defect.conj().T) / 2.0)
+    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho)))
     passed = lam >= -cfg.psd_tol * scale
     return AxiomRecord("v", passed, lam, witness=None if passed else vec)
 
@@ -305,26 +356,37 @@ def sample_mult_one_elements(
     eye2 = np.eye(d * d, dtype=complex)
     eye1 = np.eye(d, dtype=complex)
     base = out[0].data
+
+    # Every matrix below is supported, so its spectra are those of its cells.
+    def norm(arr: np.ndarray, order: int = 2) -> float:
+        return cellwise_norm(cell_stacks(arr, shape.blocks, order))
+
+    def lowest(arr: np.ndarray) -> float:
+        return lowest_eigenpair(cellwise_eigh(cell_stacks(arr, shape.blocks, 2)))[0]
+
+    def swap(arr: np.ndarray) -> np.ndarray:
+        return permute_legs(arr, (1, 0), (d, d))
+
     for _ in range(count - 1):
         accepted = None
         for _attempt in range(max_attempts):
-            g = random_element(shape, 2, rng).data
-            w = g @ g.conj().T
-            w = (w + flip(BiElement(shape, w)).data) / 2.0
-            w *= 0.5 / max(1.0, op_norm_array(w))
+            g = random_element(shape, 2, rng)
+            w = assemble([(i, c @ adjoints(c)) for i, c in g.cells], d * d)
+            w = (w + swap(w)) / 2.0
+            w *= 0.5 / max(1.0, norm(w))
             y = np.einsum("pqqt->pt", w.reshape(d, d, d, d))
-            lift = (np.kron(y, eye1) + np.kron(eye1, y)) / 2.0
+            # (y (x) 1 + 1 (x) y) / 2, the products np.kron would form
+            lift = (y[:, None, :, None] * eye1[None, :, None, :]
+                    + eye1[:, None, :, None] * y[None, :, None, :]).reshape(d * d, d * d) / 2.0
             nu = base + w - lift
             nu = (nu + nu.conj().T) / 2.0
-            lam = float(np.linalg.eigvalsh(nu)[0])
+            lam = lowest(nu)
             if lam < 0:
                 c = (-lam + 1e-12) / (1.0 - lam + 1e-12)
                 nu = (1.0 - c) * nu + c * eye2
-                lam = float(np.linalg.eigvalsh(nu)[0])
-            m_defect = op_norm_array(
-                np.einsum("pqqt->pt", nu.reshape(d, d, d, d)) - eye1
-            )
-            flip_defect = op_norm_array(flip(BiElement(shape, nu)).data - nu)
+                lam = lowest(nu)
+            m_defect = norm(np.einsum("pqqt->pt", nu.reshape(d, d, d, d)) - eye1, order=1)
+            flip_defect = norm(swap(nu) - nu)
             if lam >= -1e-12 and m_defect <= 1e-10 and flip_defect <= 1e-10:
                 accepted = BiElement(shape, nu)
                 break
@@ -345,11 +407,10 @@ def check_alg_nondegenerate_sampled(rho: BiElement, cfg: ToleranceConfig | None 
     worst = np.inf
     worst_vec = None
     for nu in nus:
-        u, s, vh = np.linalg.svd(rho.data + nu.data)
-        smin = float(s[-1])
+        smin, vec = cellwise_min_singular((rho + nu).cells)
         if smin < worst:
             worst = smin
-            worst_vec = vh[-1].conj()
+            worst_vec = vec
     margin = worst - cfg.eq_tol
     passed = margin > 0
     witness = None if passed else worst_vec

@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -335,9 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused by every `main` call.
+
+    Building it costs about twenty parses, which is a large share of a
+    small query run in-process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (exchange.ExchangeError, ValueError, OSError) as exc:

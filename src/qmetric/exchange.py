@@ -34,8 +34,29 @@ def element_to_dict(x) -> dict:
         "order": x.order,
         "rows": d,
         "cols": d,
-        "data": [[float(z.real), float(z.imag)] for z in data.ravel()],
+        "data": np.stack([data.real.ravel(), data.imag.ravel()], axis=1).tolist(),
     }
+
+
+def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
+    """The d x d complex matrix of a row-major list of [re, im] pairs.
+
+    A list of numeric pairs converts in one array call; anything else goes
+    entry by entry, which names the first entry that is not a pair.
+    """
+    try:
+        raw = np.asarray(data)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is not None and raw.shape == (d * d, 2) and raw.dtype.kind in "biuf":
+        return np.ascontiguousarray(raw, dtype=float).view(complex).reshape(d, d)
+    arr = np.empty((d, d), dtype=complex)
+    flat = arr.ravel()
+    for k, pair in enumerate(data):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ExchangeError(f"entry {k} is not an [re, im] pair")
+        flat[k] = complex(float(pair[0]), float(pair[1]))
+    return arr
 
 
 def dict_to_element(doc: dict):
@@ -55,12 +76,7 @@ def dict_to_element(doc: dict):
             f"dimension mismatch: blocks {blocks} at order {order} need "
             f"{d}x{d}, document says {rows}x{cols} with {len(data)} entries"
         )
-    arr = np.empty((d, d), dtype=complex)
-    flat = arr.ravel()
-    for k, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ExchangeError(f"entry {k} is not an [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
+    arr = _pairs_to_matrix(data, d)
     try:
         return element_type(order)(shape, arr)
     except ValueError as exc:

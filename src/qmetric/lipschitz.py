@@ -22,11 +22,13 @@ from .algebra import (
     AlgebraShape,
     BiElement,
     ShapeMismatchError,
+    adjoints,
     as_shape,
+    assemble,
+    cellwise_eigh,
     hermitian_param_basis,
     op_norm,
     op_norm_array,
-    support_mask,
 )
 from .axioms import (
     MetricCandidate,
@@ -60,17 +62,29 @@ class State:
         dens = []
         total = 0.0
         for n, d in zip(shape.blocks, self.densities):
-            arr = np.asarray(d, dtype=complex)
+            arr = np.array(d, dtype=complex)
             if arr.shape != (n, n):
                 raise ValueError(f"block density must be {n}x{n}, got {arr.shape}")
-            if op_norm_array(arr - arr.conj().T) > STATE_TOL * max(1.0, op_norm_array(arr)):
-                raise ValueError("block densities must be self-adjoint")
-            if float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0]) < -STATE_TOL:
-                raise ValueError("block densities must be positive semidefinite")
             total += float(np.trace(arr).real)
-            arr = arr.copy()
             arr.setflags(write=False)
             dens.append(arr)
+        # one stacked norm and eigensolve per block size; the first block
+        # failing a test, in block order, names the error
+        sizes = np.asarray(shape.blocks)
+        not_herm = np.zeros(sizes.size, dtype=bool)
+        not_psd = np.zeros(sizes.size, dtype=bool)
+        for n in set(shape.blocks):
+            where = np.flatnonzero(sizes == n)
+            stack = np.stack([dens[k] for k in where])
+            adj = adjoints(stack)
+            scale = np.maximum(1.0, np.linalg.norm(stack, 2, axis=(1, 2)))
+            not_herm[where] = np.linalg.norm(stack - adj, 2, axis=(1, 2)) > STATE_TOL * scale
+            not_psd[where] = np.linalg.eigvalsh((stack + adj) / 2.0)[:, 0] < -STATE_TOL
+        for herm_fails, psd_fails in zip(not_herm, not_psd):
+            if herm_fails:
+                raise ValueError("block densities must be self-adjoint")
+            if psd_fails:
+                raise ValueError("block densities must be positive semidefinite")
         if abs(total - 1.0) > STATE_TOL:
             raise ValueError(f"total trace must be 1, got {total}")
         object.__setattr__(self, "densities", tuple(dens))
@@ -167,13 +181,12 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
             "pseudo-inverse needs a candidate passing positivity, diagonal "
             f"vanishing, and nondegeneracy; failed: {', '.join(failures)}"
         )
-    sym = (rho.data + rho.data.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
     cutoff = cfg.resolved_floor(scale) / 2.0
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    out = (vecs * inv) @ vecs.conj().T
-    out[~support_mask(rho.shape.blocks, 2)] = 0.0
-    return BiElement(rho.shape, out)
+    parts = []
+    for index, vals, vecs in cellwise_eigh(rho.cells):
+        inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+        parts.append((index, (vecs * inv[:, None, :]) @ adjoints(vecs)))
+    return BiElement(rho.shape, assemble(parts, rho.shape.dim**2))
 
 
 def _commutator_gap(a: AlgebraElement, rho: BiElement, pinv: BiElement) -> np.ndarray:

@@ -324,3 +324,21 @@ class TestHelpers:
         out = zero_clip(arr)
         assert out[0, 0] == 0.0
         assert out[0, 1] == 1.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_bielement_rejects(self, bad):
+        from qmetric import NonFiniteError
+
+        data = m2_admissible(1.0).data.copy()
+        data[1, 1] = bad
+        with pytest.raises(NonFiniteError, match="finite"):
+            BiElement(AlgebraShape((2,)), data)
+
+    def test_is_a_value_error(self):
+        from qmetric import NonFiniteError
+
+        with pytest.raises(ValueError):
+            AlgebraElement(AlgebraShape((1, 1)), np.diag([np.nan, 1.0]))
+        assert issubclass(NonFiniteError, ValueError)

@@ -199,3 +199,16 @@ class TestRoundTrip:
         second = load_element(tmp_path / "again.json")
         assert np.array_equal(first.data, second.data)
         assert (tmp_path / "again.json").read_text() == rho.read_text()
+
+
+class TestNonFiniteInput:
+    def test_verify_rejects_nan_entry(self, m2_file, tmp_path, capsys):
+        doc = json.loads(open(m2_file).read())
+        doc["data"][5] = [float("nan"), 0.0]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert "SVD" not in captured.err

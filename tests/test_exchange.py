@@ -54,6 +54,20 @@ class TestElementRoundTrip:
         with pytest.raises(ExchangeError):
             dict_to_element({"shape": [2], "order": 2, "rows": 3, "cols": 3, "data": [[0, 0]] * 9})
 
+    def test_numeric_pairs_convert_exactly(self):
+        pairs = [[1, 2], [3.5, -0.0], [True, 0], [-1e-300, 7]]
+        doc = {"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": pairs}
+        want = np.array([complex(float(a), float(b)) for a, b in pairs]).reshape(2, 2)
+        got = dict_to_element(doc).data
+        assert np.array_equal(got.view(float), want.view(float))
+
+    @pytest.mark.parametrize("bad", [[3], "ab", [1, 2, 3], {"re": 1, "im": 2}])
+    def test_first_bad_entry_named(self, bad):
+        doc = {"shape": [2], "order": 1, "rows": 2, "cols": 2,
+               "data": [[1, 0], bad, [0, 0], [1, 0]]}
+        with pytest.raises(ExchangeError, match="entry 1 is not an"):
+            dict_to_element(doc)
+
     def test_support_violation_rejected(self):
         doc = {
             "shape": [1, 1],

@@ -47,6 +47,21 @@ class TestStates:
         with pytest.raises(ValueError):
             State(AlgebraShape((2,)), (np.diag([1.5, -0.5]).astype(complex),))
 
+    def test_first_failing_block_names_the_error(self):
+        shape = AlgebraShape((1, 2, 1))
+        skew = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            State(shape, (np.array([[-0.1]]), skew, np.array([[0.6]])))
+        with pytest.raises(ValueError, match="self-adjoint"):
+            State(shape, (np.array([[0.4]]), skew, np.array([[-0.4]])))
+
+    def test_densities_are_read_only_copies(self):
+        d = np.array([[0.25]], dtype=complex)
+        s = State(AlgebraShape((1, 1)), (d, np.array([[0.75]])))
+        d[0, 0] = 9.0
+        assert s.densities[0][0, 0] == 0.25
+        assert not s.densities[0].flags.writeable
+
     def test_pure_state(self):
         v = PureState(AlgebraShape((1, 2)), 1, np.array([1.0, 1.0]) / np.sqrt(2))
         s = v.to_state()
