@@ -43,7 +43,17 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """Matrix data holds a NaN or infinite entry."""
+    """Numeric input holds a NaN or infinite entry."""
+
+
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError, naming `what`, when arr holds a NaN or inf."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NonFiniteError(
+            f"{what} must be finite; found {int(finite.size - np.count_nonzero(finite))} "
+            "NaN or infinite entries"
+        )
 
 
 @dataclass(frozen=True)
@@ -277,11 +287,7 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
             f"expected a {d}x{d} matrix for order {order} over blocks "
             f"{shape.blocks}, got {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(
-            f"matrix data must be finite; found {int(np.count_nonzero(~np.isfinite(arr)))} "
-            "NaN or infinite entries"
-        )
+    require_finite(arr, "matrix data")
     mask = support_mask(shape.blocks, order)
     off = arr[~mask]
     if off.size and np.any(off != 0):

@@ -19,7 +19,8 @@ the direct sum of its K^2 pair cells and the triangle slack of its K^3
 triple cells, so the cost grows with the sum of the cell sizes cubed, not
 with D^9.  The triangle check builds each slack cell straight from the
 cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
-the dense slack as the reference the tests compare against.
+the dense slack as the reference the tests compare against, and its array
+kernel `triangle_slack` is the lift the feasibility search projects with.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .algebra import (
     flip,
     hermitian_defect,
     lowest_eigenpair,
-    mid_embed,
     mult_map,
     op_norm,
     permute_legs,
@@ -256,12 +256,16 @@ def check_nondegenerate(
     return AxiomRecord("iii", margin >= 0, margin, witness=witness)
 
 
+def triangle_slack(arr: np.ndarray, d: int) -> np.ndarray:
+    """Dense triangle slack arr (x) 1 + 1 (x) arr - mid(arr) of a D^2 x D^2 array."""
+    eye = np.eye(d, dtype=complex)
+    wide = np.kron(arr, eye)
+    return wide + np.kron(eye, arr) - permute_legs(wide, (0, 2, 1), (d, d, d))
+
+
 def triangle_defect(rho: BiElement) -> TriElement:
     """The triangle slack operator rho (x) 1 + 1 (x) rho - mid(rho)."""
-    d = rho.shape.dim
-    eye = np.eye(d, dtype=complex)
-    data = np.kron(rho.data, eye) + np.kron(eye, rho.data) - mid_embed(rho).data
-    return TriElement(rho.shape, data)
+    return TriElement(rho.shape, triangle_slack(rho.data, rho.shape.dim))
 
 
 @lru_cache(maxsize=None)
@@ -451,11 +455,6 @@ def verify(
         rec_iii = check_alg_nondegenerate_sampled(rho, cfg)
     records = (rec_i, rec_ii, rec_iii, rec_iv, rec_v)
     return AxiomReport(mode=mode, shape=rho.shape, records=records, config=cfg)
-
-
-def diameter(rho: BiElement) -> float:
-    """Operator norm of the candidate, its diameter."""
-    return op_norm(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--method", choices=["auto", "lp", "ascent"], default="auto")
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    p.add_argument(
+        "--max-iter",
+        type=int,
+        default=500,
+        dest="max_iter",
+        help="accepted and ignored: the general-shape lower end is computed in closed form",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_distance)
 

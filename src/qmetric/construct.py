@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, BiElement, ShapeMismatchError, op_norm, permute_legs
+from .algebra import (
+    AlgebraShape,
+    BiElement,
+    ShapeMismatchError,
+    op_norm,
+    permute_legs,
+    require_finite,
+)
 from .axioms import ALGEBRAIC, REPRESENTATION, MetricCandidate
 
 
@@ -30,6 +37,7 @@ class FiniteMetricSpace:
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricInputError("distance matrix must be square")
+        require_finite(d, "distance matrix")
         n = d.shape[0]
         if not np.allclose(d, d.T, atol=1e-12):
             raise MetricInputError("distance matrix must be symmetric")
@@ -38,13 +46,12 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0):
             raise MetricInputError("distances between distinct points must be positive")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i, j] > d[i, k] + d[k, j] + 1e-12:
-                        raise MetricInputError(
-                            f"triangle inequality fails on ({i}, {j}, {k})"
-                        )
+        # fails[i, j, k]: d(i, j) > d(i, k) + d(k, j); the first in (i, j, k)
+        # order names the error
+        fails = d[:, :, None] > d[:, None, :] + d.T[None, :, :] + 1e-12
+        if fails.any():
+            i, j, k = np.unravel_index(np.argmax(fails), fails.shape)
+            raise MetricInputError(f"triangle inequality fails on ({i}, {j}, {k})")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
@@ -63,12 +70,7 @@ def from_finite_metric(space: FiniteMetricSpace) -> MetricCandidate:
 
     The entry at diagonal position (x, y) is the distance d(x, y).
     """
-    n = space.n
-    data = np.zeros((n * n, n * n), dtype=complex)
-    for x in range(n):
-        for y in range(n):
-            data[x * n + y, x * n + y] = space.dist[x, y]
-    return MetricCandidate(BiElement(space.shape, data))
+    return MetricCandidate(BiElement(space.shape, np.diag(space.dist.ravel().astype(complex))))
 
 
 def conic_combine(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCandidate:

@@ -4,9 +4,14 @@ The seminorm of a in A is the operator norm of (a (x) 1 - 1 (x) a) applied
 to the pseudo-inverse of the candidate; on classical shapes this is the best
 Lipschitz constant.  The induced distance between states is the supremum of
 |phi(a) - psi(a)| over self-adjoint a in the unit seminorm ball.  On
-all-ones shapes the supremum is computed exactly by linear programming; on
-general shapes an iterative ascent produces a certified bracket instead of
-a bare number, since the supremum may be unattained or infinite.
+all-ones shapes the supremum is computed exactly by linear programming.  On
+general shapes the result is a bracket instead of a bare number, since the
+supremum may be unattained or infinite: the lower end is the value at the
+one feasible point a = P(delta) / lip(P(delta)), with delta = phi - psi and
+P removing the trace, and the upper end comes from a pure-state
+decomposition.  The bracket is only as tight as that one point; it closes
+on some inputs (two-point spaces, point masses at comparable distances)
+and stays open on others.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .algebra import (
     hermitian_param_basis,
     op_norm,
     op_norm_array,
+    require_finite,
 )
 from .axioms import (
     MetricCandidate,
@@ -39,6 +45,8 @@ from .axioms import (
 )
 
 STATE_TOL = 1e-9
+# relative width below which a transport bracket counts as closed
+BRACKET_TOL = 1e-9
 
 
 class PreconditionError(ValueError):
@@ -65,6 +73,7 @@ class State:
             arr = np.array(d, dtype=complex)
             if arr.shape != (n, n):
                 raise ValueError(f"block density must be {n}x{n}, got {arr.shape}")
+            require_finite(arr, "block densities")
             total += float(np.trace(arr).real)
             arr.setflags(write=False)
             dens.append(arr)
@@ -127,6 +136,7 @@ class PureState:
         n = shape.blocks[self.block]
         if v.size != n:
             raise ValueError(f"vector must have length {n}, got {v.size}")
+        require_finite(v, "pure-state vector")
         if abs(np.linalg.norm(v) - 1.0) > STATE_TOL:
             raise ValueError("pure-state vector must have unit norm")
         v = v.copy()
@@ -270,21 +280,15 @@ def _mk_classical_lp(phi: State, psi: State, rho: BiElement) -> float:
     coordinate is pinned to zero to remove the constant gauge direction.
     """
     n = rho.shape.dim
-    dmat = np.array(
-        [[float(rho.data[x * n + y, x * n + y].real) for y in range(n)] for x in range(n)]
-    )
+    dmat = np.diagonal(rho.data).real.reshape(n, n)
     p, q = _classical_weights(phi), _classical_weights(psi)
-    rows, rhs = [], []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            row = np.zeros(n)
-            row[x], row[y] = 1.0, -1.0
-            rows.append(row)
-            rhs.append(dmat[x, y])
+    # one row per ordered pair x != y, in row-major order
+    x, y = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.zeros((x.size, n))
+    rows[np.arange(x.size), x] = 1.0
+    rows[np.arange(x.size), y] = -1.0
     bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
-    res = linprog(q - p, A_ub=np.asarray(rows), b_ub=np.asarray(rhs), bounds=bounds, method="highs")
+    res = linprog(q - p, A_ub=rows, b_ub=dmat[x, y], bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"transport linear program failed: {res.message}")
     return float(-res.fun)
@@ -338,16 +342,13 @@ def _mk_upper_bound(phi: State, psi: State, rho: BiElement) -> float:
     return total
 
 
-def _mk_ascent(
-    phi: State,
-    psi: State,
-    rho: BiElement,
-    pinv: BiElement,
-    max_iter: int,
-    improve_tol: float,
-    patience: int,
-) -> tuple[float, bool, int, bool]:
-    """Maximize phi(a) - psi(a) over the unit seminorm ball, from below."""
+def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
+    """Lower end of the bracket: the objective at a / lip(a), a = P(delta).
+
+    With delta = phi - psi and P removing the trace, a / lip(a) lies in the
+    unit seminorm ball and gives |tr(delta a)| / lip(a).  A zero-seminorm
+    direction on which the states differ makes the supremum infinite.
+    """
     shape = rho.shape
     d = shape.dim
     delta = phi.as_element().data - psi.as_element().data
@@ -358,43 +359,16 @@ def _mk_ascent(
         t = _commutator_gap(AlgebraElement(shape, h), rho, pinv)
         cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
     tmat = np.stack(cols, axis=1)
-    _, s, vt = np.linalg.svd(tmat)
+    _, s, vt = np.linalg.svd(tmat, full_matrices=False)
     null_tol = 1e-10 * max(1.0, s[0] if s.size else 0.0)
     null_vectors = vt[np.sum(s > null_tol):]
     for nv in null_vectors:
         k = np.einsum("a,aij->ij", nv, basis)
         if abs(np.vdot(delta, k).real) > 1e-10 * max(1.0, op_norm_array(delta)):
-            return math.inf, True, 0, True
-
-    eye = np.eye(d, dtype=complex)
-
-    def functional(a: np.ndarray) -> float:
-        return float(np.trace(delta @ a).real)
-
-    def seminorm(a: np.ndarray) -> float:
-        return op_norm_array((np.kron(a, eye) - np.kron(eye, a)) @ pinv.data)
-
-    step = 1.0 / max(1.0, 2.0 * op_norm(pinv))
-    a = np.zeros((d, d), dtype=complex)
-    best = 0.0
-    since_improve = 0
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        a = a + step * delta
-        a = a - (np.trace(a) / d) * eye
-        lip = seminorm(a)
-        if lip > 1e-14:
-            a = a / lip
-        val = abs(functional(a))
-        if val > best + improve_tol:
-            best = val
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= patience:
-                return best, True, iterations, False
-    return best, False, iterations, False
+            return math.inf
+    a = delta - (np.trace(delta) / d) * np.eye(d)
+    lip = lip_seminorm(AlgebraElement(shape, a), rho, pinv)
+    return abs(float(np.trace(delta @ a).real)) / lip if lip > 0 else 0.0
 
 
 def mk_distance(
@@ -404,17 +378,18 @@ def mk_distance(
     cfg: ToleranceConfig | None = None,
     method: str = "auto",
     max_iter: int = 500,
-    improve_tol: float = 1e-8,
-    patience: int = 50,
 ) -> MKDistance:
     """Transport distance bracket between two states.
 
     On all-ones shapes (method "auto" or "lp") the exact value is computed
     by linear programming and returned as a zero-width bracket.  Otherwise
-    an iterative ascent supplies the lower end and a pure-state
-    decomposition the upper end; a detected zero-seminorm direction that
-    separates the states yields the unbounded marker, since the distance is
-    only a semimetric.
+    (or with method "ascent") the lower end is |tr(delta a)| / lip(a) for
+    the trace-free part a of delta = phi - psi, and a pure-state
+    decomposition gives the upper end; a zero-seminorm direction that
+    separates the states yields the unbounded marker, since the distance
+    is only a semimetric.  converged means the bracket has closed to
+    BRACKET_TOL relative.  max_iter is accepted and has no effect: the
+    lower end is computed in closed form, and iterations is always 0.
     """
     rho = _rho_of(candidate)
     if phi.shape != rho.shape or psi.shape != rho.shape:
@@ -427,11 +402,9 @@ def mk_distance(
     if use_lp:
         value = _mk_classical_lp(phi, psi, rho)
         return MKDistance(value, value, True, 0)
-    pinv = metric_pseudo_inverse(candidate, cfg)
-    lower, converged, iterations, unbounded = _mk_ascent(
-        phi, psi, rho, pinv, max_iter, improve_tol, patience
-    )
-    if unbounded:
-        return MKDistance(math.inf, math.inf, True, iterations, unbounded=True)
+    lower = _mk_lower(phi, psi, rho, metric_pseudo_inverse(candidate, cfg))
+    if math.isinf(lower):
+        return MKDistance(math.inf, math.inf, True, 0, unbounded=True)
     upper = _mk_upper_bound(phi, psi, rho)
-    return MKDistance(lower, upper, converged, iterations)
+    converged = math.isfinite(upper) and upper - lower <= BRACKET_TOL * max(1.0, upper)
+    return MKDistance(lower, upper, converged, 0)

@@ -32,7 +32,6 @@ from .algebra import (
     as_shape,
     diag_projector,
     hermitian_param_basis,
-    permute_legs,
     random_element,
     zero_clip,
 )
@@ -42,6 +41,7 @@ from .axioms import (
     AxiomReport,
     MetricCandidate,
     ToleranceConfig,
+    triangle_slack,
     verify,
 )
 
@@ -213,13 +213,6 @@ def _project_offdiag_cone(arr: np.ndarray, u: np.ndarray, floor: float) -> np.nd
     return u @ lifted @ u.conj().T
 
 
-def _triangle_lift(arr: np.ndarray, d: int) -> np.ndarray:
-    eye = np.eye(d, dtype=complex)
-    wide = np.kron(arr, eye)
-    mid = permute_legs(wide, (0, 2, 1), (d, d, d))
-    return wide + np.kron(eye, arr) - mid
-
-
 class _SearchContext:
     """Precomputed projection data for one (shape, mode, config)."""
 
@@ -238,7 +231,7 @@ class _SearchContext:
         self.basis_flat = self.basis.reshape(m, d2 * d2)
         self.traces = np.einsum("nii->n", self.basis).real
         if self.cfg.include_triangle:
-            self.lifted_basis = np.stack([_triangle_lift(b, self.d) for b in self.basis])
+            self.lifted_basis = np.stack([triangle_slack(b, self.d) for b in self.basis])
             d3 = self.d**3
             self.lifted_flat = self.lifted_basis.reshape(m, d3 * d3)
             gram = (self.lifted_flat.conj() @ self.lifted_flat.T).real
@@ -342,7 +335,7 @@ def _start_point(ctx: _SearchContext, rng: np.random.Generator):
             continue
         coeffs = coeffs * (ctx.cfg.resolved_trace / tr)
         rho = np.einsum("n,nij->ij", coeffs, ctx.basis)
-        s = _triangle_lift(rho, ctx.d) if ctx.cfg.include_triangle else None
+        s = triangle_slack(rho, ctx.d) if ctx.cfg.include_triangle else None
         return rho, s
     raise RuntimeError("failed to draw a usable starting point")
 

@@ -4,6 +4,7 @@ import pytest
 from qmetric import (
     AlgebraShape,
     BiElement,
+    MetricCandidate,
     ToleranceConfig,
     check_alg_diag,
     check_alg_nondegenerate_sampled,
@@ -13,7 +14,6 @@ from qmetric import (
     check_positive,
     check_triangle,
     diag_projector,
-    diameter,
     flip,
     identity,
     m2_admissible,
@@ -348,7 +348,7 @@ class TestM2Family:
             m2_admissible(-1.0)
 
     def test_diameter(self):
-        assert diameter(m2_admissible(1.5)) == pytest.approx(3.0, abs=1e-12)
-        assert diameter(BiElement.zeros((2,))) == 0.0
+        assert MetricCandidate(m2_admissible(1.5)).diameter == pytest.approx(3.0, abs=1e-12)
+        assert MetricCandidate(BiElement.zeros((2,))).diameter == 0.0
         d = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
-        assert diameter(embed_distance_matrix(d)) == pytest.approx(2.0)
+        assert MetricCandidate(embed_distance_matrix(d)).diameter == pytest.approx(2.0)

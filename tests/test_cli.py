@@ -212,3 +212,11 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert "finite" in captured.err
         assert "SVD" not in captured.err
+
+    def test_distance_rejects_infinite_distance(self, tmp_path, capsys):
+        space = tmp_path / "inf.txt"
+        space.write_text("1\ninf 1\n")
+        assert main(["distance", "--classical", str(space), "--phi", "0", "--psi", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distance matrix must be finite; found 2 NaN or infinite entries" in captured.err

@@ -5,6 +5,7 @@ from qmetric import (
     FiniteMetricSpace,
     MetricCandidate,
     MetricInputError,
+    NonFiniteError,
     check_flip_symmetric,
     conic_combine,
     direct_sum,
@@ -52,6 +53,19 @@ class TestFiniteMetricSpace:
         d = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(MetricInputError):
             FiniteMetricSpace(d)
+
+    def test_names_first_failing_triple(self):
+        # twelve triples fail; the first in (i, j, k) order is named, which
+        # orders by k, by j or from the end would each miss
+        d = np.ones((5, 5)) - np.eye(5)
+        d[1, 4] = d[4, 1] = d[0, 2] = d[2, 0] = 3.0
+        with pytest.raises(MetricInputError, match=r"fails on \(0, 2, 1\)$"):
+            FiniteMetricSpace(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(NonFiniteError, match="distance matrix must be finite"):
+            FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 class TestFromFiniteMetric:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,20 @@ from qmetric import (
     BiElement,
     FiniteMetricSpace,
     MetricCandidate,
+    NonFiniteError,
     PreconditionError,
     PureState,
     State,
     check_leibniz,
     diag_projector,
+    direct_sum,
     from_finite_metric,
     identity,
     lip_seminorm,
     m2_admissible,
     metric_pseudo_inverse,
     mk_distance,
+    op_norm,
     pure_state_bound,
 )
 
@@ -32,6 +36,26 @@ def classical_candidate(d):
 
 def diagonal_element(shape, values):
     return AlgebraElement(shape, np.diag(np.asarray(values)).astype(complex))
+
+
+def random_state(shape, rng):
+    blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in shape.blocks]
+    dens = [g @ g.conj().T for g in blocks]
+    total = sum(float(np.trace(x).real) for x in dens)
+    return State(shape, tuple(x / total for x in dens))
+
+
+def direct_sum_candidates(rng):
+    """Candidates on the shapes (2, 2), (2, 1, 1) and (2, 2, 2)."""
+
+    def m2():
+        return MetricCandidate(m2_admissible(float(rng.uniform(0.2, 5.0))))
+
+    def join(a, b):
+        return direct_sum(a, b, float(op_norm(a.rho) + op_norm(b.rho)))
+
+    two = classical_candidate(random_metric(rng, 2))
+    return [join(m2(), m2()), join(m2(), two), join(join(m2(), m2()), m2())]
 
 
 TWO_POINT = classical_candidate([[0.0, 1.0], [1.0, 0.0]])
@@ -71,6 +95,14 @@ class TestStates:
     def test_pure_state_requires_unit_vector(self):
         with pytest.raises(ValueError):
             PureState(AlgebraShape((2,)), 0, np.array([1.0, 1.0]))
+
+    def test_classical_rejects_nan(self):
+        with pytest.raises(NonFiniteError, match="block densities must be finite"):
+            State.classical([np.nan, 1.0])
+
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(NonFiniteError, match="pure-state vector must be finite"):
+            PureState(AlgebraShape((2,)), 0, np.array([np.nan, 1.0]))
 
 
 class TestPseudoInverse:
@@ -214,6 +246,12 @@ class TestMKDistance:
         result = mk_distance(phi, phi, TWO_POINT)
         assert result.lower == pytest.approx(0.0, abs=1e-9)
 
+    def test_one_point_space(self):
+        # no pair constraints: the program has an empty (0, 1) row block
+        cand = classical_candidate([[0.0]])
+        result = mk_distance(State.classical([1.0]), State.classical([1.0]), cand)
+        assert result.lower == result.upper == 0.0
+
     def test_three_point_path(self):
         cand = classical_candidate([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         phi, psi = State.classical([1, 0, 0]), State.classical([0, 0, 1])
@@ -231,6 +269,33 @@ class TestMKDistance:
             lp = mk_distance(State.classical(p), State.classical(q), cand)
             primal = transport_lp_primal(d, p, q)
             assert lp.lower == pytest.approx(primal, abs=1e-6)
+
+    def test_lp_input_matches_pairwise_loop(self, monkeypatch):
+        # one constraint row per ordered pair x != y, in loop order
+        import qmetric.lipschitz as lip
+
+        seen = {}
+        real = lip.linprog
+
+        def spy(c, **kw):
+            seen.update(kw)
+            return real(c, **kw)
+
+        monkeypatch.setattr(lip, "linprog", spy)
+        rng = np.random.default_rng(15)
+        d = random_metric(rng, 5)
+        p, q = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
+        mk_distance(State.classical(p), State.classical(q), classical_candidate(d))
+        rows, rhs = [], []
+        for x in range(5):
+            for y in range(5):
+                if x != y:
+                    row = np.zeros(5)
+                    row[x], row[y] = 1.0, -1.0
+                    rows.append(row)
+                    rhs.append(d[x, y])
+        assert np.array_equal(seen["A_ub"], np.asarray(rows))
+        assert np.array_equal(seen["b_ub"], np.asarray(rhs))
 
     def test_symmetry_and_triangle_on_classical(self):
         rng = np.random.default_rng(8)
@@ -254,6 +319,7 @@ class TestMKDistance:
             exact = mk_distance(phi, psi, cand).lower
             ascent = mk_distance(phi, psi, cand, method="ascent")
             assert ascent.lower <= exact + 1e-8
+            assert exact <= ascent.upper + 1e-8
             assert ascent.lower <= ascent.upper + 1e-8
 
     def test_ascent_finds_two_point_value(self):
@@ -269,7 +335,7 @@ class TestMKDistance:
         phi = State.classical(rng.dirichlet(np.ones(4)))
         psi = State.classical(rng.dirichlet(np.ones(4)))
         lowers = [
-            mk_distance(phi, psi, cand, method="ascent", max_iter=k, patience=k).lower
+            mk_distance(phi, psi, cand, method="ascent", max_iter=k).lower
             for k in (5, 25, 125)
         ]
         assert lowers[0] <= lowers[1] + 1e-12 <= lowers[2] + 2e-12
@@ -279,8 +345,8 @@ class TestMKDistance:
         # second block leaves diag(1, 0, 0) with zero seminorm although it
         # separates the block states; such candidates fail nondegeneracy,
         # so the public path refuses them and the guard is exercised on
-        # the internal ascent directly
-        from qmetric.lipschitz import _mk_ascent
+        # the internal lower end directly
+        from qmetric.lipschitz import _mk_lower
 
         shape = AlgebraShape((1, 2))
         data = np.zeros((9, 9), dtype=complex)
@@ -297,11 +363,8 @@ class TestMKDistance:
             shape,
             (np.zeros((1, 1), dtype=complex), np.eye(2, dtype=complex) / 2.0),
         )
-        lower, converged, _, unbounded = _mk_ascent(
-            phi, psi, rho, rho, max_iter=50, improve_tol=1e-8, patience=10
-        )
-        assert unbounded
-        assert math.isinf(lower)
+        lower = _mk_lower(phi, psi, rho, rho)
+        assert math.isinf(lower) and lower > 0
 
     def test_full_range_candidate_is_bounded(self):
         # with nondegeneracy in force the only zero-seminorm directions
@@ -318,6 +381,52 @@ class TestMKDistance:
         assert not result.unbounded
         assert np.isfinite(result.lower) and np.isfinite(result.upper)
         assert result.lower <= result.upper + 1e-8
+
+    def test_lower_end_in_closed_form(self):
+        # the lower end is the value at the trace-free part of delta
+        rng = np.random.default_rng(12)
+        cases = [(classical_candidate(random_metric(rng, n)), "ascent") for n in range(3, 8)]
+        cases += [(cand, "auto") for cand in direct_sum_candidates(rng)]
+        for cand, method in cases:
+            phi, psi = random_state(cand.shape, rng), random_state(cand.shape, rng)
+            delta = phi.as_element() - psi.as_element()
+            expected = np.linalg.norm(delta.data) ** 2 / lip_seminorm(delta, cand)
+            result = mk_distance(phi, psi, cand, method=method)
+            assert result.lower == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert result.iterations == 0
+
+    def test_converged_means_closed_bracket(self):
+        phi, psi = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
+        assert mk_distance(phi, psi, TWO_POINT, method="ascent").converged
+        # distances in [1, 2) close the point-mass bracket at d(0, 5)
+        rng = np.random.default_rng(13)
+        d = rng.uniform(1.0, 1.9, (8, 8))
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        eye = np.eye(8)
+        closed = mk_distance(
+            State.classical(eye[0]), State.classical(eye[5]), classical_candidate(d), method="ascent"
+        )
+        assert closed.converged
+        assert closed.upper == pytest.approx(d[0, 5], rel=1e-12)
+        cand = direct_sum_candidates(rng)[0]
+        opened = mk_distance(random_state(cand.shape, rng), random_state(cand.shape, rng), cand)
+        assert cand.shape.blocks == (2, 2)
+        assert opened.upper - opened.lower > 1e-3 * opened.upper
+        assert not opened.converged
+
+    def test_general_path_memory_bound(self):
+        rng = np.random.default_rng(14)
+        cand = classical_candidate(random_metric(rng, 8))
+        phi, psi = random_state(cand.shape, rng), random_state(cand.shape, rng)
+        tracemalloc.start()
+        try:
+            result = mk_distance(phi, psi, cand, method="ascent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(result.lower) and result.lower <= result.upper + 1e-8
+        assert peak < 16 * 2**20
 
     def test_result_serialization(self):
         phi, psi = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
