@@ -17,6 +17,11 @@ LAPACK call per cell size instead of one call on the dense D^m x D^m matrix.
 Cells of size one need no LAPACK call at all.  The dense maps stay as the
 reference the tests compare against.
 
+`cells` and `AlgebraShape.block_labels` are the only code that knows where
+a block's coordinates sit.  The diagonal projector, the hermitian parameter
+basis, the canonical m(nu) = 1 element, the search's off-diagonal columns,
+the direct sum and the tensor-product regrouping are built from them.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 """
@@ -94,10 +99,7 @@ class AlgebraShape:
 
     def block_labels(self) -> np.ndarray:
         """Block index of every coordinate of C^D."""
-        lab = np.empty(self.dim, dtype=np.intp)
-        for k, (a, b) in enumerate(self.block_ranges()):
-            lab[a:b] = k
-        return lab
+        return np.repeat(np.arange(self.num_blocks), self.blocks)
 
 
 def as_shape(shape: AlgebraShape | Sequence[int]) -> AlgebraShape:
@@ -338,7 +340,8 @@ class _Element:
         return cell_stacks(self.data, self.shape.blocks, self.order)
 
     def is_selfadjoint(self, tol: float = HERM_TOL) -> bool:
-        return op_norm(self - self.adjoint) <= tol * max(1.0, op_norm(self))
+        stacks = self.cells
+        return hermitian_defect(stacks) <= tol * max(1.0, cellwise_norm(stacks))
 
     def __add__(self, other):
         self._check_same(other)
@@ -448,23 +451,19 @@ def mult_map(r: BiElement) -> AlgebraElement:
 
 def swap_matrix(n: int) -> np.ndarray:
     """The swap unitary on C^n (x) C^n."""
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s[i * n + j, j * n + i] = 1.0
-    return s
+    return np.eye(n * n, dtype=complex)[np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 @lru_cache(maxsize=None)
 def _diag_projector_cached(blocks: tuple[int, ...]) -> BiElement:
-    shape = AlgebraShape(blocks)
-    d = shape.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for a, b in shape.block_ranges():
-        n = b - a
-        idx = [i * d + j for i in range(a, b) for j in range(a, b)]
-        out[np.ix_(idx, idx)] = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
-    return BiElement(shape, out)
+    stacks = []
+    for g in cells(blocks, 2):
+        on_diag = g.index[g.labels[:, 0] == g.labels[:, 1]]
+        if len(on_diag):
+            n = g.legs[0]
+            sym = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
+            stacks.append((on_diag, np.broadcast_to(sym, (len(on_diag),) + sym.shape)))
+    return BiElement(blocks, assemble(stacks, sum(blocks) ** 2))
 
 
 def diag_projector(shape: AlgebraShape | Sequence[int]) -> BiElement:
@@ -538,26 +537,18 @@ def hermitian_param_basis(shape: AlgebraShape | Sequence[int], order: int) -> np
     """
     shape = as_shape(shape)
     d = shape.dim**order
-    mask = support_mask(shape.blocks, order)
-    mats = []
+    rows, cols = np.nonzero(np.triu(support_mask(shape.blocks, order)))
+    off = rows != cols
+    # each support entry takes one matrix, an off-diagonal one a second
+    first = np.cumsum(1 + off) - 1 - off
+    out = np.zeros((len(rows) + np.count_nonzero(off), d, d), dtype=complex)
+    out[first[~off], rows[~off], rows[~off]] = 1.0
+    re, r, c = first[off], rows[off], cols[off]
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(d):
-        for b in range(a, d):
-            if not mask[a, b]:
-                continue
-            m = np.zeros((d, d), dtype=complex)
-            if a == b:
-                m[a, a] = 1.0
-                mats.append(m)
-            else:
-                m[a, b] = inv_sqrt2
-                m[b, a] = inv_sqrt2
-                mats.append(m)
-                m2 = np.zeros((d, d), dtype=complex)
-                m2[a, b] = 1j * inv_sqrt2
-                m2[b, a] = -1j * inv_sqrt2
-                mats.append(m2)
-    return np.stack(mats)
+    out[re, r, c] = out[re, c, r] = inv_sqrt2
+    out[re + 1, r, c] = 1j * inv_sqrt2
+    out[re + 1, c, r] = -1j * inv_sqrt2
+    return out
 
 
 def zero_clip(arr: np.ndarray, threshold: float = 1e-14) -> np.ndarray:
@@ -566,3 +557,9 @@ def zero_clip(arr: np.ndarray, threshold: float = 1e-14) -> np.ndarray:
     out.real[np.abs(out.real) < threshold] = 0.0
     out.imag[np.abs(out.imag) < threshold] = 0.0
     return out
+
+
+def complex_pairs(arr) -> list:
+    """The entries of arr in row-major order as [re, im] pairs of floats."""
+    flat = np.asarray(arr, dtype=complex).ravel()
+    return np.stack([flat.real, flat.imag], axis=1).tolist()

@@ -45,6 +45,7 @@ from .algebra import (
     cellwise_eigh,
     cellwise_min_singular,
     cellwise_norm,
+    complex_pairs,
     diag_projector,
     flip,
     hermitian_defect,
@@ -126,8 +127,7 @@ class AxiomRecord:
             "margin": None if np.isnan(self.margin) else float(self.margin),
         }
         if self.witness is not None:
-            flat = np.asarray(self.witness).ravel()
-            out["witness"] = [[float(z.real), float(z.imag)] for z in flat]
+            out["witness"] = complex_pairs(self.witness)
         if self.indeterminate:
             out["indeterminate"] = True
         if self.note:
@@ -330,12 +330,9 @@ def canonical_mult_one(shape: AlgebraShape | Sequence[int]) -> BiElement:
     indicator.
     """
     shape = as_shape(shape)
-    p = diag_projector(shape).data.copy()
-    d = shape.dim
-    for (a, b), n in zip(shape.block_ranges(), shape.blocks):
-        idx = [i * d + j for i in range(a, b) for j in range(a, b)]
-        p[np.ix_(idx, idx)] *= 2.0 / (n + 1)
-    return BiElement(shape, p)
+    # row (p, q) of a diagonal cell (i, i) has p in block i, so it takes 2 / (n_i + 1)
+    row_scale = np.repeat(2.0 / (np.asarray(shape.blocks) + 1)[shape.block_labels()], shape.dim)
+    return BiElement(shape, diag_projector(shape).data * row_scale[:, None])
 
 
 def sample_mult_one_elements(

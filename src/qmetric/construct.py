@@ -107,16 +107,18 @@ def direct_sum(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCand
     d = d1 + d2
     shape = AlgebraShape(s1.blocks + s2.blocks)
     data = np.zeros((d * d, d * d), dtype=complex)
-
-    def embed(block_rho: np.ndarray, off1: int, off2: int, n1: int, n2: int) -> None:
-        rows = [(off1 + i) * d + (off2 + j) for i in range(n1) for j in range(n2)]
-        data[np.ix_(rows, rows)] += block_rho
-
-    # reindex rho_i from D_i^2 coordinates into the ambient D^2 coordinates
-    embed(m1.rho.data, 0, 0, d1, d1)
-    embed(m2.rho.data, d1, d1, d2, d2)
-    embed(r * np.eye(d1 * d2, dtype=complex), 0, d1, d1, d2)
-    embed(r * np.eye(d2 * d1, dtype=complex), d1, 0, d2, d1)
+    # rho_i sits on rows and columns (p, q) with p and q in A_i, r * 1 on
+    # those with p in one summand and q in the other
+    legs = data.reshape(d, d, d, d)
+    one, two = slice(0, d1), slice(d1, d)
+    for (p, q), block in (
+        ((one, one), m1.rho.data),
+        ((two, two), m2.rho.data),
+        ((one, two), r * np.eye(d1 * d2, dtype=complex)),
+        ((two, one), r * np.eye(d2 * d1, dtype=complex)),
+    ):
+        view = legs[p, q, p, q]
+        view += block.reshape(view.shape)
     return MetricCandidate(BiElement(shape, data))
 
 
@@ -127,10 +129,8 @@ def _grouping_permutation(s1: AlgebraShape, s2: AlgebraShape) -> np.ndarray:
     lexicographic order, preserving the original order inside each group.
     """
     lab1, lab2 = s1.block_labels(), s2.block_labels()
-    d1, d2 = s1.dim, s2.dim
-    keys = [(lab1[p], lab2[q], p, q) for p in range(d1) for q in range(d2)]
-    order = sorted(range(d1 * d2), key=lambda k: keys[k])
-    return np.asarray(order, dtype=np.intp)
+    # lexsort is stable and sorts by its last key first
+    return np.lexsort((np.tile(lab2, s1.dim), np.repeat(lab1, s2.dim)))
 
 
 def tensor_product(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import as_shape, element_type, zero_clip
+from .algebra import as_shape, complex_pairs, element_type, zero_clip
 from .construct import FiniteMetricSpace
 
 ZERO_CLIP = 1e-14
@@ -28,13 +28,12 @@ class ExchangeError(ValueError):
 
 def element_to_dict(x) -> dict:
     d = x.shape.dim**x.order
-    data = zero_clip(np.asarray(x.data), ZERO_CLIP)
     return {
         "shape": list(x.shape.blocks),
         "order": x.order,
         "rows": d,
         "cols": d,
-        "data": np.stack([data.real.ravel(), data.imag.ravel()], axis=1).tolist(),
+        "data": complex_pairs(zero_clip(np.asarray(x.data), ZERO_CLIP)),
     }
 
 

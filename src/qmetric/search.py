@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraShape,
     BiElement,
     as_shape,
+    cells,
     diag_projector,
     hermitian_param_basis,
     random_element,
@@ -128,7 +129,7 @@ def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
     rows = [(params - flipped).reshape(n, -1)]
     if mode == REPRESENTATION:
         q = np.eye(d * d, dtype=complex) - diag_projector(shape).data
-        compressed = np.einsum("ab,nbc,cd->nad", q, params, q)
+        compressed = q @ params @ q
         rows.append((params - compressed).reshape(n, -1))
     else:
         mapped = np.einsum("npqqt->npt", folded)
@@ -136,7 +137,7 @@ def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
     cmat = np.concatenate(
         [np.concatenate([r.real, r.imag], axis=1) for r in rows], axis=1
     ).T
-    _, s, vt = np.linalg.svd(cmat, full_matrices=True)
+    _, s, vt = np.linalg.svd(cmat, full_matrices=False)
     tol = 1e-10 * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol))
     null_vecs = vt[rank:]
@@ -175,29 +176,34 @@ def _project_span(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _offdiag_basis_cached(blocks: tuple[int, ...]) -> np.ndarray:
-    """Columns spanning the complement of the diagonal subspace, cell-pure."""
-    shape = AlgebraShape(blocks)
-    d = shape.dim
-    ranges = shape.block_ranges()
-    cols = []
-    for i, (a1, b1) in enumerate(ranges):
-        for j, (a2, b2) in enumerate(ranges):
-            if i != j:
-                for p in range(a1, b1):
-                    for q in range(a2, b2):
-                        e = np.zeros(d * d, dtype=complex)
-                        e[p * d + q] = 1.0
-                        cols.append(e)
-            else:
-                for p in range(a1, b1):
-                    for q in range(p + 1, b1):
-                        e = np.zeros(d * d, dtype=complex)
-                        e[p * d + q] = 1.0 / np.sqrt(2.0)
-                        e[q * d + p] = -1.0 / np.sqrt(2.0)
-                        cols.append(e)
-    if not cols:
-        return np.zeros((d * d, 0), dtype=complex)
-    u = np.column_stack(cols)
+    """Columns spanning the complement of the diagonal subspace, cell-pure.
+
+    A cross cell (i, j), i != j, gives a unit column per coordinate; a
+    diagonal cell (i, i) gives (e_pq - e_qp) / sqrt(2) per local offset pair
+    p < q.  Columns follow the label pairs in lexicographic order, then the
+    row-major local offsets.
+    """
+    keys, plus, minus = [], [], []
+    for g in cells(blocks, 2):
+        key = g.labels @ (len(blocks), 1)
+        cross = g.labels[:, 0] != g.labels[:, 1]
+        keys.append(np.repeat(key[cross], g.index.shape[1]))
+        plus.append(g.index[cross].ravel())
+        minus.append(np.full(plus[-1].size, -1))
+        if g.legs[0] == g.legs[1]:
+            n = g.legs[0]
+            p, q = np.triu_indices(n, 1)
+            diag = g.index[~cross]
+            keys.append(np.repeat(key[~cross], len(p)))
+            plus.append(diag[:, p * n + q].ravel())
+            minus.append(diag[:, q * n + p].ravel())
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    plus, minus = np.concatenate(plus)[order], np.concatenate(minus)[order]
+    d = sum(blocks)
+    u = np.zeros((d * d, len(order)), dtype=complex)
+    pair = minus >= 0
+    u[plus, np.arange(len(order))] = np.where(pair, 1.0 / np.sqrt(2.0), 1.0)
+    u[minus[pair], np.flatnonzero(pair)] = -1.0 / np.sqrt(2.0)
     u.setflags(write=False)
     return u
 
@@ -292,16 +298,6 @@ class _SearchContext:
         if self.cfg.include_triangle and s is not None:
             da_sq += float(np.linalg.norm(s - pa_s) ** 2)
         return float(np.sqrt(da_sq))
-
-    def distances(self, rho: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-        """True Frobenius distances of the given point to the three sets."""
-        da = self.affine_distance(rho, s)
-        db = self.cone_distance(rho)
-        dc = 0.0
-        if self.cfg.include_triangle and s is not None:
-            vals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-            dc = float(np.linalg.norm(np.minimum(vals, 0.0)))
-        return np.array([da, db, dc])
 
 
 def _certification_config(cfg: SearchConfig) -> ToleranceConfig:

@@ -114,3 +114,131 @@ def plant_negativity(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
     x, y = rng.permutation(n)[:2]
     out[x, y] = out[y, x] = -0.3
     return out
+
+
+# ---------------------------------------------------------------------------
+# Block layout by direct index arithmetic: the loop forms of the structures
+# the package builds from `algebra.cells`.  Coordinate (p, q) of C^D (x) C^D
+# is p * D + q.
+# ---------------------------------------------------------------------------
+
+
+def _ranges(blocks) -> list:
+    out, start = [], 0
+    for n in blocks:
+        out.append((start, start + n))
+        start += n
+    return out
+
+
+def swap_matrix(n: int) -> np.ndarray:
+    s = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            s[i * n + j, j * n + i] = 1.0
+    return s
+
+
+def diag_projector(blocks) -> np.ndarray:
+    d = sum(blocks)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in _ranges(blocks):
+        n = b - a
+        idx = [i * d + j for i in range(a, b) for j in range(a, b)]
+        out[np.ix_(idx, idx)] = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
+    return out
+
+
+def canonical_mult_one(blocks) -> np.ndarray:
+    p = diag_projector(blocks)
+    d = sum(blocks)
+    for (a, b), n in zip(_ranges(blocks), blocks):
+        idx = [i * d + j for i in range(a, b) for j in range(a, b)]
+        p[np.ix_(idx, idx)] *= 2.0 / (n + 1)
+    return p
+
+
+def _admissible(blocks, order: int, r: int, c: int) -> bool:
+    """Whether entry (r, c) of an order-fold matrix pairs equal blocks on every leg."""
+    d = sum(blocks)
+    label = [k for k, n in enumerate(blocks) for _ in range(n)]
+    for leg in range(order):
+        step = d ** (order - 1 - leg)
+        if label[r // step % d] != label[c // step % d]:
+            return False
+    return True
+
+
+def hermitian_param_basis(blocks, order: int) -> np.ndarray:
+    d = sum(blocks) ** order
+    mats = []
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for a in range(d):
+        for b in range(a, d):
+            if not _admissible(blocks, order, a, b):
+                continue
+            m = np.zeros((d, d), dtype=complex)
+            if a == b:
+                m[a, a] = 1.0
+                mats.append(m)
+            else:
+                m[a, b] = inv_sqrt2
+                m[b, a] = inv_sqrt2
+                mats.append(m)
+                m2 = np.zeros((d, d), dtype=complex)
+                m2[a, b] = 1j * inv_sqrt2
+                m2[b, a] = -1j * inv_sqrt2
+                mats.append(m2)
+    return np.stack(mats)
+
+
+def offdiag_basis(blocks) -> np.ndarray:
+    d = sum(blocks)
+    ranges = _ranges(blocks)
+    cols = []
+    for i, (a1, b1) in enumerate(ranges):
+        for j, (a2, b2) in enumerate(ranges):
+            if i != j:
+                for p in range(a1, b1):
+                    for q in range(a2, b2):
+                        e = np.zeros(d * d, dtype=complex)
+                        e[p * d + q] = 1.0
+                        cols.append(e)
+            else:
+                for p in range(a1, b1):
+                    for q in range(p + 1, b1):
+                        e = np.zeros(d * d, dtype=complex)
+                        e[p * d + q] = 1.0 / np.sqrt(2.0)
+                        e[q * d + p] = -1.0 / np.sqrt(2.0)
+                        cols.append(e)
+    if not cols:
+        return np.zeros((d * d, 0), dtype=complex)
+    return np.column_stack(cols)
+
+
+def direct_sum(rho1: np.ndarray, d1: int, rho2: np.ndarray, d2: int, r: float) -> np.ndarray:
+    d = d1 + d2
+    data = np.zeros((d * d, d * d), dtype=complex)
+
+    def embed(block_rho, off1, off2, n1, n2):
+        rows = [(off1 + i) * d + (off2 + j) for i in range(n1) for j in range(n2)]
+        data[np.ix_(rows, rows)] += block_rho
+
+    embed(rho1, 0, 0, d1, d1)
+    embed(rho2, d1, d1, d2, d2)
+    embed(r * np.eye(d1 * d2, dtype=complex), 0, d1, d1, d2)
+    embed(r * np.eye(d2 * d1, dtype=complex), d1, 0, d2, d1)
+    return data
+
+
+def grouping_permutation(blocks1, blocks2) -> np.ndarray:
+    lab1 = [k for k, n in enumerate(blocks1) for _ in range(n)]
+    lab2 = [k for k, n in enumerate(blocks2) for _ in range(n)]
+    d1, d2 = len(lab1), len(lab2)
+    keys = [(lab1[p], lab2[q], p, q) for p in range(d1) for q in range(d2)]
+    return np.asarray(sorted(range(d1 * d2), key=lambda k: keys[k]), dtype=np.intp)
+
+
+def complex_pairs(arr) -> list:
+    """[re, im] pairs of an array's entries, one entry at a time."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]

@@ -292,6 +292,22 @@ class TestNorms:
         with pytest.raises(ValueError):
             min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_is_selfadjoint(self):
+        rng = np.random.default_rng(12)
+        for blocks in [(2, 1), (1, 1, 1), (2, 2)]:
+            assert random_element(blocks, 2, rng, hermitian=True).is_selfadjoint()
+            assert not random_element(blocks, 2, rng).is_selfadjoint()
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_is_selfadjoint_at_the_tolerance(self, side):
+        # x - x* has norm t and ||x|| < 1, so the test is t <= tol
+        tol = 1e-3
+        t = tol * (1.0 + side * 1e-6)
+        x = AlgebraElement((2, 1), np.diag([0.5, 0.5, 0.25]) + unit(3, 0, 1) * t)
+        assert x.is_selfadjoint(tol) == (side < 0)
+        assert not x.is_selfadjoint()
+        assert (x + x.adjoint).is_selfadjoint(tol=0.0)
+
 
 class TestHelpers:
     def test_swap_matrix(self):

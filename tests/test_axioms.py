@@ -194,7 +194,9 @@ class TestAlgebraicDiag:
 
 
 class TestAlgebraicNondegenerate:
-    @pytest.mark.parametrize("blocks", [(2,), (1, 1), (2, 1), (3,)])
+    @pytest.mark.parametrize(
+        "blocks", [(2,), (1, 1), (2, 1), (3,), (1,) * 9, (2, 2), (2, 1, 1), (2, 2, 2), (3, 3, 3)]
+    )
     def test_canonical_element_properties(self, blocks):
         nu = canonical_mult_one(blocks)
         assert np.allclose(mult_map(nu).data, np.eye(sum(blocks)), atol=1e-12)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetric import (
+    AlgebraShape,
     BiElement,
     MetricCandidate,
     ToleranceConfig,
@@ -33,14 +34,25 @@ from qmetric import (
     verify,
 )
 from qmetric.algebra import (
+    _diag_projector_cached,
     cell_stacks,
     cells,
     cellwise_min_eig,
+    hermitian_param_basis,
     random_element,
     support_mask,
+    swap_matrix,
 )
-from qmetric.axioms import m2_admissible, sample_mult_one_elements, triangle_slack_cells
-from qmetric.construct import FiniteMetricSpace, direct_sum
+from qmetric.axioms import (
+    canonical_mult_one,
+    m2_admissible,
+    sample_mult_one_elements,
+    triangle_slack_cells,
+)
+from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
+from qmetric.search import _offdiag_basis_cached
+
+import oracles
 
 from oracles import (
     classical_axioms,
@@ -159,6 +171,55 @@ class TestCells:
     def test_classical_cells_are_points(self):
         groups = cells((1,) * 5, 3)
         assert len(groups) == 1 and groups[0].index.shape == (125, 1)
+
+
+class TestLayoutOracles:
+    """Structures built from the cells equal their index-loop forms exactly."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_swap_matrix(self, n):
+        assert np.array_equal(swap_matrix(n), oracles.swap_matrix(n))
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    def test_projectors(self, blocks):
+        fresh = _diag_projector_cached.__wrapped__(blocks)
+        assert np.array_equal(fresh.data, oracles.diag_projector(blocks))
+        assert np.array_equal(canonical_mult_one(blocks).data, oracles.canonical_mult_one(blocks))
+        assert np.array_equal(_offdiag_basis_cached.__wrapped__(blocks), oracles.offdiag_basis(blocks))
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_hermitian_param_basis(self, blocks, order):
+        assert np.array_equal(
+            hermitian_param_basis(blocks, order), oracles.hermitian_param_basis(blocks, order)
+        )
+
+    # the direct sum is a dense D^2 x D^2 matrix: 690 MB at D = 9
+    @pytest.mark.parametrize("blocks", [b for b in ALL_SHAPES if sum(b) <= 6])
+    def test_direct_sum(self, blocks):
+        rng = np.random.default_rng(len(blocks) + sum(blocks))
+        cut = max(1, len(blocks) // 2)
+        parts = (blocks[:cut], blocks[cut:] or blocks)
+        m1, m2 = (MetricCandidate(random_element(b, 2, rng, hermitian=True)) for b in parts)
+        r = 1.0 + max(op_norm(m1.rho), op_norm(m2.rho))
+        expected = oracles.direct_sum(m1.rho.data, m1.shape.dim, m2.rho.data, m2.shape.dim, r)
+        assert np.array_equal(direct_sum(m1, m2, r).rho.data, expected)
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    def test_grouping_permutation(self, blocks):
+        for other in [(1,), (2,), (2, 1), (1, 2, 1), blocks]:
+            got = _grouping_permutation(AlgebraShape(blocks), AlgebraShape(other))
+            assert np.array_equal(got, oracles.grouping_permutation(blocks, other))
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    def test_offdiag_columns_complement_the_diagonal(self, blocks):
+        u = _offdiag_basis_cached(blocks)
+        complement = np.eye(sum(blocks) ** 2) - diag_projector(blocks).data
+        assert np.allclose(u @ u.conj().T, complement, atol=1e-14)
+        assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-14)
+        ids = cell_id(blocks, 2)
+        for col in u.T:
+            assert len(set(ids[np.flatnonzero(col)])) == 1
 
 
 @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestRoundTrip:
 
 class TestNonFiniteInput:
     def test_verify_rejects_nan_entry(self, m2_file, tmp_path, capsys):
-        doc = json.loads(open(m2_file).read())
+        doc = json.loads(Path(m2_file).read_text())
         doc["data"][5] = [float("nan"), 0.0]
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(doc))

@@ -5,6 +5,7 @@ import pytest
 
 from qmetric import AlgebraShape, BiElement, FiniteMetricSpace, State, m2_admissible
 from qmetric.algebra import random_element
+from qmetric.axioms import AxiomRecord, AxiomReport, ToleranceConfig
 from qmetric.exchange import (
     ExchangeError,
     dict_to_element,
@@ -14,8 +15,11 @@ from qmetric.exchange import (
     load_state,
     save_element,
     save_metric_space,
+    save_report,
     save_state,
 )
+
+import oracles
 
 
 class TestElementRoundTrip:
@@ -78,6 +82,26 @@ class TestElementRoundTrip:
         }
         with pytest.raises(ExchangeError):
             dict_to_element(doc)
+
+
+class TestReportDocument:
+    def test_witness_pairs_match_entrywise_writer(self, tmp_path):
+        witnesses = [
+            np.array([-0.0, 1.5 - 0.0j, complex(-0.0, -2.25), 1e-300 + 3j, -7e-17j]),
+            np.array([[-0.0, 2.0], [0.5, -1.0]]),
+            np.array([1, -2]),
+        ]
+        records = tuple(
+            AxiomRecord(tag, False, -1.0, witness=w) for tag, w in zip(("i", "iii", "v"), witnesses)
+        )
+        report = AxiomReport("representation", AlgebraShape((2,)), records, ToleranceConfig())
+        path = tmp_path / "report.json"
+        save_report(report, path)
+        expected = report.to_dict()
+        for rec, w in zip(expected["records"], witnesses):
+            rec["witness"] = oracles.complex_pairs(w)
+        assert path.read_text() == json.dumps(expected, indent=2)
+        assert "-0.0" in path.read_text()
 
 
 class TestStateRoundTrip:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qmetric import (
 )
 from qmetric.algebra import random_element
 from qmetric.exchange import load_element, outcome_to_dict, save_element
-from qmetric.search import structure_basis
+from qmetric.search import _structure_basis_cached, structure_basis
 
 from oracles import classical_axioms
 
@@ -116,6 +117,17 @@ class TestStructureBasis:
         flat = basis.reshape(basis.shape[0], -1)
         gram = (flat.conj() @ flat.T).real
         assert np.allclose(gram, np.eye(basis.shape[0]), atol=1e-10)
+
+    def test_cold_build_memory(self):
+        # the full U of the 5184 x 36 constraint matrix alone would take 215 MB
+        tracemalloc.start()
+        try:
+            basis = _structure_basis_cached.__wrapped__((1,) * 6, "representation")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.shape[0] == 15
+        assert peak < 32 * 2**20
 
 
 class TestCertify:
