@@ -12,8 +12,10 @@ A supported element of order m is block diagonal once its coordinates are
 grouped by block-label tuple: it is the direct sum of its K^m cells, the
 cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
 groups, and the spectral functions (`op_norm` and `min_eig` on elements,
-`cellwise_eigh`, `cellwise_norm`, `cellwise_min_eig`) work one stacked
-LAPACK call per cell size instead of one call on the dense D^m x D^m matrix.
+`cellwise_eigh`, `cellwise_norm`, `cellwise_min_eig`, and
+`cellwise_min_singular`, which also takes a leading sample axis) work one
+stacked LAPACK call per cell size instead of one call on the dense
+D^m x D^m matrix.
 Cells of size one need no LAPACK call at all.  The dense maps stay as the
 reference the tests compare against.
 
@@ -174,9 +176,13 @@ CellStacks = list[tuple[np.ndarray, np.ndarray]]
 
 
 def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
-    """Cells of a supported order-fold matrix, one stack per leg pattern."""
+    """Cells of a supported order-fold matrix, one stack per leg pattern.
+
+    Leading axes of arr carry over: a stack of matrices of shape (k, N, N)
+    gives cell stacks of shape (k, cells, n, n).
+    """
     return [
-        (g.index, arr[g.index[:, :, None], g.index[:, None, :]])
+        (g.index, arr[..., g.index[:, :, None], g.index[:, None, :]])
         for g in cells(blocks, order)
     ]
 
@@ -189,14 +195,17 @@ def assemble(stacks: CellStacks, dim: int) -> np.ndarray:
     return out
 
 
-def _by_size(stacks: CellStacks) -> CellStacks:
-    """Merge stacks whose cells have equal size, one stack per size."""
+def by_size(stacks: CellStacks) -> CellStacks:
+    """Merge stacks whose cells have equal size, one stack per size.
+
+    The cell axis is the third from the end, so leading axes carry over.
+    """
     merged: dict[int, list] = {}
     for index, mats in stacks:
         merged.setdefault(index.shape[1], []).append((index, mats))
     return [
         parts[0] if len(parts) == 1
-        else (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+        else (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=-3))
         for _, parts in sorted(merged.items())
     ]
 
@@ -209,7 +218,7 @@ def adjoints(mats: np.ndarray) -> np.ndarray:
 def cellwise_norm(stacks: CellStacks) -> float:
     """Operator norm of a direct sum: the largest cell norm."""
     best = 0.0
-    for _, mats in _by_size(stacks):
+    for _, mats in by_size(stacks):
         if mats.shape[1] == 1:
             best = max(best, float(np.abs(mats).max()))
         else:
@@ -224,7 +233,7 @@ def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.n
     ascending and vecs[c][:, j] the unit eigenvector of vals[c][j].
     """
     out = []
-    for index, mats in _by_size(stacks):
+    for index, mats in by_size(stacks):
         if mats.shape[1] == 1:
             vals, vecs = mats[:, :, 0].real.copy(), np.ones_like(mats)
         else:
@@ -269,16 +278,23 @@ def cellwise_min_eig(stacks: CellStacks, tol: float = HERM_TOL) -> tuple[float, 
     return lowest_eigenpair(cellwise_eigh(stacks))
 
 
-def cellwise_min_singular(stacks: CellStacks) -> tuple[float, np.ndarray]:
-    """Smallest singular value of a direct sum, with a unit right singular vector."""
-    per_cell = []
-    for index, mats in _by_size(stacks):
-        if mats.shape[1] == 1:
-            s, vh = np.abs(mats[:, :, 0]), np.ones_like(mats)
+def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> list[tuple[float, np.ndarray]]:
+    """Smallest singular value of x + y_k for every k, with a unit right singular vector.
+
+    x is the direct sum `stacks`.  `shifts` holds the cells of the direct
+    sums y_k with a leading sample axis, mats[k, c] being cell c of y_k.
+    One SVD call per cell size covers every sample.
+    """
+    per_size = []
+    for (index, mats), (_, more) in zip(by_size(stacks), by_size(shifts)):
+        total = mats + more
+        if total.shape[-1] == 1:
+            s, vh = np.abs(total[..., 0]), np.ones_like(total)
         else:
-            _, s, vh = np.linalg.svd(mats)
-        per_cell.append((index, s[:, -1], vh[:, -1].conj()))
-    return _smallest(per_cell)
+            _, s, vh = np.linalg.svd(total)
+        per_size.append((index, s[..., -1], vh[..., -1, :].conj()))
+    count = len(per_size[0][1])
+    return [_smallest((index, s[k], v[k]) for index, s, v in per_size) for k in range(count)]
 
 
 def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:

@@ -21,6 +21,10 @@ with D^9.  The triangle check builds each slack cell straight from the
 cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
 the dense slack as the reference the tests compare against, and its array
 kernel `triangle_slack` is the lift the feasibility search projects with.
+
+The test elements nu of the sampled iii_alg check depend only on (shape,
+count, seed), never on rho: they are drawn once per process and cached, and
+every rho + nu is solved in one stacked SVD per cell size.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .algebra import (
     adjoints,
     as_shape,
     assemble,
+    by_size,
     cell_stacks,
     cells,
     cellwise_eigh,
@@ -335,24 +340,21 @@ def canonical_mult_one(shape: AlgebraShape | Sequence[int]) -> BiElement:
     return BiElement(shape, diag_projector(shape).data * row_scale[:, None])
 
 
-def sample_mult_one_elements(
-    shape: AlgebraShape | Sequence[int],
-    count: int,
-    seed: int,
-    max_attempts: int = 64,
-) -> list[BiElement]:
-    """Positive flip-symmetric test elements with m(nu) = 1.
+# Entries kept by each sampled-test-element cache.  Search certification
+# passes each job's own seed, and one entry at D = 18 holds about 13 MB.
+_SAMPLE_CACHE_SIZE = 32
 
-    The canonical element always comes first.  The rest start from it, add
-    a random positive flip-symmetric perturbation, subtract a lift that
-    restores m(nu) = 1, and mix toward the identity of A (x) A (also on the
-    slice) until positive again.  Randomness is counter-based from the seed.
-    """
-    shape = as_shape(shape)
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _mult_one_samples(
+    blocks: tuple[int, ...], count: int, seed: int, max_attempts: int
+) -> tuple[BiElement, ...]:
+    """The body of `sample_mult_one_elements`, cached per argument tuple."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    shape = AlgebraShape(blocks)
     d = shape.dim
     out = [canonical_mult_one(shape)]
-    if count <= 1:
-        return out
     rng = np.random.Generator(np.random.Philox(key=seed))
     eye2 = np.eye(d * d, dtype=complex)
     eye1 = np.eye(d, dtype=complex)
@@ -394,7 +396,42 @@ def sample_mult_one_elements(
         if accepted is None:
             raise RuntimeError("test-element sampler failed to produce a valid element")
         out.append(accepted)
-    return out
+    return tuple(out)
+
+
+def sample_mult_one_elements(
+    shape: AlgebraShape | Sequence[int],
+    count: int,
+    seed: int,
+    max_attempts: int = 64,
+) -> list[BiElement]:
+    """Positive flip-symmetric test elements with m(nu) = 1.
+
+    The canonical element always comes first.  The rest start from it, add
+    a random positive flip-symmetric perturbation, subtract a lift that
+    restores m(nu) = 1, and mix toward the identity of A (x) A (also on the
+    slice) until positive again.  Randomness is counter-based from the seed.
+
+    The elements depend only on (shape, count, seed, max_attempts), so they
+    are drawn once per process and cached; each call returns a fresh list
+    of the same read-only elements.  `check_alg_nondegenerate_sampled`
+    solves all of them in one stacked SVD per cell size.  Raises ValueError
+    when count < 1.
+    """
+    return list(_mult_one_samples(as_shape(shape).blocks, count, seed, max_attempts))
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _sample_cells(
+    blocks: tuple[int, ...], count: int, seed: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Cells of the sampled test elements, one (count, cells, n, n) stack per cell size."""
+    nus = sample_mult_one_elements(blocks, count, seed)
+    stacks = tuple(by_size(cell_stacks(np.stack([nu.data for nu in nus]), blocks, 2)))
+    for index, mats in stacks:
+        index.setflags(write=False)
+        mats.setflags(write=False)
+    return stacks
 
 
 def check_alg_nondegenerate_sampled(rho: BiElement, cfg: ToleranceConfig | None = None) -> AxiomRecord:
@@ -402,13 +439,16 @@ def check_alg_nondegenerate_sampled(rho: BiElement, cfg: ToleranceConfig | None 
 
     A pass means no sampled nu falsified invertibility; it is evidence, not
     proof.  The margin is the worst smallest singular value minus eq_tol.
+    The test elements depend only on (shape, sample_count, seed): they are
+    drawn once per process, and every rho + nu is solved in one stacked SVD
+    per cell size without forming rho + nu.  The first sample with a
+    strictly smaller value gives the witness.
     """
     cfg = _cfg(cfg)
-    nus = sample_mult_one_elements(rho.shape, cfg.sample_count, cfg.seed)
+    samples = _sample_cells(rho.shape.blocks, cfg.sample_count, cfg.seed)
     worst = np.inf
     worst_vec = None
-    for nu in nus:
-        smin, vec = cellwise_min_singular((rho + nu).cells)
+    for smin, vec in cellwise_min_singular(rho.cells, samples):
         if smin < worst:
             worst = smin
             worst_vec = vec

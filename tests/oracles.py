@@ -7,6 +7,8 @@ the package paths it checks.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -242,3 +244,37 @@ def grouping_permutation(blocks1, blocks2) -> np.ndarray:
 def complex_pairs(arr) -> list:
     """[re, im] pairs of an array's entries, one entry at a time."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]
+
+
+def alg_nondegenerate_loop(rho: BiElement, nus, eq_tol: float) -> tuple[bool, float, np.ndarray | None]:
+    """The sampled iii_alg check, one sample and one cell at a time.
+
+    For each nu, the smallest singular value of every cell of rho + nu.
+    The first sample with a strictly smaller value wins; within a sample,
+    the first cell in the order (cell size, leg sizes, block labels).
+    Returns (passed, margin, witness), the witness None on a pass.
+    """
+    blocks = rho.shape.blocks
+    d = sum(blocks)
+    ranges = _ranges(blocks)
+    pairs = sorted(
+        itertools.product(range(len(blocks)), repeat=2),
+        key=lambda k: (blocks[k[0]] * blocks[k[1]], blocks[k[0]], blocks[k[1]]),
+    )
+    worst, witness = np.inf, None
+    for nu in nus:
+        total = rho.data + nu.data
+        for k1, k2 in pairs:
+            idx = [p * d + q for p in range(*ranges[k1]) for q in range(*ranges[k2])]
+            cell = total[np.ix_(idx, idx)]
+            if len(idx) == 1:
+                s, vh = np.abs(cell[0]), np.ones((1, 1), dtype=complex)
+            else:
+                _, s, vh = np.linalg.svd(cell)
+            smin, vec = s[-1], vh[-1].conj()
+            if smin < worst:
+                worst = float(smin)
+                witness = np.zeros(d * d, dtype=complex)
+                witness[idx] = vec
+    margin = worst - eq_tol
+    return margin > 0, margin, None if margin > 0 else witness

@@ -221,6 +221,11 @@ class TestAlgebraicNondegenerate:
         for x, y in zip(a, b):
             assert np.array_equal(x.data, y.data)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sampler_rejects_count_below_one(self, count):
+        with pytest.raises(ValueError, match="count"):
+            sample_mult_one_elements((2,), count, seed=0)
+
     def test_valid_classical_passes(self):
         rec = check_alg_nondegenerate_sampled(classical_two_point())
         assert rec.passed

@@ -44,7 +44,10 @@ from qmetric.algebra import (
     swap_matrix,
 )
 from qmetric.axioms import (
+    _mult_one_samples,
+    _sample_cells,
     canonical_mult_one,
+    check_alg_nondegenerate_sampled,
     m2_admissible,
     sample_mult_one_elements,
     triangle_slack_cells,
@@ -220,6 +223,51 @@ class TestLayoutOracles:
         ids = cell_id(blocks, 2)
         for col in u.T:
             assert len(set(ids[np.flatnonzero(col)])) == 1
+
+
+class TestSampledCheck:
+    """The stacked iii_alg check against the loop over samples and cells."""
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_matches_loop(self, blocks, seed, count):
+        rng = np.random.default_rng(sum(blocks) + 10 * seed + count)
+        g = random_element(blocks, 2, rng).data
+        cfg = ToleranceConfig(sample_count=count, seed=seed)
+        nus = sample_mult_one_elements(blocks, count, seed)
+        for rho in (BiElement.zeros(blocks), BiElement(blocks, g @ g.conj().T)):
+            rec = check_alg_nondegenerate_sampled(rho, cfg)
+            passed, margin, witness = oracles.alg_nondegenerate_loop(rho, nus, cfg.eq_tol)
+            assert rec.passed == passed and rec.margin == margin
+            if witness is None:
+                assert rec.witness is None
+            else:
+                assert rec.witness.tobytes() == witness.tobytes()
+
+    @pytest.mark.parametrize("blocks", [(1,) * 4, (2,), (2, 1), (2, 2, 2)])
+    def test_cached_samples_equal_fresh_ones(self, blocks):
+        cached = sample_mult_one_elements(blocks, 6, 5)
+        fresh = _mult_one_samples.__wrapped__(blocks, 6, 5, 64)
+        assert len(cached) == len(fresh) == 6
+        for a, b in zip(cached, fresh):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert not a.data.flags.writeable
+        for index, mats in _sample_cells(blocks, 6, 5):
+            assert mats.shape[:2] == (6, index.shape[0])
+            assert not index.flags.writeable and not mats.flags.writeable
+
+    def test_returned_list_is_fresh(self):
+        first = sample_mult_one_elements((2, 1), 3, 4)
+        kept = [nu.data.tobytes() for nu in first]
+        first.reverse()
+        first.append(first[0])
+        again = sample_mult_one_elements((2, 1), 3, 4)
+        assert [nu.data.tobytes() for nu in again] == kept
+
+    def test_caches_are_bounded(self):
+        for cached in (_mult_one_samples, _sample_cells):
+            assert cached.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])
