@@ -21,7 +21,7 @@ reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
 a block's coordinates sit.  The diagonal projector, the hermitian parameter
-basis, the canonical m(nu) = 1 element, the search's off-diagonal columns,
+basis, the canonical m(nu) = 1 element, the search's flat cell vectors,
 the direct sum and the tensor-product regrouping are built from them.
 
 All values are immutable after construction and every operation is a pure

@@ -19,8 +19,9 @@ the direct sum of its K^2 pair cells and the triangle slack of its K^3
 triple cells, so the cost grows with the sum of the cell sizes cubed, not
 with D^9.  The triangle check builds each slack cell straight from the
 cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
-the dense slack as the reference the tests compare against, and its array
-kernel `triangle_slack` is the lift the feasibility search projects with.
+the dense slack as the reference the tests compare against.  The
+feasibility search lifts its whole structure basis through
+`triangle_slack_cells` in one call.
 
 The test elements nu of the sampled iii_alg check depend only on (shape,
 count, seed), never on rho: they are drawn once per process and cached, and
@@ -59,6 +60,7 @@ from .algebra import (
     op_norm,
     permute_legs,
     random_element,
+    require_finite,
 )
 
 REPRESENTATION = "representation"
@@ -87,6 +89,8 @@ class ToleranceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        floor = [] if self.strict_floor is None else [self.strict_floor]
+        require_finite(np.asarray([self.eq_tol, self.psd_tol, *floor], dtype=float), "tolerances")
         if self.eq_tol < 0 or self.psd_tol < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.strict_floor is not None and self.strict_floor <= 0:
@@ -261,16 +265,12 @@ def check_nondegenerate(
     return AxiomRecord("iii", margin >= 0, margin, witness=witness)
 
 
-def triangle_slack(arr: np.ndarray, d: int) -> np.ndarray:
-    """Dense triangle slack arr (x) 1 + 1 (x) arr - mid(arr) of a D^2 x D^2 array."""
-    eye = np.eye(d, dtype=complex)
-    wide = np.kron(arr, eye)
-    return wide + np.kron(eye, arr) - permute_legs(wide, (0, 2, 1), (d, d, d))
-
-
 def triangle_defect(rho: BiElement) -> TriElement:
-    """The triangle slack operator rho (x) 1 + 1 (x) rho - mid(rho)."""
-    return TriElement(rho.shape, triangle_slack(rho.data, rho.shape.dim))
+    """The triangle slack operator rho (x) 1 + 1 (x) rho - mid(rho), formed densely."""
+    d = rho.shape.dim
+    eye = np.eye(d, dtype=complex)
+    wide = np.kron(rho.data, eye)
+    return TriElement(rho.shape, wide + np.kron(eye, rho.data) - permute_legs(wide, (0, 2, 1), (d, d, d)))
 
 
 @lru_cache(maxsize=None)
@@ -303,19 +303,22 @@ def _slack_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...
     return tuple(out)
 
 
-def triangle_slack_cells(rho: BiElement) -> CellStacks:
-    """The cells of `triangle_defect(rho)`, built from the entries of rho.
+def triangle_slack_cells(arr: np.ndarray, blocks: tuple[int, ...]) -> CellStacks:
+    """The cells of the triangle slack of a supported D^2 x D^2 array.
 
-    Entry for entry equal to the dense slack, which is never formed.
+    Entry for entry equal to `triangle_defect`, whose dense slack is never
+    formed.  Leading axes carry over as in `cell_stacks`: a stack of shape
+    (k, D^2, D^2) gives cell stacks of shape (k, cells, n, n).
     """
-    flat = np.append(rho.data.ravel(), 0.0)
-    return [(index, flat[a] + flat[b] - flat[c]) for index, a, b, c in _slack_gathers(rho.shape.blocks)]
+    lead = arr.shape[:-2]
+    flat = np.concatenate([arr.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+    return [(index, flat[..., a] + flat[..., b] - flat[..., c]) for index, a, b, c in _slack_gathers(blocks)]
 
 
 def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Triangle inequality: the triangle slack operator is positive."""
     cfg = _cfg(cfg)
-    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho)))
+    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho.data, rho.shape.blocks)))
     passed = lam >= -cfg.psd_tol * scale
     return AxiomRecord("v", passed, lam, witness=None if passed else vec)
 

@@ -362,11 +362,13 @@ def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
     _, s, vt = np.linalg.svd(tmat, full_matrices=False)
     null_tol = 1e-10 * max(1.0, s[0] if s.size else 0.0)
     null_vectors = vt[np.sum(s > null_tol):]
+    # the identity spans part of the kernel, and states may differ in
+    # trace within STATE_TOL, so only the trace-free part is tested
+    a = delta - (np.trace(delta) / d) * np.eye(d)
     for nv in null_vectors:
         k = np.einsum("a,aij->ij", nv, basis)
-        if abs(np.vdot(delta, k).real) > 1e-10 * max(1.0, op_norm_array(delta)):
+        if abs(np.vdot(a, k).real) > 1e-10 * max(1.0, op_norm_array(delta)):
             return math.inf
-    a = delta - (np.trace(delta) / d) * np.eye(d)
     lip = lip_seminorm(AlgebraElement(shape, a), rho, pinv)
     return abs(float(np.trace(delta @ a).real)) / lip if lip > 0 else 0.0
 

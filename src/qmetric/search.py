@@ -13,14 +13,20 @@ pair (rho, S), where S tracks the triangle slack operator:
 
 Dykstra's scheme cycles through the three projections with correction
 terms, which converges to a point of the intersection whenever one exists.
+The correction of the affine set (a) is normal to it and never moves its
+projection, so only (b) and (c), which act on rho and S apart, carry one.
 Candidates are only reported after certification by the axiom checker; a
 failure to converge is reported as evidence, never as an infeasibility
 proof.
+
+Every projection keeps rho and S block diagonal by cells (see
+`algebra.cells`), so the search holds only their cells and never forms
+the dense D^3 x D^3 slack; (b) and (c) are stacked clips per cell group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,11 +35,14 @@ import numpy as np
 from .algebra import (
     AlgebraShape,
     BiElement,
+    adjoints,
     as_shape,
+    by_size,
     cells,
     diag_projector,
     hermitian_param_basis,
     random_element,
+    require_finite,
     zero_clip,
 )
 from .axioms import (
@@ -42,7 +51,7 @@ from .axioms import (
     AxiomReport,
     MetricCandidate,
     ToleranceConfig,
-    triangle_slack,
+    triangle_slack_cells,
     verify,
 )
 
@@ -63,6 +72,11 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", as_shape(self.shape))
+        target = [] if self.trace_target is None else [self.trace_target]
+        require_finite(
+            np.asarray([self.floor, self.residual_tol, *target], dtype=float),
+            "floor, residual_tol and trace_target",
+        )
         if self.floor <= 0 or self.residual_tol <= 0:
             raise ValueError("floor and residual_tol must be positive")
         if self.max_iter < 1 or self.restarts < 1:
@@ -112,10 +126,15 @@ class SearchOutcome:
 
 
 def project_psd(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Nearest (Frobenius) matrix with spectrum bounded below by floor."""
-    sym = (x + x.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.maximum(vals, floor)) @ vecs.conj().T
+    """Nearest (Frobenius) hermitian matrix with spectrum bounded below by floor.
+
+    Leading axes carry over, one clip per matrix; 1x1 matrices need no
+    LAPACK call.
+    """
+    if x.shape[-1] == 1:
+        return np.maximum(x.real, floor)
+    vals, vecs = np.linalg.eigh((x + adjoints(x)) / 2.0)
+    return (vecs * np.maximum(vals, floor)[..., None, :]) @ adjoints(vecs)
 
 
 @lru_cache(maxsize=None)
@@ -163,141 +182,141 @@ def project_structure(
     projection, so the map is idempotent by construction.
     """
     basis = structure_basis(rho.shape, mode)
-    arr = _project_span(basis, rho.data)
-    return BiElement(rho.shape, arr)
+    coeffs = np.einsum("nij,ij->n", basis.conj(), rho.data).real
+    return BiElement(rho.shape, np.einsum("n,nij->ij", coeffs, basis))
 
 
-def _project_span(basis: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    if basis.shape[0] == 0:
-        return np.zeros_like(arr)
-    coeffs = np.einsum("nij,ij->n", basis.conj(), arr).real
-    return np.einsum("n,nij->ij", coeffs, basis)
+def _layout(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The flat cell vector of order-fold elements: cells merged as `by_size` does.
 
-
-@lru_cache(maxsize=None)
-def _offdiag_basis_cached(blocks: tuple[int, ...]) -> np.ndarray:
-    """Columns spanning the complement of the diagonal subspace, cell-pure.
-
-    A cross cell (i, j), i != j, gives a unit column per coordinate; a
-    diagonal cell (i, i) gives (e_pq - e_qp) / sqrt(2) per local offset pair
-    p < q.  Columns follow the label pairs in lexicographic order, then the
-    row-major local offsets.
+    Returns the flat position (row * N + col) in the dense N x N matrix
+    of every entry, and the (cells, n, n) shape of each size's stretch.
     """
-    keys, plus, minus = [], [], []
-    for g in cells(blocks, 2):
-        key = g.labels @ (len(blocks), 1)
-        cross = g.labels[:, 0] != g.labels[:, 1]
-        keys.append(np.repeat(key[cross], g.index.shape[1]))
-        plus.append(g.index[cross].ravel())
-        minus.append(np.full(plus[-1].size, -1))
-        if g.legs[0] == g.legs[1]:
-            n = g.legs[0]
-            p, q = np.triu_indices(n, 1)
-            diag = g.index[~cross]
-            keys.append(np.repeat(key[~cross], len(p)))
-            plus.append(diag[:, p * n + q].ravel())
-            minus.append(diag[:, q * n + p].ravel())
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    plus, minus = np.concatenate(plus)[order], np.concatenate(minus)[order]
-    d = sum(blocks)
-    u = np.zeros((d * d, len(order)), dtype=complex)
-    pair = minus >= 0
-    u[plus, np.arange(len(order))] = np.where(pair, 1.0 / np.sqrt(2.0), 1.0)
-    u[minus[pair], np.flatnonzero(pair)] = -1.0 / np.sqrt(2.0)
-    u.setflags(write=False)
-    return u
+    dim = sum(blocks) ** order
+    stacks = by_size([(g.index, g.index[:, :, None] * dim + g.index[:, None, :]) for g in cells(blocks, order)])
+    return np.concatenate([at.ravel() for _, at in stacks]), [at.shape for _, at in stacks]
 
 
-def _project_offdiag_cone(arr: np.ndarray, u: np.ndarray, floor: float) -> np.ndarray:
-    """Projection onto {rho zero on the diagonal subspace, >= floor off it}."""
-    if u.shape[1] == 0:
-        return np.zeros_like(arr)
-    comp = u.conj().T @ ((arr + arr.conj().T) / 2.0) @ u
-    comp = (comp + comp.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(comp)
-    lifted = (vecs * np.maximum(vals, floor)) @ vecs.conj().T
-    return u @ lifted @ u.conj().T
+def _clip(z: np.ndarray, groups: list) -> np.ndarray:
+    """Each group of cells of z clipped by `project_psd`, zero outside the groups."""
+    out = np.zeros_like(z)
+    for cols, shape, u, uh, floor in groups:
+        mats = z[cols].reshape(shape)
+        if u is None:
+            out[cols] = project_psd(mats, floor).ravel()
+        else:
+            out[cols] = (u @ project_psd(uh @ mats @ u, floor) @ uh).ravel()
+    return out
+
+
+def _cone_groups(blocks: tuple[int, ...], floor: float) -> list:
+    """The clip groups of set (b) on the flat cell vector of rho.
+
+    With u an isometry onto the range of a cell of 1 - P, P the diagonal
+    projector, the cell x goes to u clip(u* x u, floor) u*.  A group holds
+    the cells of one size and rank: (positions, stack shape, u, u*, floor),
+    u None at full rank.  Rank-0 cells (1x1 diagonal cells) are in none.
+    """
+    pos, shapes = _layout(blocks, 2)
+    p = diag_projector(blocks).data.ravel()[pos]
+    groups, start = [], 0
+    for c, n, _ in shapes:
+        size = c * n * n
+        vals, vecs = np.linalg.eigh(np.eye(n) - p[start : start + size].reshape(c, n, n))
+        rank = np.count_nonzero(vals > 0.5, axis=1)
+        for k in np.unique(rank[rank > 0]):
+            sel = np.flatnonzero(rank == k)
+            cols = (start + sel[:, None] * n * n + np.arange(n * n)).ravel()
+            u = None if k == n else vecs[sel, :, n - k :]
+            groups.append((cols, (len(sel), n, n), u, None if u is None else adjoints(u), floor))
+        start += size
+    return groups
 
 
 class _SearchContext:
-    """Precomputed projection data for one (shape, mode, config)."""
+    """Projection data for one (shape, mode, config), held on cells.
+
+    An iterate is one flat complex vector z: the cells of rho (see
+    `_layout`), then those of the slack S unless the triangle is dropped.
+    The rows of `span` are the structure basis and its triangle lift in
+    the same coordinates.  A cell of S is clipped at 0, a cell of rho as
+    `_cone_groups` says.
+    """
 
     def __init__(self, cfg: SearchConfig, mode: str) -> None:
         self.cfg = cfg
         self.mode = mode
         self.shape = cfg.shape
-        self.d = self.shape.dim
-        self.basis = structure_basis(self.shape, mode)
-        m = self.basis.shape[0]
+        blocks = self.shape.blocks
+        basis = structure_basis(self.shape, mode)
+        m = basis.shape[0]
         if m == 0:
             raise ValueError(
-                f"the structural subspace over blocks {self.shape.blocks} is trivial"
+                f"the structural subspace over blocks {blocks} is trivial"
             )
-        d2 = self.d * self.d
-        self.basis_flat = self.basis.reshape(m, d2 * d2)
-        self.traces = np.einsum("nii->n", self.basis).real
-        if self.cfg.include_triangle:
-            self.lifted_basis = np.stack([triangle_slack(b, self.d) for b in self.basis])
-            d3 = self.d**3
-            self.lifted_flat = self.lifted_basis.reshape(m, d3 * d3)
-            gram = (self.lifted_flat.conj() @ self.lifted_flat.T).real
-            h = np.eye(m) + gram
-        else:
-            self.lifted_basis = None
-            self.lifted_flat = None
-            h = np.eye(m)
-        self.h_inv = np.linalg.inv(h)
-        self.xc = self.h_inv @ self.traces
-        self.c_dot_xc = float(self.traces @ self.xc)
-        if abs(self.c_dot_xc) < 1e-14:
+        self.traces = np.einsum("nii->n", basis).real
+        self.pos, _ = _layout(blocks, 2)
+        self.n_rho = len(self.pos)
+        parts = [basis.reshape(m, -1)[:, self.pos]]
+        if cfg.include_triangle:
+            parts += [mats.reshape(m, -1) for _, mats in by_size(triangle_slack_cells(basis, blocks))]
+        # real view: Re <w, z> = w.real . z.real + w.imag . z.imag is one real product
+        self.span = np.ascontiguousarray(np.concatenate(parts, axis=1)).view(float)
+        lift = self.span[:, 2 * self.n_rho :]
+        h_inv = np.linalg.inv(np.eye(m) + lift @ lift.T)
+        xc = h_inv @ self.traces
+        c_dot_xc = float(self.traces @ xc)
+        if abs(c_dot_xc) < 1e-14:
             raise ValueError(
                 "no structural direction carries trace; the normalization "
                 "cannot be pinned on this shape"
             )
-        self.offdiag = _offdiag_basis_cached(self.shape.blocks)
-        # scalar fast path when the complement of the diagonal is a line
-        self.offdiag_outer = (
-            np.outer(self.offdiag[:, 0], self.offdiag[:, 0].conj())
-            if self.offdiag.shape[1] == 1
-            else None
-        )
+        # the least-squares coefficients with the trace pinned: x = gain b + pinned
+        self.gain = h_inv - np.outer(xc, xc) / c_dot_xc
+        self.pinned = cfg.resolved_trace / c_dot_xc * xc
+        self.cone = _cone_groups(blocks, cfg.floor)
+        self.slack, start = [], self.n_rho
+        for c, n, _ in _layout(blocks, 3)[1] if cfg.include_triangle else []:
+            self.slack.append((slice(start, start + c * n * n), (c, n, n), None, None, 0.0))
+            start += c * n * n
+        self.groups = self.cone + self.slack
 
-    def project_affine(self, rho: np.ndarray, s: np.ndarray | None):
-        b = (self.basis_flat.conj() @ rho.ravel()).real
-        if self.cfg.include_triangle and s is not None:
-            b = b + (self.lifted_flat.conj() @ s.ravel()).real
-        x0 = self.h_inv @ b
-        mu = (self.cfg.resolved_trace - self.traces @ x0) / self.c_dot_xc
-        x = x0 + mu * self.xc
-        d2 = self.d * self.d
-        rho_new = (x @ self.basis_flat).reshape(d2, d2)
-        s_new = None
-        if self.cfg.include_triangle:
-            d3 = self.d**3
-            s_new = (x @ self.lifted_flat).reshape(d3, d3)
-        return rho_new, s_new
+    def coefficients(self, z: np.ndarray) -> np.ndarray:
+        """Re <span_k, z> for every row of span; z may hold only rho's cells."""
+        return self.span[:, : 2 * len(z)] @ z.view(float)
 
-    def project_cone(self, rho: np.ndarray) -> np.ndarray:
-        if self.offdiag_outer is not None:
-            u = self.offdiag[:, 0]
-            c = float(np.real(u.conj() @ rho @ u))
-            return max(c, self.cfg.floor) * self.offdiag_outer
-        return _project_offdiag_cone(rho, self.offdiag, self.cfg.floor)
+    def point(self, x: np.ndarray) -> np.ndarray:
+        """The iterate sum_k x_k span_k for real coefficients x."""
+        return (x @ self.span).view(complex)
 
-    def cone_distance(self, rho: np.ndarray) -> float:
-        """Frobenius distance to the shifted-cone set.
+    def project_affine(self, z: np.ndarray) -> np.ndarray:
+        return self.point(self.gain @ self.coefficients(z) + self.pinned)
 
-        Formed as an explicit projection difference; aggregate norm
-        identities would cancel catastrophically near feasibility.
+    def project_cones(self, z: np.ndarray) -> np.ndarray:
+        """Sets (b) and (c); cells outside every group (1x1 diagonal cells) go to 0."""
+        return _clip(z, self.groups)
+
+    def cone_distances(self, z: np.ndarray) -> tuple[float, float]:
+        """Frobenius distances of rho to set (b) and of S to set (c).
+
+        The first is formed as an explicit projection difference, since
+        aggregate norm identities would cancel catastrophically near
+        feasibility; the second is the norm of S's negative eigenvalues.
         """
-        return float(np.linalg.norm(rho - self.project_cone(rho)))
+        rho = z[: self.n_rho]
+        neg = [
+            np.minimum(z[cols].real if n == 1 else np.linalg.eigvalsh(z[cols].reshape(c, n, n)), 0.0)
+            for cols, (c, n, _), *_ in self.slack
+        ]
+        db = np.linalg.norm(rho - _clip(rho, self.cone))
+        return float(db), float(np.sqrt(sum(np.vdot(v, v) for v in neg)))
 
-    def affine_distance(self, rho: np.ndarray, s: np.ndarray | None) -> float:
-        pa_rho, pa_s = self.project_affine(rho, s)
-        da_sq = float(np.linalg.norm(rho - pa_rho) ** 2)
-        if self.cfg.include_triangle and s is not None:
-            da_sq += float(np.linalg.norm(s - pa_s) ** 2)
-        return float(np.sqrt(da_sq))
+    def rho(self, z: np.ndarray) -> np.ndarray:
+        """The dense D^2 x D^2 matrix of rho's cells in z."""
+        d2 = self.shape.dim**2
+        out = np.zeros(d2 * d2, dtype=complex)
+        out[self.pos] = z[: self.n_rho]
+        return out.reshape(d2, d2)
 
 
 def _certification_config(cfg: SearchConfig) -> ToleranceConfig:
@@ -321,24 +340,15 @@ def certify(
     return verify(rho, _certification_config(cfg), mode=mode, shape=shape)
 
 
-def _start_point(ctx: _SearchContext, rng: np.random.Generator):
+def _start_point(ctx: _SearchContext, rng: np.random.Generator) -> np.ndarray:
     for _ in range(64):
         g = random_element(ctx.shape, 2, rng).data
-        raw = g @ g.conj().T
-        coeffs = np.einsum("nij,ij->n", ctx.basis.conj(), raw).real
+        coeffs = ctx.coefficients((g @ g.conj().T).ravel()[ctx.pos])
         tr = float(ctx.traces @ coeffs)
         if abs(tr) < 1e-10:
             continue
-        coeffs = coeffs * (ctx.cfg.resolved_trace / tr)
-        rho = np.einsum("n,nij->ij", coeffs, ctx.basis)
-        s = triangle_slack(rho, ctx.d) if ctx.cfg.include_triangle else None
-        return rho, s
+        return ctx.point(coeffs * (ctx.cfg.resolved_trace / tr))
     raise RuntimeError("failed to draw a usable starting point")
-
-
-def _polish_candidate(ctx: _SearchContext, rho: np.ndarray, s: np.ndarray | None) -> BiElement:
-    pa_rho, _ = ctx.project_affine(rho, s)
-    return BiElement(ctx.shape, zero_clip(pa_rho))
 
 
 @dataclass
@@ -352,47 +362,31 @@ class _RestartResult:
 
 def _run_restart(ctx: _SearchContext, rng: np.random.Generator) -> _RestartResult:
     cfg = ctx.cfg
-    rho, s = _start_point(ctx, rng)
-    with_s = cfg.include_triangle
-    corr_a_rho = np.zeros_like(rho)
-    corr_a_s = np.zeros_like(s) if with_s else None
-    corr_b = np.zeros_like(rho)
-    corr_c = np.zeros_like(s) if with_s else None
+    # z is always the projection onto the affine set (a); the Dykstra
+    # correction of (a) is normal to it and never moves that projection
+    z = ctx.project_affine(_start_point(ctx, rng))
+    corr = np.zeros_like(z)
     history = np.empty((cfg.max_iter, 3))
     best = np.inf
     last_certify = -10**9
     for it in range(cfg.max_iter):
-        # set (a): affine structural/trace/coupling step
-        ya_rho = rho + corr_a_rho
-        ya_s = s + corr_a_s if with_s else None
-        rho, s = ctx.project_affine(ya_rho, ya_s)
-        corr_a_rho = ya_rho - rho
-        if with_s:
-            corr_a_s = ya_s - s
         # distances to (b) and (c) are measured here, where the iterate
         # satisfies (a) exactly; after the cone steps below they vanish
         # by construction
-        db = ctx.cone_distance(rho)
-        dc = 0.0
-        if with_s:
-            vals = np.linalg.eigvalsh(s)
-            dc = float(np.linalg.norm(np.minimum(vals, 0.0)))
-        # set (b): shifted cone on the rho component
-        yb = rho + corr_b
-        rho = ctx.project_cone(yb)
-        corr_b = yb - rho
-        # set (c): positive cone on the slack component
-        if with_s:
-            yc = s + corr_c
-            s = project_psd(yc)
-            corr_c = yc - s
-        da = ctx.affine_distance(rho, s)
+        db, dc = ctx.cone_distances(z)
+        # sets (b) and (c): shifted cone on rho, positive cone on the slack
+        y = z + corr
+        cones = ctx.project_cones(y)
+        corr = y - cones
+        # set (a): affine structural/trace/coupling step
+        z = ctx.project_affine(cones)
+        da = float(np.linalg.norm(cones - z))
         history[it] = (da, db, dc)
         residual = max(da, db, dc)
         best = min(best, residual)
         if residual < cfg.residual_tol and it - last_certify >= 200:
             last_certify = it
-            candidate_rho = _polish_candidate(ctx, rho, s)
+            candidate_rho = BiElement(ctx.shape, zero_clip(ctx.rho(z)))
             report = certify(candidate_rho, cfg, ctx.mode)
             # with the triangle constraint dropped (diagnostic runs), gate
             # on the remaining axioms but attach the full report
@@ -452,14 +446,6 @@ def feasibility_search(cfg: SearchConfig, mode: str = REPRESENTATION) -> SearchO
 
 
 def _rescaled_cfg(cfg: SearchConfig, factor: float) -> SearchConfig:
-    return SearchConfig(
-        shape=cfg.shape,
-        floor=cfg.floor * factor,
-        trace_target=cfg.resolved_trace * factor,
-        max_iter=cfg.max_iter,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        residual_tol=cfg.residual_tol,
-        include_triangle=cfg.include_triangle,
-        normalization="trace",
+    return replace(
+        cfg, floor=cfg.floor * factor, trace_target=cfg.resolved_trace * factor, normalization="trace"
     )

@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from qmetric import AlgebraShape, BiElement
+from qmetric import AlgebraShape, BiElement, triangle_defect
+from qmetric.search import structure_basis
 
 
 def classical_axioms(d: np.ndarray, tol: float = 1e-12) -> dict:
@@ -278,3 +279,69 @@ def alg_nondegenerate_loop(rho: BiElement, nus, eq_tol: float) -> tuple[bool, fl
                 witness[idx] = vec
     margin = worst - eq_tol
     return margin > 0, margin, None if margin > 0 else witness
+
+
+# ---------------------------------------------------------------------------
+# The feasibility search's projections on dense matrices: the D^2 x D^2 rho,
+# the D^3 x D^3 slack S, the structure basis lifted through the dense slack,
+# and the off-diagonal columns above.  The search holds only the cells.  The
+# structure basis is the package's, which its own tests pin, and the dense
+# slack is `triangle_defect`, the reference the cell kernel is checked on.
+# ---------------------------------------------------------------------------
+
+
+def dense_psd(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Nearest hermitian matrix with spectrum at least floor, by one dense eigh."""
+    vals, vecs = np.linalg.eigh((x + x.conj().T) / 2.0)
+    return (vecs * np.maximum(vals, floor)) @ vecs.conj().T
+
+
+class DenseSearchContext:
+    """The three projection sets of the search, on dense matrices."""
+
+    def __init__(self, cfg, mode: str) -> None:
+        self.cfg = cfg
+        shape = cfg.shape
+        self.basis = structure_basis(shape, mode)
+        m = self.basis.shape[0]
+        self.basis_flat = self.basis.reshape(m, -1)
+        self.traces = np.einsum("nii->n", self.basis).real
+        if cfg.include_triangle:
+            lifted = np.stack([triangle_defect(BiElement(shape, b)).data for b in self.basis])
+            self.lifted_flat = lifted.reshape(m, -1)
+            h = np.eye(m) + (self.lifted_flat.conj() @ self.lifted_flat.T).real
+        else:
+            h = np.eye(m)
+        self.h_inv = np.linalg.inv(h)
+        self.xc = self.h_inv @ self.traces
+        self.c_dot_xc = float(self.traces @ self.xc)
+        self.offdiag = offdiag_basis(shape.blocks)
+
+    def project_affine(self, rho: np.ndarray, s: np.ndarray | None):
+        b = (self.basis_flat.conj() @ rho.ravel()).real
+        if s is not None:
+            b = b + (self.lifted_flat.conj() @ s.ravel()).real
+        x0 = self.h_inv @ b
+        x = x0 + (self.cfg.resolved_trace - self.traces @ x0) / self.c_dot_xc * self.xc
+        rho_new = (x @ self.basis_flat).reshape(rho.shape)
+        return rho_new, None if s is None else (x @ self.lifted_flat).reshape(s.shape)
+
+    def project_cone(self, rho: np.ndarray) -> np.ndarray:
+        """Zero on the diagonal subspace, at least the floor off it."""
+        u = self.offdiag
+        if u.shape[1] == 0:
+            return np.zeros_like(rho)
+        return u @ dense_psd(u.conj().T @ rho @ u, self.cfg.floor) @ u.conj().T
+
+    def cone_distance(self, rho: np.ndarray) -> float:
+        return float(np.linalg.norm(rho - self.project_cone(rho)))
+
+    def slack_distance(self, s: np.ndarray) -> float:
+        return float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(s), 0.0)))
+
+    def affine_distance(self, rho: np.ndarray, s: np.ndarray | None) -> float:
+        pa_rho, pa_s = self.project_affine(rho, s)
+        da_sq = float(np.linalg.norm(rho - pa_rho) ** 2)
+        if s is not None:
+            da_sq += float(np.linalg.norm(s - pa_s) ** 2)
+        return float(np.sqrt(da_sq))

@@ -5,6 +5,7 @@ from qmetric import (
     AlgebraShape,
     BiElement,
     MetricCandidate,
+    NonFiniteError,
     ToleranceConfig,
     check_alg_diag,
     check_alg_nondegenerate_sampled,
@@ -235,6 +236,18 @@ class TestAlgebraicNondegenerate:
         rec = check_alg_nondegenerate_sampled(BiElement.zeros((1, 1)))
         assert not rec.passed
         assert rec.witness is not None
+
+
+class TestToleranceConfig:
+    @pytest.mark.parametrize(
+        "field", [{"eq_tol": np.nan}, {"psd_tol": np.nan}, {"strict_floor": np.nan}, {"strict_floor": np.inf}]
+    )
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(NonFiniteError, match="tolerances must be finite"):
+            ToleranceConfig(**field)
+
+    def test_accepts_the_default_floor(self):
+        assert ToleranceConfig(strict_floor=None).resolved_floor(2.0) == pytest.approx(2e-8)
 
 
 class TestVerify:

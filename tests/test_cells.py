@@ -53,7 +53,7 @@ from qmetric.axioms import (
     triangle_slack_cells,
 )
 from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
-from qmetric.search import _offdiag_basis_cached
+from qmetric.search import _cone_groups, _layout
 
 import oracles
 
@@ -188,7 +188,6 @@ class TestLayoutOracles:
         fresh = _diag_projector_cached.__wrapped__(blocks)
         assert np.array_equal(fresh.data, oracles.diag_projector(blocks))
         assert np.array_equal(canonical_mult_one(blocks).data, oracles.canonical_mult_one(blocks))
-        assert np.array_equal(_offdiag_basis_cached.__wrapped__(blocks), oracles.offdiag_basis(blocks))
 
     @pytest.mark.parametrize("blocks", ALL_SHAPES)
     @pytest.mark.parametrize("order", [1, 2])
@@ -216,13 +215,18 @@ class TestLayoutOracles:
 
     @pytest.mark.parametrize("blocks", ALL_SHAPES)
     def test_offdiag_columns_complement_the_diagonal(self, blocks):
-        u = _offdiag_basis_cached(blocks)
-        complement = np.eye(sum(blocks) ** 2) - diag_projector(blocks).data
-        assert np.allclose(u @ u.conj().T, complement, atol=1e-14)
-        assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-14)
-        ids = cell_id(blocks, 2)
-        for col in u.T:
-            assert len(set(ids[np.flatnonzero(col)])) == 1
+        # the search's per-cell isometries u have orthonormal columns, and
+        # their u u* are the cells of 1 - P (the identity where u is None)
+        pos, _ = _layout(blocks, 2)
+        complement = (np.eye(sum(blocks) ** 2) - diag_projector(blocks).data).ravel()[pos]
+        spanned = np.zeros_like(complement)
+        for cols, shape, u, uh, _ in _cone_groups(blocks, 1.0):
+            if u is None:
+                spanned[cols] = np.broadcast_to(np.eye(shape[1]), shape).ravel()
+            else:
+                assert np.allclose(uh @ u, np.eye(u.shape[2]), atol=1e-14)
+                spanned[cols] = (u @ uh).ravel()
+        assert np.allclose(spanned, complement, atol=1e-14)
 
 
 class TestSampledCheck:
@@ -355,8 +359,18 @@ def test_cell_stacks_of_dense_slack_are_the_slack_cells():
     for blocks in [(1, 1, 1), (2, 1), (2, 2, 2)]:
         rho = random_element(blocks, 2, rng, hermitian=True)
         dense = cell_stacks(triangle_defect(rho).data, blocks, 3)
-        for (i, a), (j, b) in zip(triangle_slack_cells(rho), dense):
+        for (i, a), (j, b) in zip(triangle_slack_cells(rho.data, blocks), dense):
             assert np.array_equal(i, j) and np.array_equal(a, b)
+
+
+def test_slack_cells_carry_leading_axes():
+    rng = np.random.default_rng(9)
+    for blocks in [(1, 1, 1), (2, 1), (2, 2)]:
+        stack = np.stack([random_element(blocks, 2, rng, hermitian=True).data for _ in range(3)])
+        together = triangle_slack_cells(stack, blocks)
+        for k in range(3):
+            for (i, a), (j, b) in zip(together, triangle_slack_cells(stack[k], blocks)):
+                assert np.array_equal(i, j) and np.array_equal(a[k], b)
 
 
 def _block_unitary(blocks, rng) -> np.ndarray:

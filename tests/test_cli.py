@@ -74,6 +74,26 @@ class TestVerify:
         assert "axiom" in out and "margin" in out and "fail" in out
 
 
+class TestNonFiniteTolerances:
+    @pytest.mark.parametrize(
+        "flag, value", [("--eq-tol", "nan"), ("--psd-tol", "nan"), ("--floor", "nan"), ("--floor", "inf")]
+    )
+    def test_verify_exits_2(self, path3, tmp_path, capsys, flag, value):
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        assert main(["verify", str(rho), "--quiet"]) == 0
+        assert main(["verify", str(rho), "--quiet", flag, value]) == 2
+        assert "tolerances must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps", "nan"), ("--trace-target", "inf"), ("--residual-tol", "nan")]
+    )
+    def test_search_exits_2(self, capsys, flag, value):
+        code = main(["search", "--shape", "1,1,1", "--max-iter", "5", "--quiet", flag, value])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 class TestConstruct:
     def test_direct_sum_pipeline(self, tmp_path, capsys):
         a = tmp_path / "a.json"

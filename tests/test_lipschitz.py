@@ -366,6 +366,19 @@ class TestMKDistance:
         lower = _mk_lower(phi, psi, rho, rho)
         assert math.isinf(lower) and lower > 0
 
+    @pytest.mark.parametrize("excess", [0.0, 1e-10, 4e-10, 9e-10])
+    def test_trace_within_tolerance_is_not_unbounded(self, excess):
+        # states accept a trace off by up to STATE_TOL; the identity in the
+        # seminorm kernel must not turn that excess into an infinite distance
+        m2 = MetricCandidate(m2_admissible(1.0))
+        cand = direct_sum(m2, m2, 1.0)
+        zero = np.zeros((2, 2), dtype=complex)
+        phi = State(cand.shape, (np.diag([0.5, 0.5 + excess]).astype(complex), zero))
+        psi = State(cand.shape, (zero, np.eye(2, dtype=complex) / 2.0))
+        result = mk_distance(phi, psi, cand)
+        assert not result.unbounded
+        assert result.lower == pytest.approx(1.0, abs=1e-8)
+
     def test_full_range_candidate_is_bounded(self):
         # with nondegeneracy in force the only zero-seminorm directions
         # are the constants, so the bracket stays finite

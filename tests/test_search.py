@@ -6,6 +6,7 @@ import pytest
 
 from qmetric import (
     FiniteMetricSpace,
+    NonFiniteError,
     SearchConfig,
     ToleranceConfig,
     certify,
@@ -21,8 +22,9 @@ from qmetric import (
 )
 from qmetric.algebra import random_element
 from qmetric.exchange import load_element, outcome_to_dict, save_element
-from qmetric.search import _structure_basis_cached, structure_basis
+from qmetric.search import _layout, _SearchContext, _structure_basis_cached, structure_basis
 
+import oracles
 from oracles import classical_axioms
 
 
@@ -50,6 +52,14 @@ class TestProjectPsd:
     def test_floor(self):
         out = project_psd(np.diag([2.0, 0.5]), floor=1.0)
         assert np.allclose(np.linalg.eigvalsh(out), [1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stack_clips_each_matrix(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        out = project_psd(x, floor=0.2)
+        for k in range(3):
+            assert np.allclose(out[k], oracles.dense_psd(x[k], 0.2), atol=1e-12)
 
 
 class TestProjectStructure:
@@ -246,6 +256,13 @@ class TestFeasibilitySearch:
         assert parsed["config"]["shape"] == [1, 1, 1]
         assert len(parsed["residual_history"]) <= 1000
 
+    @pytest.mark.parametrize(
+        "field", [{"floor": np.nan}, {"residual_tol": np.nan}, {"trace_target": np.inf}, {"floor": np.inf}]
+    )
+    def test_non_finite_config(self, field):
+        with pytest.raises(NonFiniteError, match="must be finite"):
+            SearchConfig(shape=(1, 1, 1), **field)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SearchConfig(shape=(2,), floor=0.0)
@@ -262,3 +279,116 @@ class TestFeasibilitySearch:
         assert out.found
         assert np.linalg.norm(out.candidate.rho.data, 2) == pytest.approx(1.0, abs=1e-9)
         assert out.candidate.report.passed
+
+
+# Same-seed outcomes (status, restart used, restarts run, iterations run),
+# recorded with the dense D^3 x D^3 implementation the cell form replaced:
+# every search of this module and of the acceptance suite that runs in
+# under a second, and multi-group cell layouts.
+PINNED_OUTCOMES = [
+    ({"shape": (1, 1, 1), "max_iter": 5000, "restarts": 4, "seed": 42}, "representation", ("candidate_found", 0, 1, 51)),
+    ({"shape": (1, 1, 1), "max_iter": 2000, "restarts": 2, "seed": 7}, "representation", ("candidate_found", 0, 1, 55)),
+    ({"shape": (1, 1, 1), "max_iter": 3000, "restarts": 1, "seed": 5}, "representation", ("candidate_found", 0, 1, 54)),
+    (
+        {"shape": (1, 1, 1), "max_iter": 3000, "restarts": 1, "seed": 5, "floor": 2e-3, "trace_target": 18.0},
+        "representation",
+        ("candidate_found", 0, 1, 56),
+    ),
+    ({"shape": (2,), "max_iter": 1500, "restarts": 2, "seed": 0}, "representation", ("no_convergence", 0, 2, 1500)),
+    (
+        {"shape": (2,), "max_iter": 2000, "restarts": 1, "seed": 0, "include_triangle": False},
+        "representation",
+        ("candidate_found", 0, 1, 1),
+    ),
+    ({"shape": (1, 1, 1), "max_iter": 5000, "restarts": 2, "seed": 11}, "algebraic", ("candidate_found", 0, 1, 47)),
+    ({"shape": (1, 1, 1), "max_iter": 2000, "restarts": 1, "seed": 3}, "representation", ("candidate_found", 0, 1, 1)),
+    ({"shape": (1, 1, 1), "max_iter": 3000, "restarts": 1, "seed": 13}, "representation", ("candidate_found", 0, 1, 1)),
+    ({"shape": (1, 1, 1), "max_iter": 2000, "restarts": 1, "seed": 2}, "representation", ("candidate_found", 0, 1, 56)),
+    (
+        {"shape": (1, 1, 1), "max_iter": 3000, "restarts": 1, "seed": 4, "normalization": "opnorm"},
+        "representation",
+        ("candidate_found", 0, 1, 53),
+    ),
+    (
+        {"shape": (2,), "max_iter": 20000, "restarts": 1, "seed": 0, "include_triangle": False},
+        "representation",
+        ("candidate_found", 0, 1, 1),
+    ),
+    ({"shape": (2, 1), "max_iter": 300, "restarts": 2, "seed": 1}, "representation", ("no_convergence", 1, 2, 300)),
+    ({"shape": (2, 1), "max_iter": 300, "restarts": 2, "seed": 1}, "algebraic", ("no_convergence", 1, 2, 300)),
+    ({"shape": (2, 2), "max_iter": 200, "restarts": 1, "seed": 3}, "representation", ("no_convergence", 0, 1, 200)),
+    ({"shape": (2, 2), "max_iter": 200, "restarts": 1, "seed": 3}, "algebraic", ("no_convergence", 0, 1, 200)),
+]
+
+
+@pytest.mark.parametrize("kwargs, mode, expected", PINNED_OUTCOMES)
+def test_same_seed_outcomes_pinned(kwargs, mode, expected):
+    out = feasibility_search(SearchConfig(**kwargs), mode=mode)
+    assert (out.status, out.seed_used, out.restarts_run, out.iterations_run) == expected
+
+
+CONTEXT_SHAPES = [(1, 1, 1), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (2, 1, 1), (1,) * 5]
+
+
+def cell_vector(ctx, rho, s):
+    """The search's flat cell vector of a dense rho and slack S."""
+    parts = [rho.ravel()[ctx.pos]]
+    if s is not None:
+        parts.append(s.ravel()[_layout(ctx.shape.blocks, 3)[0]])
+    return np.concatenate(parts)
+
+
+def dense_pair(ctx, z):
+    """The dense rho and slack S (None without the triangle) of a cell vector."""
+    if not ctx.cfg.include_triangle:
+        return ctx.rho(z), None
+    d3 = ctx.shape.dim**3
+    s = np.zeros(d3 * d3, dtype=complex)
+    s[_layout(ctx.shape.blocks, 3)[0]] = z[ctx.n_rho :]
+    return ctx.rho(z), s.reshape(d3, d3)
+
+
+class TestCellContext:
+    """The search's projections on cells against the dense oracle."""
+
+    @pytest.mark.parametrize("blocks", CONTEXT_SHAPES)
+    @pytest.mark.parametrize("mode", ["representation", "algebraic"])
+    @pytest.mark.parametrize("triangle", [True, False])
+    def test_matches_dense_oracle(self, blocks, mode, triangle):
+        cfg = SearchConfig(shape=blocks, floor=0.3, include_triangle=triangle)
+        ctx = _SearchContext(cfg, mode)
+        dense = oracles.DenseSearchContext(cfg, mode)
+        rng = np.random.default_rng(sum(blocks) + 7 * len(blocks) + len(mode) + triangle)
+        rho = random_element(blocks, 2, rng, hermitian=True).data
+        s = random_element(blocks, 3, rng, hermitian=True).data if triangle else None
+        z = cell_vector(ctx, rho, s)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(z)))
+
+        def close(got, want):
+            return want is None or np.max(np.abs(got - want), initial=0.0) <= tol
+
+        pa = ctx.project_affine(z)
+        assert all(map(close, dense_pair(ctx, pa), dense.project_affine(rho, s)))
+        assert abs(np.linalg.norm(z - pa) - dense.affine_distance(rho, s)) <= tol
+        db, dc = ctx.cone_distances(z)
+        assert abs(db - dense.cone_distance(rho)) <= tol
+        assert abs(dc - (dense.slack_distance(s) if triangle else 0.0)) <= tol
+        # the cone steps take the hermitian part of a rough input
+        rough_rho = random_element(blocks, 2, rng).data
+        rough_s = random_element(blocks, 3, rng).data if triangle else None
+        got_rho, got_s = dense_pair(ctx, ctx.project_cones(cell_vector(ctx, rough_rho, rough_s)))
+        assert close(got_rho, dense.project_cone(rough_rho))
+        assert close(got_s, None if rough_s is None else oracles.dense_psd(rough_s))
+
+    @pytest.mark.parametrize("blocks", [(2, 2, 2), (1,) * 8])
+    def test_context_memory(self, blocks):
+        # the dense lifted slack basis alone took 72.7 MB on (2, 2, 2) and
+        # 224 MB on eight points
+        structure_basis(blocks)
+        tracemalloc.start()
+        try:
+            _SearchContext(SearchConfig(shape=blocks), "representation")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
