@@ -215,15 +215,16 @@ def adjoints(mats: np.ndarray) -> np.ndarray:
     return mats.conj().swapaxes(-1, -2)
 
 
+def matrix_norms(mats: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix in a stack; 1x1 ones need no LAPACK call."""
+    if mats.shape[-1] == 1:
+        return np.abs(mats[..., 0, 0])
+    return np.linalg.norm(mats, 2, axis=(-2, -1))
+
+
 def cellwise_norm(stacks: CellStacks) -> float:
     """Operator norm of a direct sum: the largest cell norm."""
-    best = 0.0
-    for _, mats in by_size(stacks):
-        if mats.shape[1] == 1:
-            best = max(best, float(np.abs(mats).max()))
-        else:
-            best = max(best, float(np.linalg.norm(mats, 2, axis=(1, 2)).max()))
-    return best
+    return max([0.0] + [float(matrix_norms(mats).max()) for _, mats in by_size(stacks)])
 
 
 def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -2,10 +2,14 @@
 
 The seminorm of a in A is the operator norm of (a (x) 1 - 1 (x) a) applied
 to the pseudo-inverse of the candidate; on classical shapes this is the best
-Lipschitz constant.  The induced distance between states is the supremum of
-|phi(a) - psi(a)| over self-adjoint a in the unit seminorm ball.  On
-all-ones shapes the supremum is computed exactly by linear programming.  On
-general shapes the result is a bracket instead of a bare number, since the
+Lipschitz constant.  Both factors are supported elements, so the product is
+computed per cell: cell (k, l) is (a_k (x) 1 - 1 (x) a_l) pinv_(k,l), and
+no D^2 x D^2 matrix is formed.  The induced distance between states is the
+supremum of |phi(a) - psi(a)| over self-adjoint a in the unit seminorm
+ball.  On all-ones shapes the supremum is exact: between point masses it is
+a shortest-path length under the distances, which needs no program, and
+between other states it is computed by linear programming.  On general
+shapes the result is a bracket instead of a bare number, since the
 supremum may be unattained or infinite: the lower end is the value at the
 one feasible point a = P(delta) / lip(P(delta)), with delta = phi - psi and
 P removing the trace, and the upper end comes from a pure-state
@@ -26,12 +30,16 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     BiElement,
+    CellStacks,
     ShapeMismatchError,
     adjoints,
     as_shape,
     assemble,
+    cells,
     cellwise_eigh,
+    cellwise_norm,
     hermitian_param_basis,
+    matrix_norms,
     op_norm,
     op_norm_array,
     require_finite,
@@ -45,6 +53,8 @@ from .axioms import (
 )
 
 STATE_TOL = 1e-9
+# pure components of a state with weight at most this are left out of the upper end
+WEIGHT_TOL = 1e-12
 # relative width below which a transport bracket counts as closed
 BRACKET_TOL = 1e-9
 
@@ -77,8 +87,9 @@ class State:
             total += float(np.trace(arr).real)
             arr.setflags(write=False)
             dens.append(arr)
-        # one stacked norm and eigensolve per block size; the first block
-        # failing a test, in block order, names the error
+        # one stacked norm and eigensolve per block size, none on 1x1
+        # blocks; the first block failing a test, in block order, names the
+        # error
         sizes = np.asarray(shape.blocks)
         not_herm = np.zeros(sizes.size, dtype=bool)
         not_psd = np.zeros(sizes.size, dtype=bool)
@@ -86,9 +97,11 @@ class State:
             where = np.flatnonzero(sizes == n)
             stack = np.stack([dens[k] for k in where])
             adj = adjoints(stack)
-            scale = np.maximum(1.0, np.linalg.norm(stack, 2, axis=(1, 2)))
-            not_herm[where] = np.linalg.norm(stack - adj, 2, axis=(1, 2)) > STATE_TOL * scale
-            not_psd[where] = np.linalg.eigvalsh((stack + adj) / 2.0)[:, 0] < -STATE_TOL
+            scale = np.maximum(1.0, matrix_norms(stack))
+            not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
+            herm = (stack + adj) / 2.0
+            lowest = herm[:, 0, 0].real if n == 1 else np.linalg.eigvalsh(herm)[:, 0]
+            not_psd[where] = lowest < -STATE_TOL
         for herm_fails, psd_fails in zip(not_herm, not_psd):
             if herm_fails:
                 raise ValueError("block densities must be self-adjoint")
@@ -199,10 +212,37 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
     return BiElement(rho.shape, assemble(parts, rho.shape.dim**2))
 
 
-def _commutator_gap(a: AlgebraElement, rho: BiElement, pinv: BiElement) -> np.ndarray:
-    d = rho.shape.dim
-    eye = np.eye(d, dtype=complex)
-    return (np.kron(a.data, eye) - np.kron(eye, a.data)) @ pinv.data
+def _tensor_cells(x: np.ndarray, y: np.ndarray, blocks: tuple[int, ...]) -> CellStacks:
+    """The cells of x (x) y for block diagonal D x D arrays x and y.
+
+    Coordinate r of C^D (x) C^D has the legs divmod(r, D), so entry (r, s)
+    of a cell is x[r1, s1] y[r2, s2]: cell (k, l) is x_k (x) y_l.  Leading
+    axes of x and y broadcast together and carry over.
+    """
+    d = sum(blocks)
+    out = []
+    for g in cells(blocks, 2):
+        first, second = np.divmod(g.index, d)
+        out.append((
+            g.index,
+            x[..., first[:, :, None], first[:, None, :]] * y[..., second[:, :, None], second[:, None, :]],
+        ))
+    return out
+
+
+def _seminorm_cells(a: np.ndarray, pinv: BiElement) -> CellStacks:
+    """The cells of (a (x) 1 - 1 (x) a) pinv, cell (k, l) being (a_k (x) 1 - 1 (x) a_l) pinv_(k,l).
+
+    a is a block diagonal D x D array; its leading axes carry over.
+    """
+    blocks = pinv.shape.blocks
+    eye = np.eye(pinv.shape.dim)
+    return [
+        (index, (left - right) @ p)
+        for (index, left), (_, right), (_, p) in zip(
+            _tensor_cells(a, eye, blocks), _tensor_cells(eye, a, blocks), pinv.cells
+        )
+    ]
 
 
 def lip_seminorm(a: AlgebraElement, candidate, pinv: BiElement | None = None) -> float:
@@ -212,7 +252,7 @@ def lip_seminorm(a: AlgebraElement, candidate, pinv: BiElement | None = None) ->
         raise ShapeMismatchError("element and candidate live over different shapes")
     if pinv is None:
         pinv = metric_pseudo_inverse(candidate)
-    return op_norm_array(_commutator_gap(a, rho, pinv))
+    return cellwise_norm(_seminorm_cells(a.data, pinv))
 
 
 def check_leibniz(
@@ -273,15 +313,31 @@ def _classical_weights(state: State) -> np.ndarray:
     return np.array([float(d[0, 0].real) for d in state.densities])
 
 
-def _mk_classical_lp(phi: State, psi: State, rho: BiElement) -> float:
+def _point_mass(weights: np.ndarray) -> int | None:
+    """The point i when weights are exactly those of delta_i, else None."""
+    hits = np.flatnonzero(weights)
+    return int(hits[0]) if hits.size == 1 and weights[hits[0]] == 1.0 else None
+
+
+def _shortest_paths(dmat: np.ndarray) -> np.ndarray:
+    """Shortest-path lengths under the arc weights d(x, y), x != y (Floyd-Warshall).
+
+    A negative diagonal entry of the result marks a negative cycle.
+    """
+    dist = dmat.copy()
+    np.fill_diagonal(dist, 0.0)
+    for k in range(len(dist)):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    return dist
+
+
+def _mk_classical_lp(p: np.ndarray, q: np.ndarray, dmat: np.ndarray) -> float:
     """Exact supremum on an all-ones shape via its linear program.
 
     Maximize sum (p - q) a subject to a(x) - a(y) <= d(x, y); the first
     coordinate is pinned to zero to remove the constant gauge direction.
     """
-    n = rho.shape.dim
-    dmat = np.diagonal(rho.data).real.reshape(n, n)
-    p, q = _classical_weights(phi), _classical_weights(psi)
+    n = len(dmat)
     # one row per ordered pair x != y, in row-major order
     x, y = np.nonzero(~np.eye(n, dtype=bool))
     rows = np.zeros((x.size, n))
@@ -294,52 +350,70 @@ def _mk_classical_lp(phi: State, psi: State, rho: BiElement) -> float:
     return float(-res.fun)
 
 
-def _pure_decomposition(state: State, weight_tol: float = 1e-12):
-    """Spectral decomposition into weighted block pure states."""
-    parts = []
-    for k, dens in enumerate(state.densities):
-        sym = (dens + dens.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(sym)
-        for w, v in zip(vals, vecs.T):
-            if w > weight_tol:
-                parts.append((float(w), k, v / np.linalg.norm(v)))
-    return parts
+def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
+    """Exact supremum on an all-ones shape.
+
+    Between point masses delta_i and delta_j the program's value is the
+    length of a shortest path from i to j under the arc weights d(x, y):
+    d(i, j) for a metric, possibly less where the triangle inequality
+    fails.  Other states, and distances with a negative cycle, for which
+    the program is infeasible, run the program.
+    """
+    n = rho.shape.dim
+    dmat = np.diagonal(rho.data).real.reshape(n, n)
+    p, q = _classical_weights(phi), _classical_weights(psi)
+    i, j = _point_mass(p), _point_mass(q)
+    if i is not None and j is not None:
+        dist = _shortest_paths(dmat)
+        if not (np.diagonal(dist) < 0.0).any():
+            return float(dist[i, j])
+    return _mk_classical_lp(p, q, dmat)
 
 
-def _pair_bound(rho: BiElement, i: int, v: np.ndarray, j: int, w: np.ndarray) -> float:
-    shape = rho.shape
-    if i != j:
-        return pure_state_bound(
-            PureState(shape, i, v), PureState(shape, j, w), rho
-        )
-    if abs(np.vdot(v, w)) >= 1.0 - 1e-12:
-        return 0.0
-    # same block: route through another block, using the triangle property
-    # of the transport distance
-    best = math.inf
-    for l, n in enumerate(shape.blocks):
-        if l == i:
-            continue
-        for basis_idx in range(n):
-            u = np.zeros(n, dtype=complex)
-            u[basis_idx] = 1.0
-            mid = PureState(shape, l, u)
-            via = pure_state_bound(PureState(shape, i, v), mid, rho) + pure_state_bound(
-                mid, PureState(shape, j, w), rho
-            )
-            best = min(best, via)
-    return best
+def _eigen_frame(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Block eigen-decomposition of a state on the coordinates of C^D.
+
+    Returns the eigenvalues of its block densities, weights[r] belonging to
+    coordinate r, and the block diagonal unitary whose column r is the
+    matching unit eigenvector.
+    """
+    eighs = cellwise_eigh(state.as_element().cells)
+    weights = np.zeros(state.shape.dim)
+    for index, vals, _ in eighs:
+        weights[index] = vals
+    return weights, assemble([(index, vecs) for index, _, vecs in eighs], state.shape.dim)
 
 
 def _mk_upper_bound(phi: State, psi: State, rho: BiElement) -> float:
-    total = 0.0
-    for pw, i, v in _pure_decomposition(phi):
-        for qw, j, w in _pure_decomposition(psi):
-            b = _pair_bound(rho, i, v, j, w)
-            if math.isinf(b):
-                return math.inf
-            total += pw * qw * b
-    return total
+    """Upper end: sum of p q b(v, w) over the weighted block eigenvectors v of phi and w of psi.
+
+    b(v, w) = ||rho (v (x) w)|| for v and w in distinct blocks.  In one
+    block it is 0 for equal vectors and otherwise, by the triangle property
+    of the transport distance, the least ||rho (v (x) u)|| + ||rho (u (x) w)||
+    over basis vectors u of the other blocks (infinite when there are none).
+    Every norm comes from one product per cell group.
+    """
+    shape = rho.shape
+    d = shape.dim
+    (p, v), (q, w) = _eigen_frame(phi), _eigen_frame(psi)
+    eye = np.eye(d)
+    # entry (r, s) of norms[t] is ||rho (x_r (x) y_s)|| for the columns of
+    # (x, y) = (v, w), (v, 1) and (1, w)
+    norms = np.zeros((3, d * d))
+    products = _tensor_cells(np.stack([v, v, eye]), np.stack([w, eye, w]), shape.blocks)
+    for (index, vecs), (_, cell) in zip(products, rho.cells):
+        norms[:, index] = np.linalg.norm(cell @ vecs, axis=-2)
+    bound, to_mid, from_mid = norms.reshape(3, d, d)
+    labels = shape.block_labels()
+    same = labels[:, None] == labels[None, :]
+    used = (p[:, None] > WEIGHT_TOL) & (q[None, :] > WEIGHT_TOL)
+    bound[same] = 0.0
+    r, s = np.nonzero(used & same & (np.abs(v.conj().T @ w) < 1.0 - 1e-12))
+    other = labels[None, :] != labels[r, None]
+    bound[r, s] = np.where(other, to_mid[r] + from_mid[:, s].T, np.inf).min(axis=1)
+    if np.isinf(bound[used]).any():
+        return math.inf
+    return float(np.outer(p, q)[used] @ bound[used])
 
 
 def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
@@ -353,12 +427,12 @@ def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
     d = shape.dim
     delta = phi.as_element().data - psi.as_element().data
     basis = hermitian_param_basis(shape, 1)
-    # real matrix of the seminorm map on the hermitian parameter basis
-    cols = []
-    for h in basis:
-        t = _commutator_gap(AlgebraElement(shape, h), rho, pinv)
-        cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
-    tmat = np.stack(cols, axis=1)
+    # real matrix of the seminorm map on the hermitian parameter basis, one
+    # row per entry of a cell
+    t = np.concatenate(
+        [mats.reshape(len(basis), -1) for _, mats in _seminorm_cells(basis, pinv)], axis=1
+    )
+    tmat = np.concatenate([t.real, t.imag], axis=1).T
     _, s, vt = np.linalg.svd(tmat, full_matrices=False)
     null_tol = 1e-10 * max(1.0, s[0] if s.size else 0.0)
     null_vectors = vt[np.sum(s > null_tol):]
@@ -369,7 +443,7 @@ def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
         k = np.einsum("a,aij->ij", nv, basis)
         if abs(np.vdot(a, k).real) > 1e-10 * max(1.0, op_norm_array(delta)):
             return math.inf
-    lip = lip_seminorm(AlgebraElement(shape, a), rho, pinv)
+    lip = cellwise_norm(_seminorm_cells(a, pinv))
     return abs(float(np.trace(delta @ a).real)) / lip if lip > 0 else 0.0
 
 
@@ -383,8 +457,10 @@ def mk_distance(
 ) -> MKDistance:
     """Transport distance bracket between two states.
 
-    On all-ones shapes (method "auto" or "lp") the exact value is computed
-    by linear programming and returned as a zero-width bracket.  Otherwise
+    On all-ones shapes (method "auto" or "lp") the exact value is returned
+    as a zero-width bracket: a shortest-path length between point masses,
+    which needs no program, and the linear program's value between other
+    states.  Otherwise
     (or with method "ascent") the lower end is |tr(delta a)| / lip(a) for
     the trace-free part a of delta = phi - psi, and a pure-state
     decomposition gives the upper end; a zero-seminorm direction that
@@ -402,7 +478,7 @@ def mk_distance(
     if method == "lp" and not rho.shape.is_classical:
         raise ValueError("the exact path applies to all-ones shapes only")
     if use_lp:
-        value = _mk_classical_lp(phi, psi, rho)
+        value = _mk_exact(phi, psi, rho)
         return MKDistance(value, value, True, 0)
     lower = _mk_lower(phi, psi, rho, metric_pseudo_inverse(candidate, cfg))
     if math.isinf(lower):

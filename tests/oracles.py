@@ -8,11 +8,12 @@ the package paths it checks.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
-from qmetric import AlgebraShape, BiElement, triangle_defect
+from qmetric import AlgebraShape, BiElement, PureState, pure_state_bound, triangle_defect
 from qmetric.search import structure_basis
 
 
@@ -117,6 +118,67 @@ def plant_negativity(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
     x, y = rng.permutation(n)[:2]
     out[x, y] = out[y, x] = -0.3
     return out
+
+
+# ---------------------------------------------------------------------------
+# The transport bracket's pieces on dense matrices: the seminorm map with
+# Kronecker products, and the pure-state upper end one pair at a time
+# through the public `pure_state_bound`.
+# ---------------------------------------------------------------------------
+
+
+def commutator_gap(a: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """(a (x) 1 - 1 (x) a) pinv as one dense D^2 x D^2 matrix."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    return (np.kron(a, eye) - np.kron(eye, a)) @ pinv
+
+
+def pure_decomposition(state, weight_tol: float = 1e-12) -> list:
+    """(weight, block, unit vector) for each eigenvector of each block density."""
+    parts = []
+    for k, dens in enumerate(state.densities):
+        vals, vecs = np.linalg.eigh((dens + dens.conj().T) / 2.0)
+        for w, v in zip(vals, vecs.T):
+            if w > weight_tol:
+                parts.append((float(w), k, v / np.linalg.norm(v)))
+    return parts
+
+
+def pair_bound(rho: BiElement, i: int, v: np.ndarray, j: int, w: np.ndarray) -> float:
+    """Bound on the distance between two block vector states.
+
+    Cross-block pairs take `pure_state_bound`; a same-block pair is 0 for
+    equal vectors and otherwise routed through the best basis vector of
+    another block.
+    """
+    shape = rho.shape
+    if i != j:
+        return pure_state_bound(PureState(shape, i, v), PureState(shape, j, w), rho)
+    if abs(np.vdot(v, w)) >= 1.0 - 1e-12:
+        return 0.0
+    best = math.inf
+    for l, n in enumerate(shape.blocks):
+        if l == i:
+            continue
+        for u in np.eye(n, dtype=complex):
+            mid = PureState(shape, l, u)
+            via = pure_state_bound(PureState(shape, i, v), mid, rho) + pure_state_bound(
+                mid, PureState(shape, j, w), rho
+            )
+            best = min(best, via)
+    return best
+
+
+def pure_state_upper_bound(phi, psi, rho: BiElement) -> float:
+    """Weighted sum of `pair_bound` over the pure components of phi and psi."""
+    total = 0.0
+    for pw, i, v in pure_decomposition(phi):
+        for qw, j, w in pure_decomposition(psi):
+            b = pair_bound(rho, i, v, j, w)
+            if math.isinf(b):
+                return math.inf
+            total += pw * qw * b
+    return total
 
 
 # ---------------------------------------------------------------------------

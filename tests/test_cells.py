@@ -25,6 +25,7 @@ from qmetric import (
     diag_projector,
     flip,
     from_finite_metric,
+    lip_seminorm,
     metric_pseudo_inverse,
     min_eig,
     mult_map,
@@ -35,10 +36,12 @@ from qmetric import (
 )
 from qmetric.algebra import (
     _diag_projector_cached,
+    assemble,
     cell_stacks,
     cells,
     cellwise_min_eig,
     hermitian_param_basis,
+    op_norm_array,
     random_element,
     support_mask,
     swap_matrix,
@@ -53,6 +56,7 @@ from qmetric.axioms import (
     triangle_slack_cells,
 )
 from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
+from qmetric.lipschitz import _seminorm_cells
 from qmetric.search import _cone_groups, _layout
 
 import oracles
@@ -352,6 +356,25 @@ def test_pseudo_inverse_matches_dense(blocks):
     dense = (vecs * inv) @ vecs.conj().T
     dense[~support_mask(blocks, 2)] = 0.0
     assert np.abs(pinv.data - dense).max() <= 1e-10 * max(1.0, dense_norm(dense))
+
+
+@pytest.mark.parametrize("blocks", ALL_SHAPES)
+def test_seminorm_cells_match_dense_kronecker_form(blocks):
+    # the pseudo-inverse slot takes any supported element: the cell form
+    # of (a (x) 1 - 1 (x) a) x must hold for every x, not only for rho^+
+    rng = np.random.default_rng(sum(blocks) + len(blocks))
+    x = random_element(blocks, 2, rng)
+    a = random_element(blocks, 1, rng)
+    size = sum(blocks) ** 2
+    dense = oracles.commutator_gap(a.data, x.data)
+    tol = 1e-12 * max(1.0, np.abs(dense).max())
+    assert np.abs(assemble(_seminorm_cells(a.data, x), size) - dense).max() <= tol
+    basis = hermitian_param_basis(blocks, 1)
+    together = _seminorm_cells(basis, x)
+    for k, h in enumerate(basis):
+        one = assemble([(index, mats[k]) for index, mats in together], size)
+        assert np.abs(one - oracles.commutator_gap(h, x.data)).max() <= tol
+    assert lip_seminorm(a, x, x) == pytest.approx(op_norm_array(dense), rel=1e-12)
 
 
 def test_cell_stacks_of_dense_slack_are_the_slack_cells():

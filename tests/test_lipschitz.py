@@ -27,7 +27,17 @@ from qmetric import (
     pure_state_bound,
 )
 
-from oracles import lipschitz_constant, random_metric, transport_lp_primal
+from qmetric.algebra import random_element
+from qmetric.lipschitz import _mk_classical_lp, _mk_upper_bound
+
+from oracles import (
+    embed_distance_matrix,
+    lipschitz_constant,
+    plant_triangle_violation,
+    pure_state_upper_bound,
+    random_metric,
+    transport_lp_primal,
+)
 
 
 def classical_candidate(d):
@@ -78,6 +88,19 @@ class TestStates:
             State(shape, (np.array([[-0.1]]), skew, np.array([[0.6]])))
         with pytest.raises(ValueError, match="self-adjoint"):
             State(shape, (np.array([[0.4]]), skew, np.array([[-0.4]])))
+        # 1x1 blocks are tested without LAPACK, at the same tolerances
+        half = np.diag([0.3, 0.3]).astype(complex)
+        negative = np.diag([-0.1, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            State(shape, (np.array([[0.4 + 1e-8j]]), half, np.array([[0.0]])))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            State(shape, (np.array([[0.4]]), half, np.array([[-1e-8]])))
+        with pytest.raises(ValueError, match="self-adjoint"):
+            State(shape, (np.array([[0.6 + 1e-8j]]), negative, np.array([[0.0]])))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            State(shape, (np.array([[0.6]]), negative, np.array([[1e-8j]])))
+        for small in (1e-10j, -1e-10):
+            State(shape, (np.array([[0.4]]), half, np.array([[small]])))
 
     def test_densities_are_read_only_copies(self):
         d = np.array([[0.25]], dtype=complex)
@@ -275,17 +298,29 @@ class TestMKDistance:
         import qmetric.lipschitz as lip
 
         seen = {}
+        calls = []
         real = lip.linprog
 
         def spy(c, **kw):
+            calls.append(c)
             seen.update(kw)
             return real(c, **kw)
 
         monkeypatch.setattr(lip, "linprog", spy)
         rng = np.random.default_rng(15)
         d = random_metric(rng, 5)
+        cand = classical_candidate(d)
         p, q = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
-        mk_distance(State.classical(p), State.classical(q), classical_candidate(d))
+        mk_distance(State.classical(p), State.classical(q), cand)
+        assert len(calls) == 1
+        # point masses need no program
+        eye = np.eye(5)
+        for i, j in [(0, 3), (2, 2), (4, 1)]:
+            mk_distance(State.classical(eye[i]), State.classical(eye[j]), cand)
+        assert len(calls) == 1
+        # a mass off 1 within the trace tolerance is not a point mass
+        mk_distance(State.classical(eye[0] * (1.0 - 5e-10)), State.classical(eye[3]), cand)
+        assert len(calls) == 2
         rows, rhs = [], []
         for x in range(5):
             for y in range(5):
@@ -296,6 +331,53 @@ class TestMKDistance:
                     rhs.append(d[x, y])
         assert np.array_equal(seen["A_ub"], np.asarray(rows))
         assert np.array_equal(seen["b_ub"], np.asarray(rhs))
+
+    def test_point_masses_are_the_metric(self):
+        rng = np.random.default_rng(16)
+        for n in range(2, 10):
+            d = random_metric(rng, n)
+            cand = classical_candidate(d)
+            eye = np.eye(n)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    result = mk_distance(State.classical(eye[i]), State.classical(eye[j]), cand)
+                    assert result.lower == result.upper
+                    assert result.converged and not result.unbounded
+                    assert result.lower == pytest.approx(d[i, j], rel=1e-12, abs=0.0)
+                    lp = _mk_classical_lp(eye[i], eye[j], d)
+                    assert result.lower == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+    def test_point_masses_follow_shortest_paths(self):
+        # where the triangle inequality fails the program's value is the
+        # shortest path, not the stretched distance
+        rng = np.random.default_rng(17)
+        for n in range(3, 8):
+            d = random_metric(rng, n)
+            bent = plant_triangle_violation(rng, d)
+            x, y = np.argwhere(bent > d)[0]
+            eye = np.eye(n)
+            value = mk_distance(
+                State.classical(eye[x]), State.classical(eye[y]), embed_distance_matrix(bent)
+            ).lower
+            assert value == pytest.approx(_mk_classical_lp(eye[x], eye[y], bent), rel=1e-9, abs=1e-9)
+            assert value <= bent[x, y] - 0.5 + 1e-12
+        # 0 -> 1 costs 5 directly but 2 through point 2
+        bent = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        eye = np.eye(3)
+        result = mk_distance(State.classical(eye[0]), State.classical(eye[1]), embed_distance_matrix(bent))
+        assert result.lower == result.upper == 2.0
+        # the diagonal constrains nothing: a point is at distance 0 from itself
+        bent[0, 0] = 3.0
+        same = mk_distance(State.classical(eye[0]), State.classical(eye[0]), embed_distance_matrix(bent))
+        assert same.lower == _mk_classical_lp(eye[0], eye[0], bent) == 0.0
+
+    def test_point_masses_with_negative_cycle_raise(self):
+        # a(0) - a(1) <= -2 and a(1) - a(0) <= 1 leave the program infeasible
+        rho = embed_distance_matrix(np.array([[0.0, -2.0], [1.0, 0.0]]))
+        with pytest.raises(RuntimeError, match="transport linear program failed"):
+            mk_distance(State.classical([1.0, 0.0]), State.classical([0.0, 1.0]), rho)
 
     def test_symmetry_and_triangle_on_classical(self):
         rng = np.random.default_rng(8)
@@ -441,6 +523,19 @@ class TestMKDistance:
         assert np.isfinite(result.lower) and result.lower <= result.upper + 1e-8
         assert peak < 16 * 2**20
 
+    def test_general_path_memory_bound_n12(self):
+        rng = np.random.default_rng(18)
+        cand = classical_candidate(random_metric(rng, 12))
+        phi, psi = random_state(cand.shape, rng), random_state(cand.shape, rng)
+        tracemalloc.start()
+        try:
+            result = mk_distance(phi, psi, cand, method="ascent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(result.lower) and result.lower <= result.upper + 1e-8
+        assert peak < 16 * 2**20
+
     def test_result_serialization(self):
         phi, psi = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
         doc = mk_distance(phi, psi, TWO_POINT).to_dict()
@@ -483,3 +578,46 @@ class TestPureStateBound:
             w = PureState(cand.shape, int(y), np.array([1.0]))
             dist = mk_distance(v.to_state(), w.to_state(), cand).lower
             assert dist <= pure_state_bound(v, w, cand) + 1e-8
+
+
+def random_positive(blocks, rng) -> BiElement:
+    g = random_element(blocks, 2, rng).data
+    return BiElement(blocks, g @ g.conj().T)
+
+
+def point_mass(shape, block, index) -> State:
+    return PureState(shape, block, np.eye(shape.blocks[block])[index]).to_state()
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize(
+        "blocks",
+        [(1, 2), (2, 2), (2, 1, 1), (2, 2, 2), (3, 3)] + [(1,) * n for n in range(3, 9)],
+    )
+    def test_matches_pairwise_oracle(self, blocks):
+        rng = np.random.default_rng(len(blocks) * 10 + sum(blocks))
+        shape = AlgebraShape(blocks)
+        rho = random_positive(blocks, rng)
+        mixed = [random_state(shape, rng) for _ in range(2)]
+        pure = [point_mass(shape, 0, 0), point_mass(shape, len(blocks) - 1, 0)]
+        # same-block pairs of distinct eigenvectors, equal vectors and
+        # point masses in the same or in distinct blocks
+        pairs = [(mixed[0], mixed[1]), (mixed[0], mixed[0]), (pure[0], pure[0])]
+        pairs += [(pure[0], pure[1]), (pure[1], mixed[0]), (mixed[1], pure[0])]
+        if blocks[0] > 1:
+            other = point_mass(shape, 0, 1)
+            tilted = PureState(shape, 0, (np.eye(blocks[0])[0] + np.eye(blocks[0])[1]) / np.sqrt(2.0))
+            pairs += [(pure[0], other), (tilted.to_state(), pure[0])]
+        for phi, psi in pairs:
+            want = pure_state_upper_bound(phi, psi, rho)
+            assert _mk_upper_bound(phi, psi, rho) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert _mk_upper_bound(pure[0], pure[0], rho) == 0.0
+
+    def test_single_block_routes_are_unbounded(self):
+        rng = np.random.default_rng(19)
+        shape = AlgebraShape((2,))
+        rho = random_positive((2,), rng)
+        phi, psi = point_mass(shape, 0, 0), point_mass(shape, 0, 1)
+        assert math.isinf(pure_state_upper_bound(phi, psi, rho))
+        assert math.isinf(_mk_upper_bound(phi, psi, rho))
+        assert _mk_upper_bound(phi, phi, rho) == 0.0
