@@ -11,16 +11,17 @@ projector onto the quantum diagonal.
 A supported element of order m is block diagonal once its coordinates are
 grouped by block-label tuple: it is the direct sum of its K^m cells, the
 cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
-groups, and the spectral functions (`op_norm` and `min_eig` on elements,
-`cellwise_eigh`, `cellwise_norm`, `cellwise_min_eig`, and
-`cellwise_min_singular`, which also takes a leading sample axis) work one
-stacked LAPACK call per cell size instead of one call on the dense
-D^m x D^m matrix.
+groups, one group per cell size.  The spectral functions (`op_norm` and
+`min_eig` on elements, `cellwise_eigh`, `cellwise_norm`,
+`cellwise_min_eig`, and `cellwise_min_singular`, which also takes a
+leading sample axis) work one stacked LAPACK call per group instead of one
+call on the dense D^m x D^m matrix.
 Cells of size one need no LAPACK call at all.  The dense maps stay as the
 reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
-a block's coordinates sit.  The diagonal projector, the hermitian parameter
+a block's coordinates sit; no dense support mask exists.  Element
+validation, random draws, the diagonal projector, the hermitian parameter
 basis, the canonical m(nu) = 1 element, the search's flat cell vectors,
 the direct sum and the tensor-product regrouping are built from them.
 
@@ -31,6 +32,7 @@ function, so everything here is safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence
@@ -110,26 +112,8 @@ def as_shape(shape: AlgebraShape | Sequence[int]) -> AlgebraShape:
     return AlgebraShape(tuple(shape))
 
 
-@lru_cache(maxsize=None)
-def support_mask(blocks: tuple[int, ...], order: int) -> np.ndarray:
-    """Boolean admissibility mask for order-fold tensor elements.
-
-    Entry ((r1..rm), (c1..cm)) is admissible iff block(r_i) == block(c_i)
-    for every leg i.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("only tensor orders 1, 2, 3 are supported")
-    lab = AlgebraShape(blocks).block_labels()
-    m1 = lab[:, None] == lab[None, :]
-    mask = m1
-    for _ in range(order - 1):
-        mask = np.kron(mask, m1)
-    mask.setflags(write=False)
-    return mask
-
-
 class CellGroup(NamedTuple):
-    """Cells of order-m elements whose tensor legs have block sizes `legs`.
+    """The cells of order-m elements that have one size.
 
     Row c of `labels` is the block-label tuple (k1, ..., km) of one cell and
     row c of `index` lists its coordinates in ascending order, which is
@@ -137,19 +121,20 @@ class CellGroup(NamedTuple):
     Kronecker product of the corresponding blocks.
     """
 
-    legs: tuple[int, ...]
     labels: np.ndarray
     index: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def cells(blocks: tuple[int, ...], order: int) -> tuple[CellGroup, ...]:
-    """The cells of order-fold tensor elements, grouped by leg block sizes.
+    """The cells of order-fold tensor elements, one group per cell size.
 
     Coordinate (r1..rm) lies in the cell of its block-label tuple.  An entry
-    is admissible (see `support_mask`) iff its row and column lie in the
-    same cell, so every supported element is the direct sum of its cells.
-    Each coordinate lies in exactly one cell.
+    is admissible iff its row and column lie in the same cell (block(r_i) ==
+    block(c_i) on every leg), so every supported element is the direct sum
+    of its cells.  Each coordinate lies in exactly one cell.  Groups come in
+    ascending size, and the cells of a group in order of (leg block sizes,
+    labels), so each size is one stacked LAPACK call.
     """
     if order not in (1, 2, 3):
         raise ValueError("only tensor orders 1, 2, 3 are supported")
@@ -159,14 +144,18 @@ def cells(blocks: tuple[int, ...], order: int) -> tuple[CellGroup, ...]:
     labels = np.asarray(list(itertools.product(range(shape.num_blocks), repeat=order)))
     leg_sizes = sizes[labels]
     weights = shape.dim ** np.arange(order - 1, -1, -1)
-    groups = []
+    by_cell_size: dict[int, list] = {}
     for legs in sorted(set(map(tuple, leg_sizes.tolist()))):
         sel = labels[(leg_sizes == legs).all(axis=1)]
         offsets = np.asarray(list(np.ndindex(*legs)))
         index = (starts[sel][:, None, :] + offsets[None, :, :]) @ weights
-        sel.setflags(write=False)
-        index.setflags(write=False)
-        groups.append(CellGroup(tuple(legs), sel, index))
+        by_cell_size.setdefault(index.shape[1], []).append((sel, index))
+    groups = []
+    for _, parts in sorted(by_cell_size.items()):
+        group = CellGroup(*(np.concatenate(arrs) for arrs in zip(*parts)))
+        for arr in group:
+            arr.setflags(write=False)
+        groups.append(group)
     return tuple(groups)
 
 
@@ -176,7 +165,7 @@ CellStacks = list[tuple[np.ndarray, np.ndarray]]
 
 
 def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
-    """Cells of a supported order-fold matrix, one stack per leg pattern.
+    """Cells of a supported order-fold matrix, one stack per cell size.
 
     Leading axes of arr carry over: a stack of matrices of shape (k, N, N)
     gives cell stacks of shape (k, cells, n, n).
@@ -195,21 +184,6 @@ def assemble(stacks: CellStacks, dim: int) -> np.ndarray:
     return out
 
 
-def by_size(stacks: CellStacks) -> CellStacks:
-    """Merge stacks whose cells have equal size, one stack per size.
-
-    The cell axis is the third from the end, so leading axes carry over.
-    """
-    merged: dict[int, list] = {}
-    for index, mats in stacks:
-        merged.setdefault(index.shape[1], []).append((index, mats))
-    return [
-        parts[0] if len(parts) == 1
-        else (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=-3))
-        for _, parts in sorted(merged.items())
-    ]
-
-
 def adjoints(mats: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
     return mats.conj().swapaxes(-1, -2)
@@ -224,7 +198,7 @@ def matrix_norms(mats: np.ndarray) -> np.ndarray:
 
 def cellwise_norm(stacks: CellStacks) -> float:
     """Operator norm of a direct sum: the largest cell norm."""
-    return max([0.0] + [float(matrix_norms(mats).max()) for _, mats in by_size(stacks)])
+    return max([0.0] + [float(matrix_norms(mats).max()) for _, mats in stacks])
 
 
 def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -234,7 +208,7 @@ def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.n
     ascending and vecs[c][:, j] the unit eigenvector of vals[c][j].
     """
     out = []
-    for index, mats in by_size(stacks):
+    for index, mats in stacks:
         if mats.shape[1] == 1:
             vals, vecs = mats[:, :, 0].real.copy(), np.ones_like(mats)
         else:
@@ -287,7 +261,7 @@ def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> list[tuple[
     One SVD call per cell size covers every sample.
     """
     per_size = []
-    for (index, mats), (_, more) in zip(by_size(stacks), by_size(shifts)):
+    for (index, mats), (_, more) in zip(stacks, shifts):
         total = mats + more
         if total.shape[-1] == 1:
             s, vh = np.abs(total[..., 0]), np.ones_like(total)
@@ -307,10 +281,11 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
             f"{shape.blocks}, got {arr.shape}"
         )
     require_finite(arr, "matrix data")
-    mask = support_mask(shape.blocks, order)
-    off = arr[~mask]
-    if off.size and np.any(off != 0):
-        worst = np.max(np.abs(off))
+    # one group's gather at a time, so no copy of arr is held here
+    groups = cells(shape.blocks, order)
+    inside = sum(np.count_nonzero(arr[g.index[:, :, None], g.index[:, None, :]]) for g in groups)
+    if np.count_nonzero(arr) != inside:
+        worst = np.max(np.abs(arr - assemble(cell_stacks(arr, shape.blocks, order), d)))
         raise SupportError(
             f"entries outside the order-{order} block pattern must be exactly "
             f"zero (largest offender {worst:.3e})"
@@ -427,13 +402,16 @@ def permute_legs(mat: np.ndarray, perm: Sequence[int], dims: Sequence[int]) -> n
 
     Output leg j carries input leg perm[j], applied to rows and columns
     simultaneously, so a1 (x) ... (x) am maps to a_{perm[0]} (x) ... (x) a_{perm[m-1]}.
+    Leading axes of mat carry over.
     """
     m = len(perm)
+    lead = mat.shape[:-2]
+    k = len(lead)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    tensor = mat.reshape(dims + dims)
-    axes = tuple(perm) + tuple(m + p for p in perm)
-    return np.ascontiguousarray(tensor.transpose(axes)).reshape(total, total)
+    tensor = mat.reshape(lead + dims + dims)
+    axes = tuple(range(k)) + tuple(k + p for p in perm) + tuple(k + m + p for p in perm)
+    return np.ascontiguousarray(tensor.transpose(axes)).reshape(lead + (total, total))
 
 
 def tensor2(x: AlgebraElement, y: AlgebraElement) -> BiElement:
@@ -456,14 +434,17 @@ def mid_embed(r: BiElement) -> TriElement:
     return TriElement(r.shape, permute_legs(wide, (0, 2, 1), (d, d, d)))
 
 
-def mult_map(r: BiElement) -> AlgebraElement:
-    """The multiplication map a (x) b -> ab, extended linearly.
+def _multiply(arr: np.ndarray, dim: int) -> np.ndarray:
+    """The multiplication map on dim^2 x dim^2 arrays: out[p, t] = sum_q arr[(p, q), (q, t)].
 
-    In coordinates: out[p, t] = sum_q r[(p, q), (q, t)].
+    Leading axes of arr carry over.
     """
-    d = r.shape.dim
-    folded = r.data.reshape(d, d, d, d)
-    return AlgebraElement(r.shape, np.einsum("pqqt->pt", folded))
+    return np.einsum("...pqqt->...pt", arr.reshape(arr.shape[:-2] + (dim,) * 4))
+
+
+def mult_map(r: BiElement) -> AlgebraElement:
+    """The multiplication map a (x) b -> ab, extended linearly."""
+    return AlgebraElement(r.shape, _multiply(r.data, r.shape.dim))
 
 
 def swap_matrix(n: int) -> np.ndarray:
@@ -477,7 +458,7 @@ def _diag_projector_cached(blocks: tuple[int, ...]) -> BiElement:
     for g in cells(blocks, 2):
         on_diag = g.index[g.labels[:, 0] == g.labels[:, 1]]
         if len(on_diag):
-            n = g.legs[0]
+            n = math.isqrt(g.index.shape[1])  # a diagonal cell (k, k) has size n_k^2
             sym = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
             stacks.append((on_diag, np.broadcast_to(sym, (len(on_diag),) + sym.shape)))
     return BiElement(blocks, assemble(stacks, sum(blocks) ** 2))
@@ -540,7 +521,7 @@ def random_element(
     shape = as_shape(shape)
     d = shape.dim**order
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    raw[~support_mask(shape.blocks, order)] = 0.0
+    raw = assemble(cell_stacks(raw, shape.blocks, order), d)
     if hermitian:
         raw = (raw + raw.conj().T) / 2.0
     return element_type(order)(shape, raw)
@@ -554,7 +535,11 @@ def hermitian_param_basis(shape: AlgebraShape | Sequence[int], order: int) -> np
     """
     shape = as_shape(shape)
     d = shape.dim**order
-    rows, cols = np.nonzero(np.triu(support_mask(shape.blocks, order)))
+    # the support pairs (r, c), r <= c, in row-major order
+    flat = np.sort(np.concatenate([
+        (g.index[:, :, None] * d + g.index[:, None, :]).ravel() for g in cells(shape.blocks, order)
+    ]))
+    rows, cols = np.divmod(flat[flat // d <= flat % d], d)
     off = rows != cols
     # each support entry takes one matrix, an off-diagonal one a second
     first = np.cumsum(1 + off) - 1 - off

@@ -42,10 +42,10 @@ from .algebra import (
     CellStacks,
     ShapeMismatchError,
     TriElement,
+    _multiply,
     adjoints,
     as_shape,
     assemble,
-    by_size,
     cell_stacks,
     cells,
     cellwise_eigh,
@@ -279,7 +279,7 @@ def _slack_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...
 
     For row (r1 r2 r3) and column (c1 c2 c3) of one triple cell the slack
     entry is rho[r1 r2, c1 c2] [r3 = c3] + [r1 = c1] rho[r2 r3, c2 c3]
-    - [r2 = c2] rho[r1 r3, c1 c3].  Per leg pattern this returns the cell
+    - [r2 = c2] rho[r1 r3, c1 c3].  Per cell size this returns the cell
     coordinates and three flat indices into rho's entries, one per term,
     pointing one past the last entry (a zero) where the bracket is 0.
     """
@@ -370,17 +370,14 @@ def _mult_one_samples(
     def lowest(arr: np.ndarray) -> float:
         return lowest_eigenpair(cellwise_eigh(cell_stacks(arr, shape.blocks, 2)))[0]
 
-    def swap(arr: np.ndarray) -> np.ndarray:
-        return permute_legs(arr, (1, 0), (d, d))
-
     for _ in range(count - 1):
         accepted = None
         for _attempt in range(max_attempts):
             g = random_element(shape, 2, rng)
             w = assemble([(i, c @ adjoints(c)) for i, c in g.cells], d * d)
-            w = (w + swap(w)) / 2.0
+            w = (w + permute_legs(w, (1, 0), (d, d))) / 2.0
             w *= 0.5 / max(1.0, norm(w))
-            y = np.einsum("pqqt->pt", w.reshape(d, d, d, d))
+            y = _multiply(w, d)
             # (y (x) 1 + 1 (x) y) / 2, the products np.kron would form
             lift = (y[:, None, :, None] * eye1[None, :, None, :]
                     + eye1[:, None, :, None] * y[None, :, None, :]).reshape(d * d, d * d) / 2.0
@@ -391,8 +388,8 @@ def _mult_one_samples(
                 c = (-lam + 1e-12) / (1.0 - lam + 1e-12)
                 nu = (1.0 - c) * nu + c * eye2
                 lam = lowest(nu)
-            m_defect = norm(np.einsum("pqqt->pt", nu.reshape(d, d, d, d)) - eye1, order=1)
-            flip_defect = norm(swap(nu) - nu)
+            m_defect = norm(_multiply(nu, d) - eye1, order=1)
+            flip_defect = norm(permute_legs(nu, (1, 0), (d, d)) - nu)
             if lam >= -1e-12 and m_defect <= 1e-10 and flip_defect <= 1e-10:
                 accepted = BiElement(shape, nu)
                 break
@@ -430,9 +427,8 @@ def _sample_cells(
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Cells of the sampled test elements, one (count, cells, n, n) stack per cell size."""
     nus = sample_mult_one_elements(blocks, count, seed)
-    stacks = tuple(by_size(cell_stacks(np.stack([nu.data for nu in nus]), blocks, 2)))
-    for index, mats in stacks:
-        index.setflags(write=False)
+    stacks = tuple(cell_stacks(np.stack([nu.data for nu in nus]), blocks, 2))
+    for _, mats in stacks:
         mats.setflags(write=False)
     return stacks
 

@@ -52,20 +52,37 @@ def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
     arr = np.empty((d, d), dtype=complex)
     flat = arr.ravel()
     for k, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ExchangeError(f"entry {k} is not an [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            try:
+                flat[k] = complex(float(pair[0]), float(pair[1]))
+                continue
+            except (TypeError, ValueError):
+                pass
+        raise ExchangeError(f"entry {k} is not an [re, im] pair")
     return arr
+
+
+def _integral(value, field: str) -> int:
+    """value as an int when it is an integer or an integral float such as 2.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ExchangeError(f"matrix field {field!r} must be an integer, got {value!r}")
 
 
 def dict_to_element(doc: dict):
     try:
-        blocks = tuple(int(n) for n in doc["shape"])
-        order = int(doc["order"])
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        blocks = tuple(_integral(n, "shape") for n in doc["shape"])
+        order = _integral(doc["order"], "order")
+        rows, cols = _integral(doc["rows"], "rows"), _integral(doc["cols"], "cols")
         data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ExchangeError(f"missing or malformed matrix field: {exc}") from exc
+    if not isinstance(data, list):
+        raise ExchangeError(
+            f"matrix field 'data' must be a list of [re, im] pairs, got {type(data).__name__}"
+        )
     if order not in (1, 2, 3):
         raise ExchangeError(f"unsupported tensor order {order}")
     shape = as_shape(blocks)

@@ -90,17 +90,16 @@ class State:
         # one stacked norm and eigensolve per block size, none on 1x1
         # blocks; the first block failing a test, in block order, names the
         # error
-        sizes = np.asarray(shape.blocks)
-        not_herm = np.zeros(sizes.size, dtype=bool)
-        not_psd = np.zeros(sizes.size, dtype=bool)
-        for n in set(shape.blocks):
-            where = np.flatnonzero(sizes == n)
+        not_herm = np.zeros(shape.num_blocks, dtype=bool)
+        not_psd = np.zeros(shape.num_blocks, dtype=bool)
+        for g in cells(shape.blocks, 1):
+            where = g.labels[:, 0]
             stack = np.stack([dens[k] for k in where])
             adj = adjoints(stack)
             scale = np.maximum(1.0, matrix_norms(stack))
             not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
             herm = (stack + adj) / 2.0
-            lowest = herm[:, 0, 0].real if n == 1 else np.linalg.eigvalsh(herm)[:, 0]
+            lowest = herm[:, 0, 0].real if herm.shape[-1] == 1 else np.linalg.eigvalsh(herm)[:, 0]
             not_psd[where] = lowest < -STATE_TOL
         for herm_fails, psd_fails in zip(not_herm, not_psd):
             if herm_fails:

@@ -35,12 +35,13 @@ import numpy as np
 from .algebra import (
     AlgebraShape,
     BiElement,
+    _multiply,
     adjoints,
     as_shape,
-    by_size,
     cells,
     diag_projector,
     hermitian_param_basis,
+    permute_legs,
     random_element,
     require_finite,
     zero_clip,
@@ -143,16 +144,13 @@ def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
     d = shape.dim
     params = hermitian_param_basis(shape, 2)
     n = params.shape[0]
-    folded = params.reshape(n, d, d, d, d)
-    flipped = folded.transpose(0, 2, 1, 4, 3).reshape(n, d * d, d * d)
-    rows = [(params - flipped).reshape(n, -1)]
+    rows = [(params - permute_legs(params, (1, 0), (d, d))).reshape(n, -1)]
     if mode == REPRESENTATION:
         q = np.eye(d * d, dtype=complex) - diag_projector(shape).data
         compressed = q @ params @ q
         rows.append((params - compressed).reshape(n, -1))
     else:
-        mapped = np.einsum("npqqt->npt", folded)
-        rows.append(mapped.reshape(n, -1))
+        rows.append(_multiply(params, d).reshape(n, -1))
     cmat = np.concatenate(
         [np.concatenate([r.real, r.imag], axis=1) for r in rows], axis=1
     ).T
@@ -187,14 +185,14 @@ def project_structure(
 
 
 def _layout(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """The flat cell vector of order-fold elements: cells merged as `by_size` does.
+    """The flat cell vector of order-fold elements: the cell groups one after another.
 
     Returns the flat position (row * N + col) in the dense N x N matrix
     of every entry, and the (cells, n, n) shape of each size's stretch.
     """
     dim = sum(blocks) ** order
-    stacks = by_size([(g.index, g.index[:, :, None] * dim + g.index[:, None, :]) for g in cells(blocks, order)])
-    return np.concatenate([at.ravel() for _, at in stacks]), [at.shape for _, at in stacks]
+    at = [g.index[:, :, None] * dim + g.index[:, None, :] for g in cells(blocks, order)]
+    return np.concatenate([a.ravel() for a in at]), [a.shape for a in at]
 
 
 def _clip(z: np.ndarray, groups: list) -> np.ndarray:
@@ -259,7 +257,7 @@ class _SearchContext:
         self.n_rho = len(self.pos)
         parts = [basis.reshape(m, -1)[:, self.pos]]
         if cfg.include_triangle:
-            parts += [mats.reshape(m, -1) for _, mats in by_size(triangle_slack_cells(basis, blocks))]
+            parts += [mats.reshape(m, -1) for _, mats in triangle_slack_cells(basis, blocks)]
         # real view: Re <w, z> = w.real . z.real + w.imag . z.imag is one real product
         self.span = np.ascontiguousarray(np.concatenate(parts, axis=1)).view(float)
         lift = self.span[:, 2 * self.n_rho :]
@@ -276,7 +274,8 @@ class _SearchContext:
         self.pinned = cfg.resolved_trace / c_dot_xc * xc
         self.cone = _cone_groups(blocks, cfg.floor)
         self.slack, start = [], self.n_rho
-        for c, n, _ in _layout(blocks, 3)[1] if cfg.include_triangle else []:
+        for g in cells(blocks, 3) if cfg.include_triangle else []:
+            c, n = g.index.shape
             self.slack.append((slice(start, start + c * n * n), (c, n, n), None, None, 0.0))
             start += c * n * n
         self.groups = self.cone + self.slack

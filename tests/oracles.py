@@ -7,6 +7,7 @@ the package paths it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -232,6 +233,15 @@ def _admissible(blocks, order: int, r: int, c: int) -> bool:
         if label[r // step % d] != label[c // step % d]:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def support_mask(blocks: tuple, order: int) -> np.ndarray:
+    """Admissibility of every entry of an order-fold matrix, one entry at a time."""
+    d = sum(blocks) ** order
+    mask = np.array([[_admissible(blocks, order, r, c) for c in range(d)] for r in range(d)])
+    mask.setflags(write=False)
+    return mask
 
 
 def hermitian_param_basis(blocks, order: int) -> np.ndarray:

@@ -19,10 +19,10 @@ from qmetric import (
     tensor2,
 )
 from qmetric.algebra import (
+    cells,
     hermitian_param_basis,
     permute_legs,
     random_element,
-    support_mask,
     swap_matrix,
     zero_clip,
 )
@@ -322,10 +322,8 @@ class TestHelpers:
         assert np.allclose(swapped, np.kron(b, a))
 
     def test_support_mask_counts(self):
-        mask = support_mask((2, 1), 2)
-        assert int(mask.sum()) == sum(
-            (n * m) ** 2 for n in (2, 1) for m in (2, 1)
-        )
+        covered = sum(g.index.shape[0] * g.index.shape[1] ** 2 for g in cells((2, 1), 2))
+        assert covered == sum((n * m) ** 2 for n in (2, 1) for m in (2, 1))
 
     def test_hermitian_param_basis_orthonormal(self):
         basis = hermitian_param_basis((2, 1), 2)

@@ -18,7 +18,9 @@ from qmetric import (
     AlgebraShape,
     BiElement,
     MetricCandidate,
+    SupportError,
     ToleranceConfig,
+    TriElement,
     check_nondegenerate,
     check_positive,
     check_triangle,
@@ -40,10 +42,10 @@ from qmetric.algebra import (
     cell_stacks,
     cells,
     cellwise_min_eig,
+    element_type,
     hermitian_param_basis,
     op_norm_array,
     random_element,
-    support_mask,
     swap_matrix,
 )
 from qmetric.axioms import (
@@ -166,18 +168,63 @@ class TestCells:
         assert np.all(ids >= 0)
         assert ids.max() + 1 == len(blocks) ** order
         same_cell = ids[:, None] == ids[None, :]
-        assert np.array_equal(same_cell, support_mask(blocks, order))
+        assert np.array_equal(same_cell, oracles.support_mask(blocks, order))
 
-    @pytest.mark.parametrize("blocks", [(2, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("blocks", [(2, 1), (1, 2, 3), (1, 4, 2)])
     def test_cell_sizes_and_labels(self, blocks):
-        for g in cells(blocks, 3):
-            assert g.index.shape == (len(g.labels), int(np.prod(g.legs)))
-            assert all(tuple(blocks[k] for k in lab) == g.legs for lab in g.labels)
-            assert np.all(np.diff(g.index, axis=1) > 0)
+        for order in (1, 2, 3):
+            groups = cells(blocks, order)
+            # one group per size, sizes ascending
+            sizes = [g.index.shape[1] for g in groups]
+            assert sizes == sorted(set(sizes))
+            for g in groups:
+                assert g.index.shape[0] == len(g.labels)
+                assert all(np.prod([blocks[k] for k in lab]) == g.index.shape[1] for lab in g.labels)
+                keys = [(tuple(blocks[k] for k in lab), tuple(lab)) for lab in g.labels.tolist()]
+                assert keys == sorted(keys)
+                assert np.all(np.diff(g.index, axis=1) > 0)
 
     def test_classical_cells_are_points(self):
         groups = cells((1,) * 5, 3)
         assert len(groups) == 1 and groups[0].index.shape == (125, 1)
+
+    @pytest.mark.parametrize("blocks", [(2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_support_error_names_the_largest_offender(self, blocks, order):
+        rng = np.random.default_rng(order + sum(blocks))
+        data = random_element(blocks, order, rng).data.copy()
+        off = np.flatnonzero(~oracles.support_mask(blocks, order))
+        data.flat[rng.choice(off, size=3, replace=False)] = [1e-3, -2.5e-2j, 4e-4 + 3e-4j]
+        with pytest.raises(SupportError, match=r"largest offender 2\.500e-02"):
+            element_type(order)(blocks, data)
+        data.flat[off] = complex(-0.0, -0.0)
+        assert np.signbit(data.flat[off].real).all()
+        assert element_type(order)(blocks, data).data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES + [(1, 2, 3), (3, 1, 2), (1, 4, 2)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_random_element_zeroes_off_support(self, blocks, order):
+        d = sum(blocks) ** order
+        rng, again = np.random.default_rng(order), np.random.default_rng(order)
+        for hermitian in (False, True):
+            raw = again.standard_normal((d, d)) + 1j * again.standard_normal((d, d))
+            raw[~oracles.support_mask(blocks, order)] = 0.0
+            if hermitian:
+                raw = (raw + raw.conj().T) / 2.0
+            assert random_element(blocks, order, rng, hermitian).data.tobytes() == raw.tobytes()
+
+    def test_validation_holds_one_copy_of_the_data(self):
+        # classical n = 12: D^3 = 1728, so the data takes 47.8 MB
+        d = 12**3
+        data = np.zeros((d, d), dtype=complex)
+        np.fill_diagonal(data, np.arange(d))
+        tracemalloc.start()
+        try:
+            TriElement((1,) * 12, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.nbytes
 
 
 class TestLayoutOracles:
@@ -354,7 +401,7 @@ def test_pseudo_inverse_matches_dense(blocks):
     cutoff = cfg.resolved_floor(dense_norm(rho.data)) / 2.0
     inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
     dense = (vecs * inv) @ vecs.conj().T
-    dense[~support_mask(blocks, 2)] = 0.0
+    dense[~oracles.support_mask(blocks, 2)] = 0.0
     assert np.abs(pinv.data - dense).max() <= 1e-10 * max(1.0, dense_norm(dense))
 
 

@@ -68,6 +68,21 @@ class TestVerify:
         bad.write_text("not json")
         assert main(["verify", str(bad), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"data": 5},
+        {"data": None},
+        {"data": [[0, 0]] * 15 + [[0, None]]},
+        {"data": [[0, 0]] * 15 + [[0, [1]]]},
+        {"order": 2.7},
+    ])
+    def test_malformed_matrix_document_exits_2(self, tmp_path, capsys, change):
+        doc = {"shape": [1, 1], "order": 2, "rows": 4, "cols": 4, "data": [[0, 0]] * 16}
+        doc.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--quiet"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_margin_table_printed(self, m2_file, capsys):
         main(["verify", m2_file])
         out = capsys.readouterr().out
@@ -192,6 +207,18 @@ class TestLipschitzAndDistance:
         assert doc["lower"] == pytest.approx(2.0, abs=1e-9)
         assert doc["upper"] == pytest.approx(2.0, abs=1e-9)
         assert set(doc) >= {"lower", "upper", "converged", "iterations"}
+
+    def test_malformed_state_document_exits_2(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        save_element(m2_admissible(1.0), rho)
+        good = tmp_path / "phi.json"
+        good.write_text(json.dumps({"shape": [2], "order": 1, "rows": 2, "cols": 2,
+                                    "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+        bad = tmp_path / "psi.json"
+        bad.write_text(json.dumps({"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": 7}))
+        code = main(["distance", "--rho", str(rho), "--phi", str(good), "--psi", str(bad)])
+        assert code == 2
+        assert "'data' must be a list" in capsys.readouterr().err
 
     def test_distance_needs_an_input(self, capsys):
         assert main(["distance", "--phi", "0", "--psi", "1"]) == 2

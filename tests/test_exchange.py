@@ -65,12 +65,33 @@ class TestElementRoundTrip:
         got = dict_to_element(doc).data
         assert np.array_equal(got.view(float), want.view(float))
 
-    @pytest.mark.parametrize("bad", [[3], "ab", [1, 2, 3], {"re": 1, "im": 2}])
+    @pytest.mark.parametrize(
+        "bad", [[3], "ab", [1, 2, 3], {"re": 1, "im": 2}, [0, None], [0, [1]], [[1], 0], [0, "x"]]
+    )
     def test_first_bad_entry_named(self, bad):
         doc = {"shape": [2], "order": 1, "rows": 2, "cols": 2,
                "data": [[1, 0], bad, [0, 0], [1, 0]]}
         with pytest.raises(ExchangeError, match="entry 1 is not an"):
             dict_to_element(doc)
+
+    @pytest.mark.parametrize("data", [5, None, "ab", {"re": 1}])
+    def test_data_that_is_not_a_list_rejected(self, data):
+        doc = {"shape": [1, 1], "order": 2, "rows": 4, "cols": 4, "data": data}
+        with pytest.raises(ExchangeError, match="'data' must be a list"):
+            dict_to_element(doc)
+
+    @pytest.mark.parametrize("field", ["order", "rows", "cols", "shape"])
+    @pytest.mark.parametrize("value", [2.7, "2", True, None, float("inf")])
+    def test_non_integral_field_rejected(self, field, value):
+        doc = {"shape": [1, 1], "order": 2, "rows": 4, "cols": 4, "data": [[0, 0]] * 16}
+        doc[field] = [1, value] if field == "shape" else value
+        with pytest.raises(ExchangeError, match=f"'{field}' must be an integer"):
+            dict_to_element(doc)
+
+    def test_integral_floats_accepted(self):
+        doc = {"shape": [1.0, 1], "order": 2.0, "rows": 4.0, "cols": 4, "data": [[0, 0]] * 16}
+        x = dict_to_element(doc)
+        assert x.order == 2 and x.shape.blocks == (1, 1)
 
     def test_support_violation_rejected(self):
         doc = {
