@@ -25,6 +25,9 @@ validation, random draws, the diagonal projector, the hermitian parameter
 basis, the canonical m(nu) = 1 element, the search's flat cell vectors,
 the direct sum and the tensor-product regrouping are built from them.
 
+`null_space` is the one null-space solve: the search's structure basis and
+the transport bracket's zero-seminorm test both call it.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 """
@@ -553,11 +556,21 @@ def hermitian_param_basis(shape: AlgebraShape | Sequence[int], order: int) -> np
     return out
 
 
-def zero_clip(arr: np.ndarray, threshold: float = 1e-14) -> np.ndarray:
-    """Copy of arr with entries of magnitude below threshold set to exact zero."""
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of the matrix a.
+
+    A singular value counts as zero when it is at most 1e-10 times the
+    largest, so the cut scales with a.
+    """
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vt[int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0))):]
+
+
+def zero_clip(arr: np.ndarray) -> np.ndarray:
+    """Copy of arr with real and imaginary parts below 1e-14 in magnitude set to exact zero."""
     out = arr.copy()
-    out.real[np.abs(out.real) < threshold] = 0.0
-    out.imag[np.abs(out.imag) < threshold] = 0.0
+    out.real[np.abs(out.real) < 1e-14] = 0.0
+    out.imag[np.abs(out.imag) < 1e-14] = 0.0
     return out
 
 

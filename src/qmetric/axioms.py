@@ -30,7 +30,7 @@ every rho + nu is solved in one stacked SVD per cell size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -104,13 +104,7 @@ class ToleranceConfig:
         return DEFAULT_FLOOR_REL * scale if scale > 0 else DEFAULT_FLOOR_REL
 
     def to_dict(self) -> dict:
-        return {
-            "eq_tol": self.eq_tol,
-            "psd_tol": self.psd_tol,
-            "strict_floor": self.strict_floor,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -349,9 +343,7 @@ _SAMPLE_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _mult_one_samples(
-    blocks: tuple[int, ...], count: int, seed: int, max_attempts: int
-) -> tuple[BiElement, ...]:
+def _mult_one_samples(blocks: tuple[int, ...], count: int, seed: int) -> tuple[BiElement, ...]:
     """The body of `sample_mult_one_elements`, cached per argument tuple."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -372,16 +364,13 @@ def _mult_one_samples(
 
     for _ in range(count - 1):
         accepted = None
-        for _attempt in range(max_attempts):
+        for _attempt in range(64):
             g = random_element(shape, 2, rng)
             w = assemble([(i, c @ adjoints(c)) for i, c in g.cells], d * d)
             w = (w + permute_legs(w, (1, 0), (d, d))) / 2.0
             w *= 0.5 / max(1.0, norm(w))
             y = _multiply(w, d)
-            # (y (x) 1 + 1 (x) y) / 2, the products np.kron would form
-            lift = (y[:, None, :, None] * eye1[None, :, None, :]
-                    + eye1[:, None, :, None] * y[None, :, None, :]).reshape(d * d, d * d) / 2.0
-            nu = base + w - lift
+            nu = base + w - (np.kron(y, eye1) + np.kron(eye1, y)) / 2.0
             nu = (nu + nu.conj().T) / 2.0
             lam = lowest(nu)
             if lam < 0:
@@ -399,26 +388,22 @@ def _mult_one_samples(
     return tuple(out)
 
 
-def sample_mult_one_elements(
-    shape: AlgebraShape | Sequence[int],
-    count: int,
-    seed: int,
-    max_attempts: int = 64,
-) -> list[BiElement]:
+def sample_mult_one_elements(shape: AlgebraShape | Sequence[int], count: int, seed: int) -> list[BiElement]:
     """Positive flip-symmetric test elements with m(nu) = 1.
 
     The canonical element always comes first.  The rest start from it, add
     a random positive flip-symmetric perturbation, subtract a lift that
     restores m(nu) = 1, and mix toward the identity of A (x) A (also on the
-    slice) until positive again.  Randomness is counter-based from the seed.
+    slice) until positive again, drawing again up to 64 times per element.
+    Randomness is counter-based from the seed.
 
-    The elements depend only on (shape, count, seed, max_attempts), so they
+    The elements depend only on (shape, count, seed), so they
     are drawn once per process and cached; each call returns a fresh list
     of the same read-only elements.  `check_alg_nondegenerate_sampled`
     solves all of them in one stacked SVD per cell size.  Raises ValueError
     when count < 1.
     """
-    return list(_mult_one_samples(as_shape(shape).blocks, count, seed, max_attempts))
+    return list(_mult_one_samples(as_shape(shape).blocks, count, seed))
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)

@@ -110,20 +110,15 @@ def cmd_construct(args) -> int:
             f"{args.construction} takes exactly {needed} input file(s)"
         )
     if args.construction == "from-metric":
-        space = exchange.load_metric_space(args.inputs[0])
-        candidate = from_finite_metric(space)
-    elif args.construction == "conic":
-        a = MetricCandidate(exchange.load_element(args.inputs[0], expect_order=2))
-        b = MetricCandidate(exchange.load_element(args.inputs[1], expect_order=2))
-        candidate = conic_combine(a, b, args.r)
-    elif args.construction == "direct-sum":
-        a = MetricCandidate(exchange.load_element(args.inputs[0], expect_order=2))
-        b = MetricCandidate(exchange.load_element(args.inputs[1], expect_order=2))
-        candidate = direct_sum(a, b, args.r)
+        candidate = from_finite_metric(exchange.load_metric_space(args.inputs[0]))
     else:
-        a = MetricCandidate(exchange.load_element(args.inputs[0], expect_order=2))
-        b = MetricCandidate(exchange.load_element(args.inputs[1], expect_order=2))
-        candidate = tensor_product(a, b, mode=args.mode)
+        a, b = (MetricCandidate(exchange.load_element(p, expect_order=2)) for p in args.inputs)
+        if args.construction == "conic":
+            candidate = conic_combine(a, b, args.r)
+        elif args.construction == "direct-sum":
+            candidate = direct_sum(a, b, args.r)
+        else:
+            candidate = tensor_product(a, b, mode=args.mode)
     report = verify(candidate.rho, cfg, mode=args.mode)
     if args.out:
         exchange.save_element(candidate.rho, args.out)
@@ -248,10 +243,11 @@ def cmd_nogo_m2(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress tables")
     parser.add_argument("--json", action="store_true", help="emit machine output only")
-    parser.add_argument("--seed", type=int, default=0)
+    if seeded:
+        parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=REPRESENTATION)
     p.add_argument("--report", help="write the JSON report here")
     _add_tolerances(p)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="build candidates from known constructions")
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=REPRESENTATION)
     p.add_argument("--out")
     _add_tolerances(p)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="feasibility search on a shape")
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="diagnostic: search without the triangle constraint",
     )
     p.add_argument("--out")
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("lipschitz", help="seminorm of an element under a candidate")
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo-m2", help="reproduce the two-level no-go computation")
     p.add_argument("--lambdas", default="0.1,1,10")
     p.add_argument("--samples", type=int, default=10000)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_nogo_m2)
 
     return parser

@@ -161,5 +161,5 @@ def tensor_product(
     order = _grouping_permutation(s1, s2)
     dd = d1 * d2
     full = (order[:, None] * dd + order[None, :]).ravel()
-    data = mixed[np.ix_(full, full)]
+    data = mixed[full[:, None], full]
     return MetricCandidate(BiElement(shape, data))

@@ -12,14 +12,14 @@ plain-text lower triangle.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import as_shape, complex_pairs, element_type, zero_clip
 from .construct import FiniteMetricSpace
-
-ZERO_CLIP = 1e-14
+from .lipschitz import State
 
 
 class ExchangeError(ValueError):
@@ -33,15 +33,26 @@ def element_to_dict(x) -> dict:
         "order": x.order,
         "rows": d,
         "cols": d,
-        "data": complex_pairs(zero_clip(np.asarray(x.data), ZERO_CLIP)),
+        "data": complex_pairs(zero_clip(np.asarray(x.data))),
     }
+
+
+def _real(value) -> float | None:
+    """value as a float when it is a number (a JSON boolean counts) within the float range, else None."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return None
 
 
 def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
     """The d x d complex matrix of a row-major list of [re, im] pairs.
 
     A list of numeric pairs converts in one array call; anything else goes
-    entry by entry, which names the first entry that is not a pair.
+    entry by entry, which names the first entry that is not a pair of
+    numbers.
     """
     try:
         raw = np.asarray(data)
@@ -52,23 +63,20 @@ def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
     arr = np.empty((d, d), dtype=complex)
     flat = arr.ravel()
     for k, pair in enumerate(data):
-        if isinstance(pair, (list, tuple)) and len(pair) == 2:
-            try:
-                flat[k] = complex(float(pair[0]), float(pair[1]))
-                continue
-            except (TypeError, ValueError):
-                pass
-        raise ExchangeError(f"entry {k} is not an [re, im] pair")
+        parts = [_real(v) for v in pair] if isinstance(pair, (list, tuple)) and len(pair) == 2 else [None]
+        if None in parts:
+            raise ExchangeError(f"entry {k} is not an [re, im] pair")
+        flat[k] = complex(*parts)
     return arr
 
 
-def _integral(value, field: str) -> int:
+def _integral(value, field: str, doc: str = "matrix") -> int:
     """value as an int when it is an integer or an integral float such as 2.0."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ExchangeError(f"matrix field {field!r} must be an integer, got {value!r}")
+    raise ExchangeError(f"{doc} field {field!r} must be an integer, got {value!r}")
 
 
 def dict_to_element(doc: dict):
@@ -103,12 +111,15 @@ def save_element(x, path) -> None:
     Path(path).write_text(json.dumps(element_to_dict(x)))
 
 
-def load_element(path, expect_order: int | None = None):
+def _read_document(path, kind: str):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ExchangeError(f"cannot read matrix document {path}: {exc}") from exc
-    elem = dict_to_element(doc)
+        raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
+
+
+def load_element(path, expect_order: int | None = None):
+    elem = dict_to_element(_read_document(path, "matrix"))
     if expect_order is not None and elem.order != expect_order:
         raise ExchangeError(
             f"expected a tensor of order {expect_order}, file has order {elem.order}"
@@ -123,8 +134,6 @@ def state_to_dict(state) -> dict:
 
 
 def dict_to_state(doc: dict):
-    from .lipschitz import State
-
     elem = dict_to_element(doc)
     if elem.order != 1:
         raise ExchangeError("a state document must have tensor order 1")
@@ -143,11 +152,7 @@ def save_state(state, path) -> None:
 
 
 def load_state(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ExchangeError(f"cannot read state document {path}: {exc}") from exc
-    return dict_to_state(doc)
+    return dict_to_state(_read_document(path, "state"))
 
 
 def save_report(report, path) -> None:
@@ -166,10 +171,14 @@ def load_metric_space(path) -> FiniteMetricSpace:
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
-            n = int(doc["n"])
-            flat = [float(v) for v in doc["d"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            n = _integral(doc["n"], "n", "metric-space")
+            flat = [_real(v) for v in doc["d"]]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ExchangeError(f"malformed metric-space document: {exc}") from exc
+        if n < 1:
+            raise ExchangeError(f"metric-space field 'n' must be at least 1, got {n}")
+        if None in flat:
+            raise ExchangeError(f"distance {flat.index(None)} is not a number within the float range")
         if len(flat) != n * n:
             raise ExchangeError(f"expected {n * n} distances, got {len(flat)}")
         dist = np.asarray(flat, dtype=float).reshape(n, n)

@@ -40,6 +40,7 @@ from .algebra import (
     cellwise_norm,
     hermitian_param_basis,
     matrix_norms,
+    null_space,
     op_norm,
     op_norm_array,
     require_finite,
@@ -352,14 +353,17 @@ def _mk_classical_lp(p: np.ndarray, q: np.ndarray, dmat: np.ndarray) -> float:
 def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
     """Exact supremum on an all-ones shape.
 
-    Between point masses delta_i and delta_j the program's value is the
-    length of a shortest path from i to j under the arc weights d(x, y):
-    d(i, j) for a metric, possibly less where the triangle inequality
-    fails.  Other states, and distances with a negative cycle, for which
-    the program is infeasible, run the program.
+    The unit ball is |a(x) - a(y)| <= d(x, y) for every ordered pair, so
+    the arc from x to y weighs min(d(x, y), d(y, x)); the two differ where
+    rho is not flip symmetric.  Between point masses delta_i and delta_j
+    the program's value is the length of a shortest path from i to j under
+    those weights: d(i, j) for a metric, possibly less where the triangle
+    inequality fails.  Other states, and distances with a negative cycle,
+    for which the program is infeasible, run the program.
     """
     n = rho.shape.dim
     dmat = np.diagonal(rho.data).real.reshape(n, n)
+    dmat = np.minimum(dmat, dmat.T)
     p, q = _classical_weights(phi), _classical_weights(psi)
     i, j = _point_mass(p), _point_mass(q)
     if i is not None and j is not None:
@@ -431,10 +435,7 @@ def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
     t = np.concatenate(
         [mats.reshape(len(basis), -1) for _, mats in _seminorm_cells(basis, pinv)], axis=1
     )
-    tmat = np.concatenate([t.real, t.imag], axis=1).T
-    _, s, vt = np.linalg.svd(tmat, full_matrices=False)
-    null_tol = 1e-10 * max(1.0, s[0] if s.size else 0.0)
-    null_vectors = vt[np.sum(s > null_tol):]
+    null_vectors = null_space(np.concatenate([t.real, t.imag], axis=1).T)
     # the identity spans part of the kernel, and states may differ in
     # trace within STATE_TOL, so only the trace-free part is tested
     a = delta - (np.trace(delta) / d) * np.eye(d)

@@ -26,7 +26,7 @@ the dense D^3 x D^3 slack; (b) and (c) are stacked clips per cell group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,6 +41,7 @@ from .algebra import (
     cells,
     diag_projector,
     hermitian_param_basis,
+    null_space,
     permute_legs,
     random_element,
     require_finite,
@@ -94,17 +95,9 @@ class SearchConfig:
         return float(self.shape.dim**2)
 
     def to_dict(self) -> dict:
-        return {
-            "shape": list(self.shape.blocks),
-            "floor": self.floor,
-            "trace_target": self.resolved_trace,
-            "max_iter": self.max_iter,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "residual_tol": self.residual_tol,
-            "include_triangle": self.include_triangle,
-            "normalization": self.normalization,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(shape=list(self.shape.blocks), trace_target=self.resolved_trace)
+        return out
 
 
 @dataclass(frozen=True)
@@ -154,11 +147,7 @@ def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
     cmat = np.concatenate(
         [np.concatenate([r.real, r.imag], axis=1) for r in rows], axis=1
     ).T
-    _, s, vt = np.linalg.svd(cmat, full_matrices=False)
-    tol = 1e-10 * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    null_vecs = vt[rank:]
-    basis = np.einsum("ma,aij->mij", null_vecs, params)
+    basis = np.einsum("ma,aij->mij", null_space(cmat), params)
     basis.setflags(write=False)
     return basis
 
@@ -415,14 +404,11 @@ def feasibility_search(cfg: SearchConfig, mode: str = REPRESENTATION) -> SearchO
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restart,))
         )
-        result = _run_restart(ctx, rng)
-        results.append(result)
-        if result.found:
+        results.append(_run_restart(ctx, rng))
+        if results[-1].found:
             break
-    found = [(k, r) for k, r in enumerate(results) if r.found]
-    if found:
-        k, r = found[0]
-    else:
+    k, r = len(results) - 1, results[-1]
+    if not r.found:
         k, r = min(enumerate(results), key=lambda kr: (kr[1].best_residual, kr[0]))
     candidate = r.candidate
     if candidate is not None and cfg.normalization == "opnorm":

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from qmetric import AlgebraShape, BiElement, PureState, pure_state_bound, triangle_defect
-from qmetric.search import structure_basis
 
 
 def classical_axioms(d: np.ndarray, tol: float = 1e-12) -> dict:
@@ -89,6 +88,33 @@ def transport_lp_primal(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+def transport_lp_dual(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """Kantorovich dual over the unit ball |a(x) - a(y)| <= d(x, y), one pair at a time.
+
+    Both orders of every pair x != y give a constraint, so the ball needs
+    no symmetric d; a(0) is pinned to zero.
+    """
+    n = d.shape[0]
+    rows, bounds = [], []
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                for sign in (1.0, -1.0):
+                    row = np.zeros(n)
+                    row[x], row[y] = sign, -sign
+                    rows.append(row)
+                    bounds.append(d[x, y])
+    res = linprog(
+        np.asarray(q, dtype=float) - np.asarray(p, dtype=float),
+        A_ub=np.asarray(rows),
+        b_ub=np.asarray(bounds),
+        bounds=[(0.0, 0.0)] + [(None, None)] * (n - 1),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 def random_metric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -213,6 +239,33 @@ def diag_projector(blocks) -> np.ndarray:
         idx = [i * d + j for i in range(a, b) for j in range(a, b)]
         out[np.ix_(idx, idx)] = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
     return out
+
+
+def structure_basis(blocks, mode: str) -> np.ndarray:
+    """Orthonormal basis of the structural subspace, by an SVD over `hermitian_param_basis`.
+
+    The conditions on rho are flip symmetry, S rho S = rho with S the swap,
+    and in representation mode Q rho Q = rho with Q = 1 - the diagonal
+    projector, in algebraic mode m(rho) = 0 by the defining sum.
+    """
+    d = sum(blocks)
+    params = hermitian_param_basis(blocks, 2)
+    swap = swap_matrix(d)
+    q = np.eye(d * d) - diag_projector(blocks)
+    columns = []
+    for m in params:
+        if mode == "representation":
+            diag = m - q @ m @ q
+        else:
+            diag = np.zeros((d, d), dtype=complex)
+            for p in range(d):
+                for t in range(d):
+                    diag[p, t] = sum(m[p * d + r, r * d + t] for r in range(d))
+        columns.append(np.concatenate([(swap @ m @ swap - m).ravel(), diag.ravel()]))
+    c = np.array(columns).T
+    _, sv, vt = np.linalg.svd(np.concatenate([c.real, c.imag]), full_matrices=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return np.einsum("ka,aij->kij", vt[rank:], params)
 
 
 def canonical_mult_one(blocks) -> np.ndarray:
@@ -357,8 +410,8 @@ def alg_nondegenerate_loop(rho: BiElement, nus, eq_tol: float) -> tuple[bool, fl
 # The feasibility search's projections on dense matrices: the D^2 x D^2 rho,
 # the D^3 x D^3 slack S, the structure basis lifted through the dense slack,
 # and the off-diagonal columns above.  The search holds only the cells.  The
-# structure basis is the package's, which its own tests pin, and the dense
-# slack is `triangle_defect`, the reference the cell kernel is checked on.
+# structure basis is the one above, and the dense slack is
+# `triangle_defect`, the reference the cell kernel is checked on.
 # ---------------------------------------------------------------------------
 
 
@@ -374,7 +427,7 @@ class DenseSearchContext:
     def __init__(self, cfg, mode: str) -> None:
         self.cfg = cfg
         shape = cfg.shape
-        self.basis = structure_basis(shape, mode)
+        self.basis = structure_basis(shape.blocks, mode)
         m = self.basis.shape[0]
         self.basis_flat = self.basis.reshape(m, -1)
         self.traces = np.einsum("nii->n", self.basis).real

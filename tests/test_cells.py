@@ -303,7 +303,7 @@ class TestSampledCheck:
     @pytest.mark.parametrize("blocks", [(1,) * 4, (2,), (2, 1), (2, 2, 2)])
     def test_cached_samples_equal_fresh_ones(self, blocks):
         cached = sample_mult_one_elements(blocks, 6, 5)
-        fresh = _mult_one_samples.__wrapped__(blocks, 6, 5, 64)
+        fresh = _mult_one_samples.__wrapped__(blocks, 6, 5)
         assert len(cached) == len(fresh) == 6
         for a, b in zip(cached, fresh):
             assert a.data.tobytes() == b.data.tobytes()

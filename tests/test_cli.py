@@ -83,6 +83,17 @@ class TestVerify:
         assert main(["verify", str(bad), "--quiet"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [["1.5", "0"], [10**400, 0]])
+    def test_entry_that_is_not_a_float_exits_2(self, tmp_path, capsys, entry):
+        # a 2-point metric with d(0, 1) = d(1, 0) given as the entry
+        data = [[0, 0]] * 16
+        data[5] = data[10] = entry
+        doc = {"shape": [1, 1], "order": 2, "rows": 4, "cols": 4, "data": data}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), "--quiet"]) == 2
+        assert "entry 5 is not an [re, im] pair" in capsys.readouterr().err
+
     def test_margin_table_printed(self, m2_file, capsys):
         main(["verify", m2_file])
         out = capsys.readouterr().out
@@ -142,6 +153,19 @@ class TestConstruct:
 
     def test_wrong_input_count(self, path3):
         assert main(["construct", "conic", path3, "--quiet"]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"n": 2.7}, {"n": True}, {"n": "2"}, {"n": -2}, {"d": [0, "1", "1", 0]}, {"d": [0, 10**400, 1, 0]},
+    ])
+    def test_malformed_metric_space_exits_2(self, tmp_path, capsys, change):
+        doc = {"n": 2, "d": [0, 1, 1, 0]}
+        doc.update(change)
+        bad = tmp_path / "space.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["construct", "from-metric", str(bad), "--quiet"]) == 2
+        assert main(["distance", "--classical", str(bad), "--phi", "0", "--psi", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("field 'n'" in err or "distance 1" in err)
 
 
 class TestSearch:
@@ -222,6 +246,29 @@ class TestLipschitzAndDistance:
 
     def test_distance_needs_an_input(self, capsys):
         assert main(["distance", "--phi", "0", "--psi", "1"]) == 2
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["pdelta", "--shape", "2"],
+        ["lipschitz", "--rho", "r.json", "--element", "a.json"],
+        ["distance", "--classical", "s.json", "--phi", "0", "--psi", "1"],
+    ])
+    def test_only_seeded_commands_take_it(self, capsys, argv):
+        # these commands draw no random numbers
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "construct", "search", "nogo-m2"])
+    def test_seeded_commands_list_it(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestNogoM2:

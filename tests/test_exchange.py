@@ -93,6 +93,19 @@ class TestElementRoundTrip:
         x = dict_to_element(doc)
         assert x.order == 2 and x.shape.blocks == (1, 1)
 
+    @pytest.mark.parametrize("bad", [["1.5", 0], [0, "0"], [10**400, 0], [0, -(10**400)]])
+    def test_strings_and_integers_beyond_float_range_rejected(self, bad):
+        doc = {"shape": [2], "order": 1, "rows": 2, "cols": 2,
+               "data": [[1, 0], bad, [0, 0], [1, 0]]}
+        with pytest.raises(ExchangeError, match="entry 1 is not an"):
+            dict_to_element(json.loads(json.dumps(doc)))
+
+    def test_integer_beyond_int64_within_float_range_loads(self):
+        doc = {"shape": [2], "order": 1, "rows": 2, "cols": 2,
+               "data": [[2**70, 0], [0, 0], [0, 0], [1, 0]]}
+        got = dict_to_element(json.loads(json.dumps(doc))).data
+        assert got[0, 0] == float(2**70) and got[1, 1] == 1.0
+
     def test_support_violation_rejected(self):
         doc = {
             "shape": [1, 1],
@@ -168,6 +181,27 @@ class TestMetricSpaceLoading:
         save_metric_space(space, path)
         again = load_metric_space(path)
         assert np.array_equal(again.dist, space.dist)
+
+    @pytest.mark.parametrize("n", [2.7, True, "2", None, -2, 0])
+    def test_point_count_must_be_a_positive_integer(self, tmp_path, n):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": n, "d": [0, 1, 1, 0]}))
+        with pytest.raises(ExchangeError, match="field 'n' must be"):
+            load_metric_space(path)
+
+    @pytest.mark.parametrize("bad", ["1", 10**400, None, [1]], ids=["string", "huge", "null", "list"])
+    def test_distance_that_is_not_a_float_rejected(self, tmp_path, bad):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": 2, "d": [0, bad, 1, 0]}))
+        with pytest.raises(ExchangeError, match="distance 1 is not a number"):
+            load_metric_space(path)
+
+    def test_booleans_and_large_integers_load(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": 2.0, "d": [False, True, True, False]}))
+        assert np.array_equal(load_metric_space(path).dist, [[0.0, 1.0], [1.0, 0.0]])
+        path.write_text(json.dumps({"n": 2, "d": [0, 2**70, 2**70, 0]}))
+        assert load_metric_space(path).dist[0, 1] == float(2**70)
 
     def test_lower_triangle_text(self, tmp_path):
         path = tmp_path / "space.txt"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric import (
     AlgebraElement,
@@ -14,9 +16,12 @@ from qmetric import (
     PreconditionError,
     PureState,
     State,
+    ToleranceConfig,
     check_leibniz,
     diag_projector,
     direct_sum,
+    direct_sum_bound,
+    flip,
     from_finite_metric,
     identity,
     lip_seminorm,
@@ -25,6 +30,7 @@ from qmetric import (
     mk_distance,
     op_norm,
     pure_state_bound,
+    verify,
 )
 
 from qmetric.algebra import random_element
@@ -36,6 +42,7 @@ from oracles import (
     plant_triangle_violation,
     pure_state_upper_bound,
     random_metric,
+    transport_lp_dual,
     transport_lp_primal,
 )
 
@@ -379,6 +386,53 @@ class TestMKDistance:
         with pytest.raises(RuntimeError, match="transport linear program failed"):
             mk_distance(State.classical([1.0, 0.0]), State.classical([0.0, 1.0]), rho)
 
+    def test_exact_value_uses_both_orders_of_each_pair(self):
+        # fails only flip symmetry: the unit ball bounds |a(0) - a(1)| by
+        # min(d(0, 1), d(1, 0)) = 1, so both orders give 1
+        rho = embed_distance_matrix(np.array([[0.0, 1.0], [3.0, 0.0]]))
+        assert verify(rho).failing == ("iv",)
+        d0, d1 = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
+        for phi, psi in ((d0, d1), (d1, d0)):
+            got = mk_distance(phi, psi, rho)
+            assert got.lower == got.upper == 1.0 and got.converged
+            general = mk_distance(phi, psi, rho, method="ascent")
+            assert general.lower <= 1.0 <= general.upper
+        mixed = State.classical([0.3, 0.7]), State.classical([0.8, 0.2])
+        assert mk_distance(*mixed, rho).lower == pytest.approx(0.5, abs=1e-12)
+        assert mk_distance(*mixed[::-1], rho).lower == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_value_on_asymmetric_candidates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        rho = compressed_positive((1,) * n, rng)
+        failing = verify(rho).failing
+        assert "iv" in failing and not {"i", "ii", "iii"} & set(failing)
+        d = np.diagonal(rho.data).real.reshape(n, n)
+        eye = np.eye(n)
+        for p, q in [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))), (eye[0], eye[-1])]:
+            want = transport_lp_dual(d, p, q)
+            for there, back in ((p, q), (q, p)):
+                got = mk_distance(State.classical(there), State.classical(back), rho)
+                assert got.lower == got.upper == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_bracket_scales_with_rho(self):
+        # the zero-seminorm test cuts singular values relative to the
+        # largest: a cut at 1e-10 absolute took every direction for a null
+        # one once rho^+ fell below 1e-10, from about s = 1e11
+        m2 = MetricCandidate(m2_admissible(1.0))
+        rho = direct_sum(m2, m2, 1.0).rho
+        cfg = ToleranceConfig(strict_floor=1e-3)
+        rng = np.random.default_rng(0)
+        phi, psi = random_state(rho.shape, rng), random_state(rho.shape, rng)
+        base = mk_distance(phi, psi, rho, cfg)
+        assert 0.0 < base.lower < base.upper < math.inf
+        for s in (1e3, 1e10, 1e11, 1e12, 1e15):
+            got = mk_distance(phi, psi, s * rho, cfg)
+            assert not got.unbounded
+            assert got.lower == pytest.approx(s * base.lower, rel=1e-12)
+            assert got.upper == pytest.approx(s * base.upper, rel=1e-12)
+
     def test_symmetry_and_triangle_on_classical(self):
         rng = np.random.default_rng(8)
         d = random_metric(rng, 4)
@@ -587,6 +641,73 @@ def random_positive(blocks, rng) -> BiElement:
 
 def point_mass(shape, block, index) -> State:
     return PureState(shape, block, np.eye(shape.blocks[block])[index]).to_state()
+
+
+def compressed_positive(blocks, rng) -> BiElement:
+    """Q (g g* + eps) Q with Q = 1 - P: passes i-iii, and generically fails flip symmetry."""
+    d2 = sum(blocks) ** 2
+    q = np.eye(d2) - diag_projector(blocks).data
+    g = random_element(blocks, 2, rng).data
+    return BiElement(blocks, q @ (g @ g.conj().T + rng.uniform(0.1, 1.0) * np.eye(d2)) @ q)
+
+
+def m2_sum(blocks, rng) -> BiElement:
+    """m2_admissible blocks for the 2s of blocks, then a classical metric on the 1s, summed directly."""
+    parts = [MetricCandidate(m2_admissible(rng.uniform(0.5, 2.0))) for n in blocks if n == 2]
+    if 1 in blocks:
+        parts.append(classical_candidate(random_metric(rng, blocks.count(1))))
+    cand = parts[0]
+    for part in parts[1:]:
+        cand = direct_sum(cand, part, direct_sum_bound(cand, part) * rng.uniform(1.0, 2.0))
+    return cand.rho
+
+
+def block_unitary(blocks, rng) -> np.ndarray:
+    d = sum(blocks)
+    u = np.zeros((d, d), dtype=complex)
+    start = 0
+    for n in blocks:
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u[start : start + n, start : start + n] = q * (np.diag(r) / np.abs(np.diag(r)))
+        start += n
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.sampled_from([(2,), (3,), (2, 1), (2, 2), (2, 1, 1), (1, 1, 1)]),
+    seed=st.integers(0, 2**31 - 1),
+    compressed=st.booleans(),
+    s=st.floats(1e-3, 1e3),
+)
+def test_transport_invariances(blocks, seed, compressed, s):
+    # the seminorm and the lower end of the bracket are unchanged under
+    # u (x) u and the flip and scale with rho; the upper end routes
+    # same-block pairs through standard basis vectors, so it is left out
+    rng = np.random.default_rng(seed)
+    shape = AlgebraShape(blocks)
+    rho = compressed_positive(blocks, rng) if compressed or 3 in blocks else m2_sum(blocks, rng)
+    u = block_unitary(blocks, rng)
+    uu = np.kron(u, u)
+    moved = BiElement(blocks, uu @ rho.data @ uu.conj().T)
+    a = random_element(blocks, 1, rng, hermitian=True)
+    lip = lip_seminorm(a, rho)
+    assert lip_seminorm(AlgebraElement(blocks, u @ a.data @ u.conj().T), moved) == pytest.approx(lip, rel=1e-12)
+    assert lip_seminorm(a, flip(rho)) == pytest.approx(lip, rel=1e-12)
+    assert lip_seminorm(a, s * rho) == pytest.approx(lip / s, rel=1e-12)
+    if shape.is_classical:
+        return
+    phi, psi = random_state(shape, rng), random_state(shape, rng)
+    ranges = shape.block_ranges()
+
+    def conjugated(state):
+        return State(shape, tuple(u[i:j, i:j] @ dens @ u[i:j, i:j].conj().T
+                                  for (i, j), dens in zip(ranges, state.densities)))
+
+    lower = mk_distance(phi, psi, rho).lower
+    assert mk_distance(conjugated(phi), conjugated(psi), moved).lower == pytest.approx(lower, rel=1e-12)
+    assert mk_distance(phi, psi, flip(rho)).lower == pytest.approx(lower, rel=1e-12)
+    assert mk_distance(phi, psi, s * rho).lower == pytest.approx(s * lower, rel=1e-12)
 
 
 class TestUpperBound:

@@ -330,6 +330,22 @@ def test_same_seed_outcomes_pinned(kwargs, mode, expected):
 CONTEXT_SHAPES = [(1, 1, 1), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (2, 1, 1), (1,) * 5]
 
 
+@pytest.mark.parametrize("blocks", CONTEXT_SHAPES + [(2, 2, 2), (3, 3)])
+@pytest.mark.parametrize("mode", ["representation", "algebraic"])
+def test_structure_basis_matches_oracle(blocks, mode):
+    # both bases as coefficients over the oracle's hermitian parameter
+    # basis: orthonormal rows inside its span, with one orthogonal projector
+    params = oracles.hermitian_param_basis(blocks, 2).reshape(-1, sum(blocks) ** 4)
+
+    def projector(basis):
+        coeffs = (basis.reshape(len(basis), -1) @ params.conj().T).real
+        assert np.allclose(coeffs @ coeffs.T, np.eye(len(basis)), rtol=0, atol=1e-10)
+        return coeffs.T @ coeffs
+
+    want = projector(oracles.structure_basis(blocks, mode))
+    assert np.max(np.abs(projector(structure_basis(blocks, mode)) - want)) <= 1e-10
+
+
 def cell_vector(ctx, rho, s):
     """The search's flat cell vector of a dense rho and slack S."""
     parts = [rho.ravel()[ctx.pos]]
