@@ -6,13 +6,14 @@ Lipschitz constant.  Both factors are supported elements, so the product is
 computed per cell: cell (k, l) is (a_k (x) 1 - 1 (x) a_l) pinv_(k,l), and
 no D^2 x D^2 matrix is formed.  The induced distance between states is the
 supremum of |phi(a) - psi(a)| over self-adjoint a in the unit seminorm
-ball.  On all-ones shapes the supremum is exact: between point masses it is
-a shortest-path length under the distances, which needs no program, and
-between other states it is computed by linear programming.  On general
-shapes the result is a bracket instead of a bare number, since the
-supremum may be unattained or infinite: the lower end is the value at the
-one feasible point a = P(delta) / lip(P(delta)), with delta = phi - psi and
-P removing the trace, and the upper end comes from a pure-state
+ball.  On all-ones shapes the supremum is exact: by Kantorovich duality it
+is the cheapest transport of one state onto the other at the shortest-path
+lengths under the distances, which between point masses is one such
+length and between other states is solved by successive shortest paths.
+On general shapes the result is a bracket instead of a bare number, since
+the supremum may be unattained or infinite: the lower end is the value at
+the one feasible point a = P(delta) / lip(P(delta)), with delta = phi - psi
+and P removing the trace, and the upper end comes from a pure-state
 decomposition.  The bracket is only as tight as that one point; it closes
 on some inputs (two-point spaces, point masses at comparable distances)
 and stays open on others.
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .algebra import (
     AlgebraElement,
@@ -331,23 +331,73 @@ def _shortest_paths(dmat: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _mk_classical_lp(p: np.ndarray, q: np.ndarray, dmat: np.ndarray) -> float:
-    """Exact supremum on an all-ones shape via its linear program.
+def _transport(w: np.ndarray, dist: np.ndarray) -> tuple[float, int]:
+    """Least cost of shipping the positive part of w onto its negative part at costs dist.
 
-    Maximize sum (p - q) a subject to a(x) - a(y) <= d(x, y); the first
-    coordinate is pinned to zero to remove the constant gauge direction.
+    Successive shortest paths (Ahuja, Magnanti & Orlin, Network Flows,
+    1993, ch. 9) on the bipartite graph from the points with w > 0 to those
+    with w < 0.  dist must be a shortest-path closure with no negative
+    cycle, so shipping straight from source to sink is never dearer than
+    through other points.  Each round labels the residual graph by
+    Bellman-Ford, from every source with supply left: forward arcs cost
+    dist, and an arc with flow on it adds a backward arc at -dist.  The
+    cheapest path to a sink with demand left then carries as much as its
+    source, its sink and its backward arcs allow.  Point 0 takes whatever
+    imbalance w carries, which is what pinning a(0) = 0 does in the dual.
+
+    Returns the cost and the number of augmentations.  Each augmentation
+    empties a source, fills a sink or clears the flow on a backward arc;
+    random instances take one or two per node (point with w != 0), and the
+    loop raises RuntimeError once it reaches nodes**2.
     """
-    n = len(dmat)
-    # one row per ordered pair x != y, in row-major order
-    x, y = np.nonzero(~np.eye(n, dtype=bool))
-    rows = np.zeros((x.size, n))
-    rows[np.arange(x.size), x] = 1.0
-    rows[np.arange(x.size), y] = -1.0
-    bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
-    res = linprog(q - p, A_ub=rows, b_ub=dmat[x, y], bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport linear program failed: {res.message}")
-    return float(-res.fun)
+    w = w.copy()
+    w[0] = -w[1:].sum()
+    src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
+    k, nodes = src.size, src.size + snk.size
+    cost = dist[src][:, snk]
+    left = np.concatenate([w[src], -w[snk]])
+    flow = np.zeros_like(cost)
+    # arcs[u, v] is the residual cost of node u to node v, sources first
+    arcs = np.full((nodes, nodes), np.inf)
+    arcs[:k, k:] = cost
+    # a label moves only on a gain above the rounding of a path's length,
+    # so zero-cost two-cycles never enter the predecessor tree
+    slack = 1e-12 * float(cost.max(initial=0.0))
+    columns = np.arange(nodes)
+    bound = nodes * nodes
+    for count in range(bound + 1):
+        if not (left[:k] > 0.0).any() or not (left[k:] > 0.0).any():
+            return float((flow * cost).sum()), count
+        arcs[k:, :k] = np.where(flow.T > 0.0, -cost.T, np.inf)
+        label = np.where((left > 0.0) & (columns < k), 0.0, np.inf)
+        pred = np.full(nodes, -1)
+        for _ in range(nodes):
+            reach = label[:, None] + arcs
+            best = reach.argmin(axis=0)
+            shorter = reach[best, columns]
+            gain = shorter < label - slack
+            if not gain.any():
+                break
+            label[gain] = shorter[gain]
+            pred[gain] = best[gain]
+        else:
+            raise RuntimeError("transport solver found a negative residual cycle")
+        ends = np.flatnonzero((left > 0.0) & (columns >= k))
+        path = [int(ends[label[ends].argmin()])]
+        while pred[path[-1]] >= 0 and len(path) <= nodes:
+            path.append(int(pred[path[-1]]))
+        if len(path) > nodes:
+            raise RuntimeError("transport solver found a cycle of predecessors")
+        # path runs sink, source, sink, ..., source with supply left
+        path = np.array(path)
+        fwd = (path[1::2], path[0::2] - k)
+        back = (path[1:-1:2], path[2::2] - k)
+        amount = min(left[path[0]], left[path[-1]], flow[back].min(initial=np.inf))
+        flow[back] -= amount
+        flow[fwd] += amount
+        left[path[0]] -= amount
+        left[path[-1]] -= amount
+    raise RuntimeError(f"transport solver reached its bound of {bound} augmentations")
 
 
 def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
@@ -355,22 +405,26 @@ def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
 
     The unit ball is |a(x) - a(y)| <= d(x, y) for every ordered pair, so
     the arc from x to y weighs min(d(x, y), d(y, x)); the two differ where
-    rho is not flip symmetric.  Between point masses delta_i and delta_j
-    the program's value is the length of a shortest path from i to j under
-    those weights: d(i, j) for a metric, possibly less where the triangle
-    inequality fails.  Other states, and distances with a negative cycle,
-    for which the program is infeasible, run the program.
+    rho is not flip symmetric.  Under the shortest-path lengths of those
+    weights the supremum is a transport cost (Kantorovich duality): d(i, j)
+    between point masses delta_i and delta_j for a metric, possibly less
+    where the triangle inequality fails, and the cheapest shipping of
+    p - q between other states.  A negative cycle leaves the unit ball
+    empty.
     """
     n = rho.shape.dim
     dmat = np.diagonal(rho.data).real.reshape(n, n)
-    dmat = np.minimum(dmat, dmat.T)
+    dist = _shortest_paths(np.minimum(dmat, dmat.T))
+    if (np.diagonal(dist) < 0.0).any():
+        raise RuntimeError(
+            "transport linear program failed: the distances have a negative cycle, "
+            "so no element satisfies the constraints"
+        )
     p, q = _classical_weights(phi), _classical_weights(psi)
     i, j = _point_mass(p), _point_mass(q)
     if i is not None and j is not None:
-        dist = _shortest_paths(dmat)
-        if not (np.diagonal(dist) < 0.0).any():
-            return float(dist[i, j])
-    return _mk_classical_lp(p, q, dmat)
+        return float(dist[i, j])
+    return _transport(p - q, dist)[0]
 
 
 def _eigen_frame(state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +513,12 @@ def mk_distance(
 
     On all-ones shapes (method "auto" or "lp") the exact value is returned
     as a zero-width bracket: a shortest-path length between point masses,
-    which needs no program, and the linear program's value between other
-    states.  Otherwise
-    (or with method "ascent") the lower end is |tr(delta a)| / lip(a) for
-    the trace-free part a of delta = phi - psi, and a pure-state
-    decomposition gives the upper end; a zero-seminorm direction that
-    separates the states yields the unbounded marker, since the distance
-    is only a semimetric.  converged means the bracket has closed to
+    and the cheapest transport at those lengths between other states.
+    Otherwise (or with method "ascent") the lower end is
+    |tr(delta a)| / lip(a) for the trace-free part a of delta = phi - psi,
+    and a pure-state decomposition gives the upper end; a zero-seminorm
+    direction that separates the states yields the unbounded marker, since
+    the distance is only a semimetric.  converged means the bracket has closed to
     BRACKET_TOL relative.  max_iter is accepted and has no effect: the
     lower end is computed in closed form, and iterations is always 0.
     """

@@ -94,9 +94,14 @@ def transport_lp_dual(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Kantorovich dual over the unit ball |a(x) - a(y)| <= d(x, y), one pair at a time.
 
     Both orders of every pair x != y give a constraint, so the ball needs
-    no symmetric d; a(0) is pinned to zero.
+    no symmetric d; a(0) is pinned to zero.  The objective is scaled to
+    unit size and solved at HiGHS's tightest tolerances, so weights that
+    differ by about 1e-9 (a trace off 1 within the state tolerance) still
+    count.
     """
     n = d.shape[0]
+    c = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    scale = float(np.abs(c).max(initial=0.0)) or 1.0
     rows, bounds = [], []
     for x in range(n):
         for y in range(n):
@@ -107,14 +112,15 @@ def transport_lp_dual(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
                     rows.append(row)
                     bounds.append(d[x, y])
     res = linprog(
-        np.asarray(q, dtype=float) - np.asarray(p, dtype=float),
-        A_ub=np.asarray(rows),
+        c / scale,
+        A_ub=np.asarray(rows).reshape(-1, n),
         b_ub=np.asarray(bounds),
         bounds=[(0.0, 0.0)] + [(None, None)] * (n - 1),
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success, res.message
-    return float(-res.fun)
+    return float(-res.fun) * scale
 
 
 def random_metric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmetric
 from qmetric import AlgebraElement, AlgebraShape, m2_admissible
 from qmetric.axioms import M2_DIAG_PROJECTOR
 from qmetric.cli import main
@@ -315,3 +319,13 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "distance matrix must be finite; found 2 NaN or infinite entries" in captured.err
+
+
+def test_import_leaves_scipy_out():
+    # the package runs on numpy alone; scipy is a test dependency and
+    # importing it would add most of a second to every command's start-up
+    src = str(Path(qmetric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qmetric, qmetric.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -34,7 +34,7 @@ from qmetric import (
 )
 
 from qmetric.algebra import random_element
-from qmetric.lipschitz import _mk_classical_lp, _mk_upper_bound
+from qmetric.lipschitz import _mk_upper_bound, _shortest_paths, _transport
 
 from oracles import (
     embed_distance_matrix,
@@ -300,44 +300,26 @@ class TestMKDistance:
             primal = transport_lp_primal(d, p, q)
             assert lp.lower == pytest.approx(primal, abs=1e-6)
 
-    def test_lp_input_matches_pairwise_loop(self, monkeypatch):
-        # one constraint row per ordered pair x != y, in loop order
+    def test_lp_input_matches_pairwise_loop(self):
+        # the transport solver agrees with the program written one pair of
+        # constraints at a time, and no linear program is left to call
         import qmetric.lipschitz as lip
 
-        seen = {}
-        calls = []
-        real = lip.linprog
-
-        def spy(c, **kw):
-            calls.append(c)
-            seen.update(kw)
-            return real(c, **kw)
-
-        monkeypatch.setattr(lip, "linprog", spy)
+        assert not hasattr(lip, "linprog")
         rng = np.random.default_rng(15)
         d = random_metric(rng, 5)
         cand = classical_candidate(d)
-        p, q = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
-        mk_distance(State.classical(p), State.classical(q), cand)
-        assert len(calls) == 1
-        # point masses need no program
         eye = np.eye(5)
-        for i, j in [(0, 3), (2, 2), (4, 1)]:
-            mk_distance(State.classical(eye[i]), State.classical(eye[j]), cand)
-        assert len(calls) == 1
+        pairs = [(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))) for _ in range(4)]
         # a mass off 1 within the trace tolerance is not a point mass
-        mk_distance(State.classical(eye[0] * (1.0 - 5e-10)), State.classical(eye[3]), cand)
-        assert len(calls) == 2
-        rows, rhs = [], []
-        for x in range(5):
-            for y in range(5):
-                if x != y:
-                    row = np.zeros(5)
-                    row[x], row[y] = 1.0, -1.0
-                    rows.append(row)
-                    rhs.append(d[x, y])
-        assert np.array_equal(seen["A_ub"], np.asarray(rows))
-        assert np.array_equal(seen["b_ub"], np.asarray(rhs))
+        pairs += [(eye[0] * (1.0 - 5e-10), eye[3]), (eye[2], eye[4] * (1.0 - 5e-10))]
+        for p, q in pairs:
+            got = mk_distance(State.classical(p), State.classical(q), cand)
+            assert got.lower == got.upper
+            assert got.lower == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9, abs=1e-12)
+        # in the last pair point 0 takes the imbalance, as a(0) = 0 does in
+        # the program
+        assert got.lower == pytest.approx((1.0 - 5e-10) * d[2, 4] + 5e-10 * d[2, 0], rel=1e-15)
 
     def test_point_masses_are_the_metric(self):
         rng = np.random.default_rng(16)
@@ -353,7 +335,7 @@ class TestMKDistance:
                     assert result.lower == result.upper
                     assert result.converged and not result.unbounded
                     assert result.lower == pytest.approx(d[i, j], rel=1e-12, abs=0.0)
-                    lp = _mk_classical_lp(eye[i], eye[j], d)
+                    lp = transport_lp_dual(d, eye[i], eye[j])
                     assert result.lower == pytest.approx(lp, rel=1e-9, abs=1e-9)
 
     def test_point_masses_follow_shortest_paths(self):
@@ -368,7 +350,7 @@ class TestMKDistance:
             value = mk_distance(
                 State.classical(eye[x]), State.classical(eye[y]), embed_distance_matrix(bent)
             ).lower
-            assert value == pytest.approx(_mk_classical_lp(eye[x], eye[y], bent), rel=1e-9, abs=1e-9)
+            assert value == pytest.approx(transport_lp_dual(bent, eye[x], eye[y]), rel=1e-9, abs=1e-9)
             assert value <= bent[x, y] - 0.5 + 1e-12
         # 0 -> 1 costs 5 directly but 2 through point 2
         bent = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -378,13 +360,35 @@ class TestMKDistance:
         # the diagonal constrains nothing: a point is at distance 0 from itself
         bent[0, 0] = 3.0
         same = mk_distance(State.classical(eye[0]), State.classical(eye[0]), embed_distance_matrix(bent))
-        assert same.lower == _mk_classical_lp(eye[0], eye[0], bent) == 0.0
+        assert same.lower == transport_lp_dual(bent, eye[0], eye[0]) == 0.0
 
     def test_point_masses_with_negative_cycle_raise(self):
         # a(0) - a(1) <= -2 and a(1) - a(0) <= 1 leave the program infeasible
         rho = embed_distance_matrix(np.array([[0.0, -2.0], [1.0, 0.0]]))
         with pytest.raises(RuntimeError, match="transport linear program failed"):
             mk_distance(State.classical([1.0, 0.0]), State.classical([0.0, 1.0]), rho)
+
+    def test_mixed_states_with_negative_cycle_raise(self):
+        rho = embed_distance_matrix(np.array([[0.0, -2.0], [1.0, 0.0]]))
+        with pytest.raises(RuntimeError, match="negative cycle"):
+            mk_distance(State.classical([0.3, 0.7]), State.classical([0.6, 0.4]), rho)
+
+    def test_augmentations_stay_under_the_bound(self):
+        # the solver raises after nodes**2 augmentations, nodes being the
+        # points that send or receive mass; random instances take about
+        # one per node
+        rng = np.random.default_rng(19)
+        for trial in range(200):
+            n = int(rng.integers(2, 16))
+            d = random_metric(rng, n) if trial % 2 else rng.integers(0, 4, (n, n)).astype(float)
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            balanced = p - q
+            balanced[0] = -balanced[1:].sum()
+            nodes = np.count_nonzero(balanced)
+            value, count = _transport(p - q, _shortest_paths(np.minimum(d, d.T)))
+            assert 1 <= count < nodes**2
+            assert count <= 2 * nodes
+            assert value == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9)
 
     def test_exact_value_uses_both_orders_of_each_pair(self):
         # fails only flip symmetry: the unit ball bounds |a(0) - a(1)| by
@@ -708,6 +712,37 @@ def test_transport_invariances(blocks, seed, compressed, s):
     assert mk_distance(conjugated(phi), conjugated(psi), moved).lower == pytest.approx(lower, rel=1e-12)
     assert mk_distance(phi, psi, flip(rho)).lower == pytest.approx(lower, rel=1e-12)
     assert mk_distance(phi, psi, s * rho).lower == pytest.approx(s * lower, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**31 - 1),
+    distances=st.sampled_from(["metric", "tied", "bent", "asymmetric"]),
+    states=st.sampled_from(["random", "sparse", "equal", "permuted"]),
+    drift=st.sampled_from([0.0, 1.0, -1.0]),
+)
+def test_exact_transport_matches_linear_program(n, seed, distances, states, drift):
+    # the exact path on all-ones shapes against the Kantorovich dual
+    # written one pair of constraints at a time
+    rng = np.random.default_rng(seed)
+    d = random_metric(rng, n)
+    if distances == "tied":
+        d = rng.integers(0, 4, (n, n)).astype(float)
+    elif distances == "bent" and n >= 3:
+        d = plant_triangle_violation(rng, d)
+    elif distances == "asymmetric":
+        d = d * rng.uniform(1.0, 2.0, (n, n))
+    p = rng.dirichlet(np.ones(n))
+    if states == "sparse":
+        p = np.where(rng.random(n) < 0.5, 0.0, p)
+        p = p / p.sum() if p.any() else np.eye(n)[-1]
+    q = {"equal": p, "permuted": rng.permutation(p)}.get(states, rng.dirichlet(np.ones(n)))
+    # a trace off 1 by just under STATE_TOL, which states accept
+    p = p * (1.0 + drift * 0.99e-9)
+    got = mk_distance(State.classical(p), State.classical(q), embed_distance_matrix(d))
+    assert got.lower == got.upper and got.converged and not got.unbounded
+    assert got.lower == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9, abs=1e-12)
 
 
 class TestUpperBound:
