@@ -60,9 +60,10 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _emit_json(args, payload: dict) -> None:
+def _emit_json(args, payload) -> None:
+    """Print payload(), a dict, as JSON under --json; otherwise build nothing."""
     if getattr(args, "json", False):
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
 
 
 def _report_table(report) -> str:
@@ -87,7 +88,7 @@ def cmd_pdelta(args) -> int:
     if args.out:
         exchange.save_element(p, args.out)
     _say(args, _matrix_table(p.data))
-    _emit_json(args, exchange.element_to_dict(p))
+    _emit_json(args, lambda: exchange.element_to_dict(p))
     return 0
 
 
@@ -95,10 +96,9 @@ def cmd_verify(args) -> int:
     rho = exchange.load_element(args.path, expect_order=2)
     cfg = _tolerance_config(args)
     report = verify(rho, cfg, mode=args.mode)
-    if args.report:
-        exchange.save_report(report, args.report)
+    doc = exchange.save_report(report, args.report) if args.report else None
     _say(args, _report_table(report))
-    _emit_json(args, report.to_dict())
+    _emit_json(args, lambda: report.to_dict() if doc is None else doc)
     return 0 if report.passed else 1
 
 
@@ -125,7 +125,7 @@ def cmd_construct(args) -> int:
     _say(args, _report_table(report))
     _emit_json(
         args,
-        {"candidate": exchange.element_to_dict(candidate.rho), "report": report.to_dict()},
+        lambda: {"candidate": exchange.element_to_dict(candidate.rho), "report": report.to_dict()},
     )
     return 0 if report.passed else 1
 
@@ -152,7 +152,7 @@ def cmd_search(args) -> int:
     )
     if outcome.candidate is not None and not getattr(args, "json", False) and not args.quiet:
         print(_report_table(outcome.candidate.report))
-    _emit_json(args, exchange.outcome_to_dict(outcome))
+    _emit_json(args, lambda: exchange.outcome_to_dict(outcome))
     return 0 if outcome.found else 1
 
 
@@ -161,7 +161,7 @@ def cmd_lipschitz(args) -> int:
     elem = exchange.load_element(args.element, expect_order=1)
     value = lip_seminorm(elem, rho)
     _say(args, f"{value:.12g}")
-    _emit_json(args, {"lip_seminorm": value})
+    _emit_json(args, lambda: {"lip_seminorm": value})
     return 0
 
 
@@ -191,7 +191,7 @@ def cmd_distance(args) -> int:
         f"lower: {result.lower:.12g}\nupper: {result.upper:.12g}\n"
         f"converged: {result.converged}\niterations: {result.iterations}",
     )
-    _emit_json(args, result.to_dict())
+    _emit_json(args, result.to_dict)
     return 0
 
 
@@ -239,7 +239,7 @@ def cmd_nogo_m2(args) -> int:
             f"{r['fails_exactly_at_v']}",
         )
     _say(args, "no-go reproduction: " + ("ok" if ok else "MISMATCH"))
-    _emit_json(args, {"ok": ok, "projector_matches": proj_ok, "results": results})
+    _emit_json(args, lambda: {"ok": ok, "projector_matches": proj_ok, "results": results})
     return 0 if ok else 1
 
 

@@ -64,6 +64,15 @@ class PreconditionError(ValueError):
     """The candidate does not satisfy the axioms this operation relies on."""
 
 
+class NegativeCycleError(PreconditionError, RuntimeError):
+    """The distances of an all-ones candidate have a negative cycle.
+
+    No element then satisfies the seminorm constraints.  It is also a
+    RuntimeError, so callers that catch the solver's RuntimeError still
+    catch it.
+    """
+
+
 @dataclass(frozen=True)
 class State:
     """A state on A: one PSD density per block, total trace one."""
@@ -416,7 +425,7 @@ def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
     dmat = np.diagonal(rho.data).real.reshape(n, n)
     dist = _shortest_paths(np.minimum(dmat, dmat.T))
     if (np.diagonal(dist) < 0.0).any():
-        raise RuntimeError(
+        raise NegativeCycleError(
             "transport linear program failed: the distances have a negative cycle, "
             "so no element satisfies the constraints"
         )

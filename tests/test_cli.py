@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import qmetric
-from qmetric import AlgebraElement, AlgebraShape, m2_admissible
-from qmetric.axioms import M2_DIAG_PROJECTOR
+from qmetric import AlgebraElement, AlgebraShape, BiElement, State, exchange, m2_admissible
+from qmetric.axioms import M2_DIAG_PROJECTOR, AxiomReport
 from qmetric.cli import main
-from qmetric.exchange import load_element, save_element, save_metric_space
+from qmetric.exchange import load_element, save_element, save_metric_space, save_state
 from qmetric.construct import FiniteMetricSpace
 
 
@@ -251,6 +251,22 @@ class TestLipschitzAndDistance:
     def test_distance_needs_an_input(self, capsys):
         assert main(["distance", "--phi", "0", "--psi", "1"]) == 2
 
+    @pytest.mark.parametrize("phi,psi", [([1.0, 0.0], [0.0, 1.0]), ([0.3, 0.7], [0.6, 0.4])])
+    def test_negative_cycle_exits_2(self, tmp_path, capsys, phi, psi):
+        # d(0, 1) = -2 and d(1, 0) = 1: no element satisfies the seminorm constraints
+        data = np.diag([0.0, -2.0, 1.0, 0.0]).astype(complex)
+        rho = tmp_path / "rho.json"
+        save_element(BiElement(AlgebraShape((1, 1)), data), rho)
+        save_state(State.classical(phi), tmp_path / "phi.json")
+        save_state(State.classical(psi), tmp_path / "psi.json")
+        argv = ["distance", "--rho", str(rho), "--phi", str(tmp_path / "phi.json"),
+                "--psi", str(tmp_path / "psi.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "negative cycle" in captured.err
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [
@@ -287,6 +303,35 @@ class TestNogoM2:
             assert r["defect_matches"] and r["identity_holds"]
             assert r["fails_exactly_at_v"]
             assert r["witness_value"] == pytest.approx(-2.0 * r["lambda"], abs=1e-9)
+
+
+class TestJsonPayloads:
+    def test_quiet_builds_no_payload(self, path3, tmp_path, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("a --json payload was built without --json")
+
+        monkeypatch.setattr(exchange, "element_to_dict", refuse)
+        monkeypatch.setattr(exchange, "outcome_to_dict", refuse)
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        assert main(["pdelta", "--shape", "2", "--quiet"]) == 0
+        assert main(["search", "--shape", "1,1", "--max-iter", "50", "--restarts", "1", "--quiet"]) in (0, 1)
+        assert load_element(rho).shape.blocks == (1, 1, 1)
+        assert capsys.readouterr().out == ""
+
+    def test_verify_builds_its_report_once(self, m2_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        to_dict = AxiomReport.to_dict
+
+        def counted(report):
+            calls.append(report)
+            return to_dict(report)
+
+        monkeypatch.setattr(AxiomReport, "to_dict", counted)
+        report = tmp_path / "report.json"
+        assert main(["verify", m2_file, "--report", str(report), "--json"]) == 1
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out) == json.loads(report.read_text())
 
 
 class TestRoundTrip:

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric import AlgebraShape, BiElement, FiniteMetricSpace, State, m2_admissible
-from qmetric.algebra import random_element
+from qmetric import exchange
+from qmetric.algebra import element_type, random_element
 from qmetric.axioms import AxiomRecord, AxiomReport, ToleranceConfig
 from qmetric.exchange import (
     ExchangeError,
@@ -116,6 +119,154 @@ class TestElementRoundTrip:
         }
         with pytest.raises(ExchangeError):
             dict_to_element(doc)
+
+
+def _assert_reads_like_reference(path, text):
+    """load_element(path) on text gives what dict_to_element(json.loads(text)) gives.
+
+    The element bit for bit, or an error of the same type and message.
+    """
+    path.write_text(text)
+    try:
+        want = dict_to_element(json.loads(text))
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ExchangeError, match="cannot read matrix document") as got:
+            load_element(path)
+        assert str(got.value).endswith(str(exc))
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_element(path)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = load_element(path)
+    assert type(got) is type(want) and got.shape == want.shape
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+# (blocks, order) pairs up to 729 x 729
+_SHAPED_ORDERS = [
+    ((1,), 1), ((2,), 1), ((1, 2), 1), ((3, 1), 1),
+    ((2,), 2), ((1, 1), 2), ((1, 2), 2), ((1, 1, 1), 2), ((2, 2), 2),
+    ((1,), 3), ((2,), 3), ((1, 1), 3), ((1, 2), 3),
+]
+
+
+class TestZeroPairReader:
+    """Loading reads each exact-zero pair as one token and agrees with the reference path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(_SHAPED_ORDERS),
+        st.sampled_from(["zeros", "tiny", "mixed"]),
+    )
+    def test_written_documents_load_like_the_reference(self, tmp_path_factory, seed, shaped, fill):
+        blocks, order = shaped
+        rng = np.random.default_rng(seed)
+        data = np.array(random_element(blocks, order, rng).data)
+        support = data != 0
+        # exact zeros inside the support, entries that clip to zero, and signed zeros
+        if fill in ("zeros", "mixed"):
+            data[support & (rng.random(data.shape) < 0.5)] = 0.0
+        if fill in ("tiny", "mixed"):
+            tiny = support & (rng.random(data.shape) < 0.3)
+            data[tiny] = complex(-3e-15, 0.0) * rng.choice([1.0, -1.0, 1j, -1j], size=data.shape)[tiny]
+            data[support & (rng.random(data.shape) < 0.1)] = complex(1.5, -0.0)
+        x = element_type(order)(blocks, data)
+        path = tmp_path_factory.mktemp("zero-pairs") / "x.json"
+        save_element(x, path)
+        written = path.read_text()
+        assert written == json.dumps(element_to_dict(x))
+        _assert_reads_like_reference(path, written)
+        _assert_reads_like_reference(path, json.dumps(element_to_dict(x), separators=(",", ":")))
+        _assert_reads_like_reference(path, json.dumps(element_to_dict(x), indent=1))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a null entry of its own
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], null, [0.0, 0.0], [0.0, 0.0]]}',
+            # the pair inside a string value and inside a key
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "[0.0, 0.0]", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "[0.0, 0.0]": 1, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], "[0.0, 0.0]", [0.0, 0.0], [0.0, 0.0]]}',
+            # an escaped backslash before the pair, and a backslash that escapes nothing valid
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "\\\\[0.0, 0.0]", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "\\[0.0, 0.0]", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # an extra key whose value is the pair
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "extra": [0.0, 0.0], "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # the pair nested in an entry
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [[0.0, 0.0], 5], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [5, [0.0, 0.0]], [0.0, 0.0], [0.0, 0.0]]}',
+            # duplicate data keys: the last one counts
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "data": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "data": 7}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": 7, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # integer, boolean, signed-zero and NaN entries
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[true, false], [false, false], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [-0.0, -0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1e400, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[100000000000000000000000, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # the pair as the whole data value, as a field read as an integer, as the whole document
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [0.0, 0.0]}',
+            '{"shape": [1], "order": 1, "rows": 1, "cols": 1, "data": [0.0, 0.0]}',
+            '{"shape": [0.0, 0.0], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [[0.0, 0.0]], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": [0.0, 0.0], "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '[0.0, 0.0]',
+            # every entry zero, a wrong entry count, an entry off the support, and spacing the writer never uses
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [1, 1], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape":[2],"order":1,"rows":2,"cols":2,"data":[[1.0,0.0],[0.0,0.0],[ 0.0, 0.0],[0.0 ,0.0]]}',
+        ],
+    )
+    def test_hostile_documents_load_like_the_reference(self, tmp_path, text):
+        _assert_reads_like_reference(tmp_path / "x.json", text)
+
+    def test_written_documents_take_the_fast_path(self, tmp_path, monkeypatch):
+        # a writer whose zeros stop matching the reader's token would lose the gain silently
+        x = random_element((1, 2), 2, np.random.default_rng(3))
+        s = State(AlgebraShape((1, 2)), (np.array([[0.5]]), np.diag([0.25, 0.25])))
+        save_element(x, tmp_path / "x.json")
+        save_state(s, tmp_path / "s.json")
+        fast = []
+        zero_pairs = exchange._zero_pairs_to_matrix
+
+        def spy(data, d):
+            fast.append(data.count(None))
+            return zero_pairs(data, d)
+
+        def refuse(data, d):
+            raise AssertionError("the reference path was taken")
+
+        monkeypatch.setattr(exchange, "_zero_pairs_to_matrix", spy)
+        monkeypatch.setattr(exchange, "_pairs_to_matrix", refuse)
+        assert np.array_equal(load_element(tmp_path / "x.json").data, x.data)
+        assert np.array_equal(load_state(tmp_path / "s.json").densities[1], s.densities[1])
+        assert fast == [np.count_nonzero(x.data == 0), 6]
+
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1, 1), (2, 1), (3,)])
+    def test_state_documents_match_the_reference_writer(self, tmp_path, blocks):
+        rng = np.random.default_rng(sum(blocks))
+        densities = []
+        for n in blocks:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            densities.append(g @ g.conj().T)
+        densities[0][0, -1] += 4e-15j
+        densities[0][-1, 0] -= 4e-15j
+        total = sum(np.trace(w).real for w in densities)
+        s = State(AlgebraShape(blocks), tuple(w / total for w in densities))
+        path = tmp_path / "s.json"
+        save_state(s, path)
+        assert path.read_text() == json.dumps(exchange.state_to_dict(s))
+        t = load_state(path)
+        ref = exchange.dict_to_state(json.loads(path.read_text()))
+        for a, b in zip(t.densities, ref.densities):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestReportDocument:
