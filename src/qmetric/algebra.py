@@ -24,6 +24,9 @@ a block's coordinates sit; no dense support mask exists.  Element
 validation, random draws, the diagonal projector, the hermitian parameter
 basis, the canonical m(nu) = 1 element, the search's flat cell vectors,
 the direct sum and the tensor-product regrouping are built from them.
+Validation gathers an element's cells to count the nonzeros inside the
+support, and the element keeps them, read-only, as `cells`: each element
+is gathered once in its lifetime.
 
 `null_space` is the one null-space solve: the search's structure basis and
 the transport bracket's zero-seminorm test both call it.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence
 
@@ -162,9 +165,9 @@ def cells(blocks: tuple[int, ...], order: int) -> tuple[CellGroup, ...]:
     return tuple(groups)
 
 
-# A list of (index, mats) pairs: mats[c] is the restriction of a matrix to
-# the coordinates index[c], so together the pairs describe a direct sum.
-CellStacks = list[tuple[np.ndarray, np.ndarray]]
+# A sequence of (index, mats) pairs: mats[c] is the restriction of a matrix
+# to the coordinates index[c], so together the pairs describe a direct sum.
+CellStacks = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
 def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
@@ -275,7 +278,12 @@ def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> list[tuple[
     return [_smallest((index, s[k], v[k]) for index, s, v in per_size) for k in range(count)]
 
 
-def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
+def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, CellStacks]:
+    """A read-only copy of data, and its cells, read-only too.
+
+    The cells are gathered once, to count the nonzeros inside the support,
+    and kept, so no element gathers its cells twice.
+    """
     d = shape.dim**order
     arr = np.asarray(data, dtype=complex)
     if arr.shape != (d, d):
@@ -284,30 +292,32 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> np.ndarray:
             f"{shape.blocks}, got {arr.shape}"
         )
     require_finite(arr, "matrix data")
-    # one group's gather at a time, so no copy of arr is held here
-    groups = cells(shape.blocks, order)
-    inside = sum(np.count_nonzero(arr[g.index[:, :, None], g.index[:, None, :]]) for g in groups)
-    if np.count_nonzero(arr) != inside:
-        worst = np.max(np.abs(arr - assemble(cell_stacks(arr, shape.blocks, order), d)))
+    stacks = tuple(cell_stacks(arr, shape.blocks, order))
+    if np.count_nonzero(arr) != sum(np.count_nonzero(mats) for _, mats in stacks):
+        worst = np.max(np.abs(arr - assemble(stacks, d)))
         raise SupportError(
             f"entries outside the order-{order} block pattern must be exactly "
             f"zero (largest offender {worst:.3e})"
         )
     arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    for out in (arr, *(mats for _, mats in stacks)):
+        out.setflags(write=False)
+    return arr, stacks
 
 
 @dataclass(frozen=True, eq=False)
 class _Element:
     shape: AlgebraShape
     data: np.ndarray
+    _cells: CellStacks = field(init=False, repr=False)
 
     order: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", as_shape(self.shape))
-        object.__setattr__(self, "data", _validate_data(self.shape, self.order, self.data))
+        data, stacks = _validate_data(self.shape, self.order, self.data)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_cells", stacks)
 
     @classmethod
     def zeros(cls, shape: AlgebraShape | Sequence[int]):
@@ -331,8 +341,8 @@ class _Element:
 
     @property
     def cells(self) -> CellStacks:
-        """The cells of this element, see `cell_stacks`."""
-        return cell_stacks(self.data, self.shape.blocks, self.order)
+        """The cells of this element, see `cell_stacks`: kept, read-only, from its validation."""
+        return self._cells
 
     def is_selfadjoint(self, tol: float = HERM_TOL) -> bool:
         stacks = self.cells

@@ -17,7 +17,8 @@ diagnostic profile.
 The spectral work runs on the cells of rho (see `algebra.cells`): rho is
 the direct sum of its K^2 pair cells and the triangle slack of its K^3
 triple cells, so the cost grows with the sum of the cell sizes cubed, not
-with D^9.  The triangle check builds each slack cell straight from the
+with D^9.  The checks read the cells rho keeps from its validation and
+build no intermediate element.  The triangle check builds each slack cell straight from the
 cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
 the dense slack as the reference the tests compare against.  The
 feasibility search lifts its whole structure basis through
@@ -53,10 +54,8 @@ from .algebra import (
     cellwise_norm,
     complex_pairs,
     diag_projector,
-    flip,
     hermitian_defect,
     lowest_eigenpair,
-    mult_map,
     op_norm,
     permute_legs,
     random_element,
@@ -211,7 +210,9 @@ def check_positive(rho: BiElement, cfg: ToleranceConfig | None = None, scale: fl
 def check_flip_symmetric(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Flip symmetry: swapping the two tensor legs leaves rho unchanged."""
     cfg = _cfg(cfg)
-    defect = op_norm(flip(rho) - rho)
+    d = rho.shape.dim
+    swapped = permute_legs(rho.data, (1, 0), (d, d))
+    defect = cellwise_norm(cell_stacks(swapped - rho.data, rho.shape.blocks, 2))
     return AxiomRecord("iv", defect <= cfg.eq_tol * scale, -defect)
 
 
@@ -235,7 +236,8 @@ def check_nondegenerate(
     projector; equivalent to invertibility of the compression of rho to the
     complement of the diagonal once positivity and diagonal vanishing hold.
     When those prerequisites fail the restriction is ill-defined and the
-    record is flagged indeterminate.
+    record is flagged indeterminate.  The floor resolves against scale, the
+    candidate norm (1 for a zero candidate) unless given.
     """
     cfg = _cfg(cfg)
     if scale is None:
@@ -252,8 +254,10 @@ def check_nondegenerate(
             indeterminate=True,
             note="positivity or diagonal vanishing failed; restriction ill-defined",
         )
-    floor = cfg.resolved_floor(op_norm(rho))
-    lam, vec = lowest_eigenpair(cellwise_eigh((rho + diag_projector(rho.shape)).cells))
+    floor = cfg.resolved_floor(scale)
+    p = diag_projector(rho.shape)
+    shifted = [(i, r + q) for (i, r), (_, q) in zip(rho.cells, p.cells)]
+    lam, vec = lowest_eigenpair(cellwise_eigh(shifted))
     margin = lam - floor
     witness = None if margin >= 0 else vec
     return AxiomRecord("iii", margin >= 0, margin, witness=witness)
@@ -320,7 +324,7 @@ def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: fl
 def check_alg_diag(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Algebraic diagonal vanishing: the multiplication map sends rho to zero."""
     cfg = _cfg(cfg)
-    defect = op_norm(mult_map(rho))
+    defect = cellwise_norm(cell_stacks(_multiply(rho.data, rho.shape.dim), rho.shape.blocks, 1))
     return AxiomRecord("ii_alg", defect <= cfg.eq_tol * scale, -defect)
 
 

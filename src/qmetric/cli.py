@@ -55,9 +55,10 @@ def _tolerance_config(args) -> ToleranceConfig:
     )
 
 
-def _say(args, text: str) -> None:
+def _say(args, text) -> None:
+    """Print text(), a str, unless --quiet or --json; otherwise build nothing."""
     if not getattr(args, "quiet", False) and not getattr(args, "json", False):
-        print(text)
+        print(text())
 
 
 def _emit_json(args, payload) -> None:
@@ -87,7 +88,7 @@ def cmd_pdelta(args) -> int:
     p = diag_projector(shape)
     if args.out:
         exchange.save_element(p, args.out)
-    _say(args, _matrix_table(p.data))
+    _say(args, lambda: _matrix_table(p.data))
     _emit_json(args, lambda: exchange.element_to_dict(p))
     return 0
 
@@ -97,7 +98,7 @@ def cmd_verify(args) -> int:
     cfg = _tolerance_config(args)
     report = verify(rho, cfg, mode=args.mode)
     doc = exchange.save_report(report, args.report) if args.report else None
-    _say(args, _report_table(report))
+    _say(args, lambda: _report_table(report))
     _emit_json(args, lambda: report.to_dict() if doc is None else doc)
     return 0 if report.passed else 1
 
@@ -122,7 +123,7 @@ def cmd_construct(args) -> int:
     report = verify(candidate.rho, cfg, mode=args.mode)
     if args.out:
         exchange.save_element(candidate.rho, args.out)
-    _say(args, _report_table(report))
+    _say(args, lambda: _report_table(report))
     _emit_json(
         args,
         lambda: {"candidate": exchange.element_to_dict(candidate.rho), "report": report.to_dict()},
@@ -144,14 +145,18 @@ def cmd_search(args) -> int:
     outcome = feasibility_search(cfg, mode=args.mode)
     if args.out:
         exchange.save_outcome(outcome, args.out)
-    _say(
-        args,
-        f"status: {outcome.status}\n"
-        f"best residual: {outcome.best_residual:.3e} after "
-        f"{outcome.iterations_run} iterations, {outcome.restarts_run} restart(s)",
-    )
-    if outcome.candidate is not None and not getattr(args, "json", False) and not args.quiet:
-        print(_report_table(outcome.candidate.report))
+
+    def summary() -> str:
+        text = (
+            f"status: {outcome.status}\n"
+            f"best residual: {outcome.best_residual:.3e} after "
+            f"{outcome.iterations_run} iterations, {outcome.restarts_run} restart(s)"
+        )
+        if outcome.candidate is not None:
+            text += "\n" + _report_table(outcome.candidate.report)
+        return text
+
+    _say(args, summary)
     _emit_json(args, lambda: exchange.outcome_to_dict(outcome))
     return 0 if outcome.found else 1
 
@@ -160,7 +165,7 @@ def cmd_lipschitz(args) -> int:
     rho = exchange.load_element(args.rho, expect_order=2)
     elem = exchange.load_element(args.element, expect_order=1)
     value = lip_seminorm(elem, rho)
-    _say(args, f"{value:.12g}")
+    _say(args, lambda: f"{value:.12g}")
     _emit_json(args, lambda: {"lip_seminorm": value})
     return 0
 
@@ -188,7 +193,7 @@ def cmd_distance(args) -> int:
     result = mk_distance(phi, psi, rho, method=args.method, max_iter=args.max_iter)
     _say(
         args,
-        f"lower: {result.lower:.12g}\nupper: {result.upper:.12g}\n"
+        lambda: f"lower: {result.lower:.12g}\nupper: {result.upper:.12g}\n"
         f"converged: {result.converged}\niterations: {result.iterations}",
     )
     _emit_json(args, result.to_dict)
@@ -230,15 +235,18 @@ def cmd_nogo_m2(args) -> int:
             }
         )
         ok = ok and matched and identity_ok and witness_ok and fails_at_v
-    for r in results:
-        _say(
-            args,
+
+    def summary() -> str:
+        lines = [
             f"lambda={r['lambda']}: defect match {r['defect_matches']}, "
             f"identity {r['identity_holds']}, witness {r['witness_value']:+.3f} "
             f"(expected {-2 * r['lambda']:+.3f}), fails exactly at v: "
-            f"{r['fails_exactly_at_v']}",
-        )
-    _say(args, "no-go reproduction: " + ("ok" if ok else "MISMATCH"))
+            f"{r['fails_exactly_at_v']}"
+            for r in results
+        ]
+        return "\n".join(lines + ["no-go reproduction: " + ("ok" if ok else "MISMATCH")])
+
+    _say(args, summary)
     _emit_json(args, lambda: {"ok": ok, "projector_matches": proj_ok, "results": results})
     return 0 if ok else 1
 

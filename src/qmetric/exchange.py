@@ -13,13 +13,21 @@ emit as the text `[0.0, 0.0]` from one template, and readers parse each
 such pair as one `null` token.  Any other valid JSON spacing still reads,
 through the reference path `dict_to_element(json.loads(text))`, and reads
 to the same element.
+
+A report document is the text json.dumps(report.to_dict(), indent=2)
+gives, byte for byte, but laid out here: with an indent json.dumps always
+runs its pure-Python encoder.  Each witness is written from its array, its
+exact-zero entries from one template and only the others by repr.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -46,17 +54,36 @@ def element_to_dict(x) -> dict:
     return {**_matrix_fields(x), "data": complex_pairs(zero_clip(np.asarray(x.data)))}
 
 
-def _matrix_text(x, **after) -> str:
-    """json.dumps({**element_to_dict(x), **after}), byte for byte.
+def _scalar(value) -> str:
+    """json.dumps(value) for a str, None, bool, int or float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
-    Each exact-zero entry is the one `[0.0, 0.0]` template; only the others
-    are formatted, by repr, which JSON shares with Python for finite floats.
+
+def _pair_texts(arr, zero: str, pair) -> list[str]:
+    """The JSON text of each entry of arr, row-major, as an [re, im] pair.
+
+    Every exact +0.0 + 0.0j entry is the one text zero; only the others are
+    formatted, by pair(re, im).
     """
-    flat = zero_clip(np.asarray(x.data)).ravel()
-    entries = [_ZERO_PAIR] * flat.size
-    nonzero = np.flatnonzero(flat)
-    for k, z in zip(nonzero.tolist(), flat[nonzero].tolist()):
-        entries[k] = f"[{z.real!r}, {z.imag!r}]"
+    flat = np.asarray(arr, dtype=complex).ravel()
+    out = [zero] * flat.size
+    keep = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+    for k, z in zip(keep.tolist(), flat[keep].tolist()):
+        out[k] = pair(_scalar(z.real), _scalar(z.imag))
+    return out
+
+
+def _matrix_text(x, **after) -> str:
+    """json.dumps({**element_to_dict(x), **after}), byte for byte, from `_pair_texts`."""
+    entries = _pair_texts(zero_clip(np.asarray(x.data)), _ZERO_PAIR, lambda re, im: f"[{re}, {im}]")
     text = json.dumps({**_matrix_fields(x), "data": None, **after})
     return text.replace('"data": null', f'"data": [{", ".join(entries)}]', 1)
 
@@ -137,7 +164,10 @@ def _to_element(doc: dict, pairs_to_matrix):
         )
     if order not in (1, 2, 3):
         raise ExchangeError(f"unsupported tensor order {order}")
-    shape = as_shape(blocks)
+    try:
+        shape = as_shape(blocks)
+    except ValueError as exc:
+        raise ExchangeError(str(exc)) from exc
     d = shape.dim**order
     if rows != d or cols != d or len(data) != d * d:
         raise ExchangeError(
@@ -225,10 +255,52 @@ def load_state(path):
     return _element_to_state(_read_element(path, "state"))
 
 
+def _block(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON container nested at pad from the texts of its items, as json.dumps(indent=2) lays it out."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _layout(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) nested at pad, byte for byte, for string keys.
+
+    A numpy array stands for its complex_pairs, written by `_pair_texts`.
+    """
+    if isinstance(value, dict):
+        return _block([f"{_scalar(k)}: {_layout(v, pad + '  ')}" for k, v in value.items()], pad, "{}")
+    if isinstance(value, list):
+        return _block([_layout(v, pad + "  ") for v in value], pad)
+    if isinstance(value, np.ndarray):
+        inner = pad + "  "
+        zero = _block(["0.0", "0.0"], inner)
+        return _block(_pair_texts(value, zero, lambda *pair: _block(pair, inner)), pad)
+    return _scalar(value)
+
+
+def _report_text(report, doc: dict) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for doc = report.to_dict().
+
+    json.dumps with an indent always runs the pure-Python encoder, whose
+    cost grows with the D^2- or D^3-long witnesses of failing reports.
+    Here each witness is written from its array instead.
+    """
+    records = [
+        fields if rec.witness is None else {**fields, "witness": rec.witness}
+        for rec, fields in zip(report.records, doc["records"])
+    ]
+    return _layout({**doc, "records": records})
+
+
 def save_report(report, path) -> dict:
-    """Write report.to_dict() to path and return that document."""
+    """Write report.to_dict() to path and return that document.
+
+    The text is json.dumps(doc, indent=2), byte for byte, laid out by
+    `_report_text` without that encoder.
+    """
     doc = report.to_dict()
-    Path(path).write_text(json.dumps(doc, indent=2))
+    Path(path).write_text(_report_text(report, doc))
     return doc
 
 

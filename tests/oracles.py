@@ -14,7 +14,18 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from qmetric import AlgebraShape, BiElement, PureState, pure_state_bound, triangle_defect
+from qmetric import (
+    AlgebraShape,
+    AxiomRecord,
+    BiElement,
+    PureState,
+    flip,
+    min_eig,
+    mult_map,
+    op_norm,
+    pure_state_bound,
+    triangle_defect,
+)
 
 
 def classical_axioms(d: np.ndarray, tol: float = 1e-12) -> dict:
@@ -410,6 +421,32 @@ def alg_nondegenerate_loop(rho: BiElement, nus, eq_tol: float) -> tuple[bool, fl
                 witness[idx] = vec
     margin = worst - eq_tol
     return margin > 0, margin, None if margin > 0 else witness
+
+
+# ---------------------------------------------------------------------------
+# Checks iv, iii and ii_alg on the intermediate elements they were first
+# written with: flip(rho) - rho, rho + P and m(rho), each built and validated
+# as an element and solved on its own cells.  Dense LAPACK on the .data of
+# those elements agrees with them only to rounding, so these forms are the
+# ones the package's records must equal bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def flip_symmetric_record(rho: BiElement, cfg, scale: float) -> AxiomRecord:
+    defect = op_norm(flip(rho) - rho)
+    return AxiomRecord("iv", defect <= cfg.eq_tol * scale, -defect)
+
+
+def nondegenerate_record(rho: BiElement, cfg) -> AxiomRecord:
+    """Check iii with its prerequisites taken as met; P is the index-loop projector below."""
+    lam, vec = min_eig(rho + BiElement(rho.shape, diag_projector(rho.shape.blocks)))
+    margin = lam - cfg.resolved_floor(op_norm(rho))
+    return AxiomRecord("iii", margin >= 0, margin, witness=None if margin >= 0 else vec)
+
+
+def alg_diag_record(rho: BiElement, cfg, scale: float) -> AxiomRecord:
+    defect = op_norm(mult_map(rho))
+    return AxiomRecord("ii_alg", defect <= cfg.eq_tol * scale, -defect)
 
 
 # ---------------------------------------------------------------------------

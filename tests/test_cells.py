@@ -21,6 +21,8 @@ from qmetric import (
     SupportError,
     ToleranceConfig,
     TriElement,
+    check_alg_diag,
+    check_flip_symmetric,
     check_nondegenerate,
     check_positive,
     check_triangle,
@@ -225,6 +227,40 @@ class TestCells:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * data.nbytes
+
+
+class TestKeptCells:
+    """An element keeps the cells its validation gathered."""
+
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1, 1), (2, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_kept_cells_are_the_gathered_cells(self, blocks, order):
+        x = random_element(blocks, order, np.random.default_rng(order))
+        kept, fresh = x.cells, cell_stacks(x.data, blocks, order)
+        assert x.cells is kept and len(kept) == len(fresh)
+        for (index, mats), (want_index, want) in zip(kept, fresh):
+            assert np.array_equal(index, want_index)
+            assert mats.dtype == want.dtype and mats.tobytes() == want.tobytes()
+            assert not mats.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mats[...] = 0
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])
+    def test_checks_match_their_intermediate_elements(self, blocks):
+        rng = np.random.default_rng(len(str(blocks)))
+        rhos = tensor_candidates(rng) if blocks == "tensor" else candidates(blocks, rng)
+        cfg = ToleranceConfig()
+        for rho in rhos:
+            scale = op_norm(rho) or 1.0
+            for got, want in (
+                (check_flip_symmetric(rho, cfg, scale), oracles.flip_symmetric_record(rho, cfg, scale)),
+                (check_nondegenerate(rho, cfg, scale, True), oracles.nondegenerate_record(rho, cfg)),
+                (check_alg_diag(rho, cfg, scale), oracles.alg_diag_record(rho, cfg, scale)),
+            ):
+                assert (got.axiom, got.passed, got.margin.hex()) == (want.axiom, want.passed, want.margin.hex())
+                assert (got.witness is None) == (want.witness is None)
+                if got.witness is not None:
+                    assert got.witness.tobytes() == want.witness.tobytes()
 
 
 class TestLayoutOracles:

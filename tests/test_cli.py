@@ -319,6 +319,26 @@ class TestJsonPayloads:
         assert load_element(rho).shape.blocks == (1, 1, 1)
         assert capsys.readouterr().out == ""
 
+    def test_tables_are_built_only_when_printed(self, path3, m2_file, tmp_path, monkeypatch, capsys):
+        built = []
+        table = qmetric.cli._report_table
+
+        def spy(report):
+            built.append(report)
+            return table(report)
+
+        monkeypatch.setattr(qmetric.cli, "_report_table", spy)
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--json"]) == 0
+        assert main(["construct", "from-metric", path3, "--quiet"]) == 0
+        assert main(["verify", m2_file, "--json"]) == 1
+        assert main(["verify", m2_file, "--quiet"]) == 1
+        assert built == []
+        capsys.readouterr()
+        assert main(["verify", m2_file]) == 1
+        assert len(built) == 1
+        assert capsys.readouterr().out == table(built[0]) + "\n"
+
     def test_verify_builds_its_report_once(self, m2_file, tmp_path, monkeypatch, capsys):
         calls = []
         to_dict = AxiomReport.to_dict

@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetric import AlgebraShape, BiElement, FiniteMetricSpace, State, m2_admissible
 from qmetric import exchange
 from qmetric.algebra import element_type, random_element
-from qmetric.axioms import AxiomRecord, AxiomReport, ToleranceConfig
+from qmetric.axioms import AxiomRecord, AxiomReport, ToleranceConfig, verify
 from qmetric.exchange import (
     ExchangeError,
     dict_to_element,
@@ -222,10 +222,21 @@ class TestZeroPairReader:
             '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
             '{"shape": [1, 1], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
             '{"shape":[2],"order":1,"rows":2,"cols":2,"data":[[1.0,0.0],[0.0,0.0],[ 0.0, 0.0],[0.0 ,0.0]]}',
+            # no valid algebra shape: zero blocks, and no blocks at all
+            '{"shape": [0, 0], "order": 1, "rows": 0, "cols": 0, "data": []}',
+            '{"shape": [], "order": 1, "rows": 0, "cols": 0, "data": []}',
         ],
     )
     def test_hostile_documents_load_like_the_reference(self, tmp_path, text):
         _assert_reads_like_reference(tmp_path / "x.json", text)
+
+    @pytest.mark.parametrize("shape", [[0, 0], [], [2, -1]])
+    def test_invalid_shape_is_an_exchange_error(self, tmp_path, shape):
+        doc = {"shape": shape, "order": 1, "rows": 0, "cols": 0, "data": []}
+        (tmp_path / "x.json").write_text(json.dumps(doc))
+        for read in (lambda: dict_to_element(doc), lambda: load_element(tmp_path / "x.json")):
+            with pytest.raises(ExchangeError, match="block"):
+                read()
 
     def test_written_documents_take_the_fast_path(self, tmp_path, monkeypatch):
         # a writer whose zeros stop matching the reader's token would lose the gain silently
@@ -269,24 +280,91 @@ class TestZeroPairReader:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class TestReportDocument:
-    def test_witness_pairs_match_entrywise_writer(self, tmp_path):
-        witnesses = [
-            np.array([-0.0, 1.5 - 0.0j, complex(-0.0, -2.25), 1e-300 + 3j, -7e-17j]),
-            np.array([[-0.0, 2.0], [0.5, -1.0]]),
-            np.array([1, -2]),
-        ]
-        records = tuple(
-            AxiomRecord(tag, False, -1.0, witness=w) for tag, w in zip(("i", "iii", "v"), witnesses)
+# floats the report writer must format as json.dumps does: signed zeros, the
+# smallest normal and subnormal magnitudes, the largest finite ones, and any
+_WITNESS_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -7e-17]),
+    st.floats(),
+)
+_TOLERANCES = st.one_of(st.integers(0, 3), st.floats(0.0, 1e300))
+
+
+@st.composite
+def _witnesses(draw):
+    pairs = draw(st.lists(st.tuples(_WITNESS_FLOATS, _WITNESS_FLOATS), max_size=12))
+    w = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    cols = draw(st.sampled_from([None, 1, 2, 3]))
+    if cols is not None and len(pairs) % cols == 0:
+        w = w.reshape(-1, cols)
+    return w
+
+
+_RECORDS = st.builds(
+    AxiomRecord,
+    axiom=st.sampled_from(["i", "ii", "iii", "iv", "v", "ii_alg", "iii_alg"]),
+    passed=st.booleans(),
+    margin=st.one_of(st.just(float("nan")), st.floats()),
+    witness=st.one_of(st.none(), _witnesses()),
+    indeterminate=st.booleans(),
+    # quotes, backslashes, control and non-ASCII characters
+    note=st.one_of(st.sampled_from(["", 'say "no"', "a\\b\n\t", "naïve ☃ 𝔸"]), st.text()),
+)
+
+_REPORTS = st.builds(
+    AxiomReport,
+    mode=st.sampled_from(["representation", "algebraic"]),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda b: AlgebraShape(tuple(b))),
+    records=st.lists(_RECORDS, max_size=5).map(tuple),
+    config=st.builds(
+        ToleranceConfig,
+        eq_tol=_TOLERANCES,
+        psd_tol=_TOLERANCES,
+        strict_floor=st.one_of(st.none(), st.floats(1e-300, 1e300)),
+        sample_count=st.integers(1, 64),
+        seed=st.integers(0, 2**63),
+    ),
+)
+
+# the witnesses the entrywise writer was first checked on
+_FIXED_REPORT = AxiomReport(
+    "representation",
+    AlgebraShape((2,)),
+    tuple(
+        AxiomRecord(tag, False, -1.0, witness=w)
+        for tag, w in zip(
+            ("i", "iii", "v"),
+            [
+                np.array([-0.0, 1.5 - 0.0j, complex(-0.0, -2.25), 1e-300 + 3j, -7e-17j]),
+                np.array([[-0.0, 2.0], [0.5, -1.0]]),
+                np.array([1, -2]),
+            ],
         )
-        report = AxiomReport("representation", AlgebraShape((2,)), records, ToleranceConfig())
-        path = tmp_path / "report.json"
-        save_report(report, path)
+    ),
+    ToleranceConfig(),
+)
+
+# reports of verify itself, whose witnesses are eigenvector and singular-vector columns
+_RANDOM_RHO = random_element((2, 1), 2, np.random.default_rng(7), hermitian=True)
+
+
+class TestReportDocument:
+    @settings(max_examples=200, deadline=None)
+    @given(_REPORTS)
+    @example(_FIXED_REPORT)
+    @example(verify(_RANDOM_RHO))
+    @example(verify(_RANDOM_RHO, mode="algebraic"))
+    @example(verify(BiElement.zeros((2, 2)), mode="algebraic"))
+    def test_witness_pairs_match_entrywise_writer(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        doc = save_report(report, path)
+        assert json.dumps(doc) == json.dumps(report.to_dict())
         expected = report.to_dict()
-        for rec, w in zip(expected["records"], witnesses):
-            rec["witness"] = oracles.complex_pairs(w)
-        assert path.read_text() == json.dumps(expected, indent=2)
-        assert "-0.0" in path.read_text()
+        for rec, out in zip(report.records, expected["records"]):
+            if rec.witness is not None:
+                out["witness"] = oracles.complex_pairs(rec.witness)
+        text = path.read_text()
+        assert text == json.dumps(report.to_dict(), indent=2)
+        assert text == json.dumps(expected, indent=2)
 
 
 class TestStateRoundTrip:
