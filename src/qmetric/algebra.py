@@ -13,9 +13,10 @@ grouped by block-label tuple: it is the direct sum of its K^m cells, the
 cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
 groups, one group per cell size.  The spectral functions (`op_norm` and
 `min_eig` on elements, `cellwise_eigh`, `cellwise_norm`,
-`cellwise_min_eig`, and `cellwise_min_singular`, which also takes a
-leading sample axis) work one stacked LAPACK call per group instead of one
-call on the dense D^m x D^m matrix.
+`cellwise_min_eig`, and `cellwise_min_singular`, which takes a leading
+sample axis and returns the least value over the samples) work one
+stacked LAPACK call per group instead of one call on the dense D^m x D^m
+matrix.
 Cells of size one need no LAPACK call at all.  The dense maps stay as the
 reference the tests compare against.
 
@@ -28,8 +29,8 @@ Validation gathers an element's cells to count the nonzeros inside the
 support, and the element keeps them, read-only, as `cells`: each element
 is gathered once in its lifetime.
 
-`null_space` is the one null-space solve: the search's structure basis and
-the transport bracket's zero-seminorm test both call it.
+`null_space` is the one null-space solve; the search's structure basis is
+its one caller.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
@@ -259,12 +260,13 @@ def cellwise_min_eig(stacks: CellStacks, tol: float = HERM_TOL) -> tuple[float, 
     return lowest_eigenpair(cellwise_eigh(stacks))
 
 
-def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> list[tuple[float, np.ndarray]]:
-    """Smallest singular value of x + y_k for every k, with a unit right singular vector.
+def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> tuple[float, np.ndarray]:
+    """Least smallest singular value of x + y_k over k, with a unit right singular vector.
 
     x is the direct sum `stacks`.  `shifts` holds the cells of the direct
     sums y_k with a leading sample axis, mats[k, c] being cell c of y_k.
-    One SVD call per cell size covers every sample.
+    One SVD call per cell size covers every sample; the first sample
+    holding the least value gives the vector.
     """
     per_size = []
     for (index, mats), (_, more) in zip(stacks, shifts):
@@ -274,8 +276,8 @@ def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> list[tuple[
         else:
             _, s, vh = np.linalg.svd(total)
         per_size.append((index, s[..., -1], vh[..., -1, :].conj()))
-    count = len(per_size[0][1])
-    return [_smallest((index, s[k], v[k]) for index, s, v in per_size) for k in range(count)]
+    k = int(np.concatenate([s for _, s, _ in per_size], axis=1).min(axis=1).argmin())
+    return _smallest((index, s[k], v[k]) for index, s, v in per_size)
 
 
 def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, CellStacks]:

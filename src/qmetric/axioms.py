@@ -429,17 +429,12 @@ def check_alg_nondegenerate_sampled(rho: BiElement, cfg: ToleranceConfig | None 
     proof.  The margin is the worst smallest singular value minus eq_tol.
     The test elements depend only on (shape, sample_count, seed): they are
     drawn once per process, and every rho + nu is solved in one stacked SVD
-    per cell size without forming rho + nu.  The first sample with a
-    strictly smaller value gives the witness.
+    per cell size without forming rho + nu.  The first sample holding the
+    least value gives the witness.
     """
     cfg = _cfg(cfg)
     samples = _sample_cells(rho.shape.blocks, cfg.sample_count, cfg.seed)
-    worst = np.inf
-    worst_vec = None
-    for smin, vec in cellwise_min_singular(rho.cells, samples):
-        if smin < worst:
-            worst = smin
-            worst_vec = vec
+    worst, worst_vec = cellwise_min_singular(rho.cells, samples)
     margin = worst - cfg.eq_tol
     passed = margin > 0
     witness = None if passed else worst_vec

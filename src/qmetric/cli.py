@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="candidate file; --phi/--psi are state files")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--method", choices=["auto", "lp", "ascent"], default="auto")
+    p.add_argument("--method", choices=["auto", "ascent"], default="auto")
     p.add_argument(
         "--max-iter",
         type=int,

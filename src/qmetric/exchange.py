@@ -101,16 +101,9 @@ def _real(value) -> float | None:
 def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
     """The d x d complex matrix of a row-major list of [re, im] pairs.
 
-    A list of numeric pairs converts in one array call; anything else goes
-    entry by entry, which names the first entry that is not a pair of
+    Goes entry by entry and names the first entry that is not a pair of
     numbers.
     """
-    try:
-        raw = np.asarray(data)
-    except ValueError:  # ragged nesting
-        raw = None
-    if raw is not None and raw.shape == (d * d, 2) and raw.dtype.kind in "biuf":
-        return np.ascontiguousarray(raw, dtype=float).view(complex).reshape(d, d)
     arr = np.empty((d, d), dtype=complex)
     flat = arr.ravel()
     for k, pair in enumerate(data):

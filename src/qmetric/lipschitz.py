@@ -10,13 +10,18 @@ ball.  On all-ones shapes the supremum is exact: by Kantorovich duality it
 is the cheapest transport of one state onto the other at the shortest-path
 lengths under the distances, which between point masses is one such
 length and between other states is solved by successive shortest paths.
-On general shapes the result is a bracket instead of a bare number, since
-the supremum may be unattained or infinite: the lower end is the value at
-the one feasible point a = P(delta) / lip(P(delta)), with delta = phi - psi
-and P removing the trace, and the upper end comes from a pure-state
-decomposition.  The bracket is only as tight as that one point; it closes
-on some inputs (two-point spaces, point masses at comparable distances)
-and stays open on others.
+On general shapes the result is a bracket instead of a bare number: the
+lower end is the value at the one feasible point a = P(delta) / lip(P(delta)),
+with delta = phi - psi and P removing the trace, and the upper end comes
+from a pure-state decomposition.  The supremum over trace-free a is finite,
+since once the pseudo-inverse exists the seminorm vanishes only on the
+multiples of 1 (Rieffel, "Metrics on state spaces", Doc. Math. 4, 1999):
+on a cell (k, l), k != l, the pseudo-inverse is invertible, so
+a_k (x) 1 = 1 (x) a_l and both are one scalar; on a single block M_n,
+n >= 2, vanishing on the antisymmetric subspace forces a scalar.  The
+bracket is only as tight as that one point; it closes on some inputs
+(two-point spaces, point masses at comparable distances) and stays open
+on others.
 """
 
 from __future__ import annotations
@@ -38,11 +43,8 @@ from .algebra import (
     cells,
     cellwise_eigh,
     cellwise_norm,
-    hermitian_param_basis,
     matrix_norms,
-    null_space,
     op_norm,
-    op_norm_array,
     require_finite,
 )
 from .axioms import (
@@ -300,7 +302,11 @@ def pure_state_bound(v: PureState, w: PureState, candidate) -> float:
 
 @dataclass(frozen=True)
 class MKDistance:
-    """Bracket result of a transport-distance computation."""
+    """Bracket result of a transport-distance computation.
+
+    iterations and unbounded are kept only for the keys of `to_dict`: they
+    always read 0 and False.
+    """
 
     lower: float
     upper: float
@@ -426,8 +432,8 @@ def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
     dist = _shortest_paths(np.minimum(dmat, dmat.T))
     if (np.diagonal(dist) < 0.0).any():
         raise NegativeCycleError(
-            "transport linear program failed: the distances have a negative cycle, "
-            "so no element satisfies the constraints"
+            "transport failed: the distances have a negative cycle, so no element "
+            "satisfies the constraints"
         )
     p, q = _classical_weights(phi), _classical_weights(psi)
     i, j = _point_mass(p), _point_mass(q)
@@ -482,30 +488,16 @@ def _mk_upper_bound(phi: State, psi: State, rho: BiElement) -> float:
     return float(np.outer(p, q)[used] @ bound[used])
 
 
-def _mk_lower(phi: State, psi: State, rho: BiElement, pinv: BiElement) -> float:
+def _mk_lower(phi: State, psi: State, pinv: BiElement) -> float:
     """Lower end of the bracket: the objective at a / lip(a), a = P(delta).
 
     With delta = phi - psi and P removing the trace, a / lip(a) lies in the
-    unit seminorm ball and gives |tr(delta a)| / lip(a).  A zero-seminorm
-    direction on which the states differ makes the supremum infinite.
+    unit seminorm ball and gives |tr(delta a)| / lip(a).  The states may
+    differ in trace within STATE_TOL, which P keeps out of the objective.
     """
-    shape = rho.shape
-    d = shape.dim
+    d = pinv.shape.dim
     delta = phi.as_element().data - psi.as_element().data
-    basis = hermitian_param_basis(shape, 1)
-    # real matrix of the seminorm map on the hermitian parameter basis, one
-    # row per entry of a cell
-    t = np.concatenate(
-        [mats.reshape(len(basis), -1) for _, mats in _seminorm_cells(basis, pinv)], axis=1
-    )
-    null_vectors = null_space(np.concatenate([t.real, t.imag], axis=1).T)
-    # the identity spans part of the kernel, and states may differ in
-    # trace within STATE_TOL, so only the trace-free part is tested
     a = delta - (np.trace(delta) / d) * np.eye(d)
-    for nv in null_vectors:
-        k = np.einsum("a,aij->ij", nv, basis)
-        if abs(np.vdot(a, k).real) > 1e-10 * max(1.0, op_norm_array(delta)):
-            return math.inf
     lip = cellwise_norm(_seminorm_cells(a, pinv))
     return abs(float(np.trace(delta @ a).real)) / lip if lip > 0 else 0.0
 
@@ -520,31 +512,25 @@ def mk_distance(
 ) -> MKDistance:
     """Transport distance bracket between two states.
 
-    On all-ones shapes (method "auto" or "lp") the exact value is returned
-    as a zero-width bracket: a shortest-path length between point masses,
-    and the cheapest transport at those lengths between other states.
+    On all-ones shapes (method "auto") the exact value is returned as a
+    zero-width bracket: a shortest-path length between point masses, and
+    the cheapest transport at those lengths between other states.
     Otherwise (or with method "ascent") the lower end is
     |tr(delta a)| / lip(a) for the trace-free part a of delta = phi - psi,
-    and a pure-state decomposition gives the upper end; a zero-seminorm
-    direction that separates the states yields the unbounded marker, since
-    the distance is only a semimetric.  converged means the bracket has closed to
-    BRACKET_TOL relative.  max_iter is accepted and has no effect: the
-    lower end is computed in closed form, and iterations is always 0.
+    and a pure-state decomposition gives the upper end.  converged means
+    the bracket has closed to BRACKET_TOL relative.  max_iter is accepted
+    and has no effect: the lower end is computed in closed form, and
+    iterations is always 0, as unbounded is always False.
     """
     rho = _rho_of(candidate)
     if phi.shape != rho.shape or psi.shape != rho.shape:
         raise ShapeMismatchError("states and candidate live over different shapes")
-    if method not in ("auto", "lp", "ascent"):
-        raise ValueError("method must be one of auto, lp, ascent")
-    use_lp = rho.shape.is_classical and method in ("auto", "lp")
-    if method == "lp" and not rho.shape.is_classical:
-        raise ValueError("the exact path applies to all-ones shapes only")
-    if use_lp:
+    if method not in ("auto", "ascent"):
+        raise ValueError("method must be one of auto, ascent")
+    if method == "auto" and rho.shape.is_classical:
         value = _mk_exact(phi, psi, rho)
         return MKDistance(value, value, True, 0)
-    lower = _mk_lower(phi, psi, rho, metric_pseudo_inverse(candidate, cfg))
-    if math.isinf(lower):
-        return MKDistance(math.inf, math.inf, True, 0, unbounded=True)
+    lower = _mk_lower(phi, psi, metric_pseudo_inverse(candidate, cfg))
     upper = _mk_upper_bound(phi, psi, rho)
     converged = math.isfinite(upper) and upper - lower <= BRACKET_TOL * max(1.0, upper)
     return MKDistance(lower, upper, converged, 0)

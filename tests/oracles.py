@@ -177,6 +177,21 @@ def commutator_gap(a: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     return (np.kron(a, eye) - np.kron(eye, a)) @ pinv
 
 
+def seminorm_kernel(rho: BiElement, cut: float = 1e-10) -> np.ndarray:
+    """The self-adjoint a with (a (x) 1 - 1 (x) a) rho^+ = 0, as a stack of D x D matrices.
+
+    The map is built densely on this module's hermitian basis, rho^+ by a
+    dense pseudo-inverse, and its kernel taken by SVD: the right singular
+    vectors whose value is at most cut times the largest.
+    """
+    blocks = rho.shape.blocks
+    basis = hermitian_param_basis(blocks, 1)
+    pinv = np.linalg.pinv(rho.data, rcond=cut, hermitian=True)
+    cols = np.stack([commutator_gap(b, pinv).ravel() for b in basis], axis=1)
+    _, s, vh = np.linalg.svd(np.concatenate([cols.real, cols.imag]))
+    return np.einsum("ka,aij->kij", vh[s <= cut * s[0]], basis)
+
+
 def pure_decomposition(state, weight_tol: float = 1e-12) -> list:
     """(weight, block, unit vector) for each eigenvector of each block density."""
     parts = []

@@ -44,6 +44,7 @@ from qmetric.algebra import (
     cell_stacks,
     cells,
     cellwise_min_eig,
+    cellwise_min_singular,
     element_type,
     hermitian_param_basis,
     op_norm_array,
@@ -335,6 +336,16 @@ class TestSampledCheck:
                 assert rec.witness is None
             else:
                 assert rec.witness.tobytes() == witness.tobytes()
+
+    def test_ties_go_to_the_first_sample(self):
+        # both samples reach 0.5, on different cells; the first one's cell
+        # gives the vector
+        shifts = np.stack([np.diag([0.5, 1.0, 0.5, 1.0]), np.diag([1.0, 0.5, 1.0, 1.0])]).astype(complex)
+        value, vec = cellwise_min_singular(
+            cell_stacks(np.zeros((4, 4), dtype=complex), (1, 1), 2), cell_stacks(shifts, (1, 1), 2)
+        )
+        assert value == 0.5
+        assert vec.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("blocks", [(1,) * 4, (2,), (2, 1), (2, 2, 2)])
     def test_cached_samples_equal_fresh_ones(self, blocks):

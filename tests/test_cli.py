@@ -251,6 +251,12 @@ class TestLipschitzAndDistance:
     def test_distance_needs_an_input(self, capsys):
         assert main(["distance", "--phi", "0", "--psi", "1"]) == 2
 
+    def test_method_lp_is_an_invalid_choice(self, path3, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", "--classical", path3, "--phi", "0", "--psi", "2", "--method", "lp"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lp'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("phi,psi", [([1.0, 0.0], [0.0, 1.0]), ([0.3, 0.7], [0.6, 0.4])])
     def test_negative_cycle_exits_2(self, tmp_path, capsys, phi, psi):
         # d(0, 1) = -2 and d(1, 0) = 1: no element satisfies the seminorm constraints

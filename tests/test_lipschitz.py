@@ -42,6 +42,7 @@ from oracles import (
     plant_triangle_violation,
     pure_state_upper_bound,
     random_metric,
+    seminorm_kernel,
     transport_lp_dual,
     transport_lp_primal,
 )
@@ -365,7 +366,7 @@ class TestMKDistance:
     def test_point_masses_with_negative_cycle_raise(self):
         # a(0) - a(1) <= -2 and a(1) - a(0) <= 1 leave the program infeasible
         rho = embed_distance_matrix(np.array([[0.0, -2.0], [1.0, 0.0]]))
-        with pytest.raises(RuntimeError, match="transport linear program failed"):
+        with pytest.raises(RuntimeError, match="transport failed: the distances have a negative cycle"):
             mk_distance(State.classical([1.0, 0.0]), State.classical([0.0, 1.0]), rho)
 
     def test_mixed_states_with_negative_cycle_raise(self):
@@ -421,9 +422,7 @@ class TestMKDistance:
                 assert got.lower == got.upper == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_bracket_scales_with_rho(self):
-        # the zero-seminorm test cuts singular values relative to the
-        # largest: a cut at 1e-10 absolute took every direction for a null
-        # one once rho^+ fell below 1e-10, from about s = 1e11
+        # both ends scale with rho, also once rho^+ falls below 1e-10
         m2 = MetricCandidate(m2_admissible(1.0))
         rho = direct_sum(m2, m2, 1.0).rho
         cfg = ToleranceConfig(strict_floor=1e-3)
@@ -480,31 +479,29 @@ class TestMKDistance:
         ]
         assert lowers[0] <= lowers[1] + 1e-12 <= lowers[2] + 2e-12
 
-    def test_unbounded_direction_detected(self):
-        # a candidate supported only on the antisymmetric corner of the
-        # second block leaves diag(1, 0, 0) with zero seminorm although it
-        # separates the block states; such candidates fail nondegeneracy,
-        # so the public path refuses them and the guard is exercised on
-        # the internal lower end directly
-        from qmetric.lipschitz import _mk_lower
-
-        shape = AlgebraShape((1, 2))
-        data = np.zeros((9, 9), dtype=complex)
-        anti = np.zeros(9, dtype=complex)
-        # antisymmetric vector of the (2, 2) cell: coordinates (1,2),(2,1)
-        anti[1 * 3 + 2] = 1.0 / np.sqrt(2.0)
-        anti[2 * 3 + 1] = -1.0 / np.sqrt(2.0)
-        data += np.outer(anti, anti.conj())
-        rho = BiElement(shape, data)
-        with pytest.raises(PreconditionError):
-            metric_pseudo_inverse(rho)
-        phi = PureState(shape, 0, np.array([1.0])).to_state()
-        psi = State(
-            shape,
-            (np.zeros((1, 1), dtype=complex), np.eye(2, dtype=complex) / 2.0),
-        )
-        lower = _mk_lower(phi, psi, rho, rho)
-        assert math.isinf(lower) and lower > 0
+    @pytest.mark.parametrize("case", ["classical", "direct sum"])
+    def test_tiny_distances_keep_the_bracket_finite(self, case):
+        # a distance of 1e-12 under a floor of 1e-13 passes nondegeneracy;
+        # the bracket must stay finite and ordered, and on the classical
+        # space, where the exact value is 1, hold it
+        cfg = ToleranceConfig(strict_floor=1e-13)
+        if case == "classical":
+            d = [[0.0, 1e-12, 1.0], [1e-12, 0.0, 1.0], [1.0, 1.0, 0.0]]
+            cand, exact = classical_candidate(d), 1.0
+            eye = np.eye(3)
+            pairs = [(State.classical(eye[0]), State.classical(eye[2]))]
+        else:
+            point = MetricCandidate(BiElement.zeros((1,)))
+            cand, exact = direct_sum(MetricCandidate(m2_admissible(1e-12)), point, 1.0), None
+            tilted = PureState(cand.shape, 0, np.array([1.0, 1.0]) / np.sqrt(2.0)).to_state()
+            other = point_mass(cand.shape, 1, 0)
+            pairs = [(point_mass(cand.shape, 0, 0), other), (tilted, other)]
+        for phi, psi in pairs:
+            result = mk_distance(phi, psi, cand, cfg, method="ascent")
+            assert not result.unbounded
+            assert 0.0 < result.lower <= result.upper < math.inf
+            if exact is not None:
+                assert result.lower <= exact <= result.upper
 
     @pytest.mark.parametrize("excess", [0.0, 1e-10, 4e-10, 9e-10])
     def test_trace_within_tolerance_is_not_unbounded(self, excess):
@@ -712,6 +709,23 @@ def test_transport_invariances(blocks, seed, compressed, s):
     assert mk_distance(conjugated(phi), conjugated(psi), moved).lower == pytest.approx(lower, rel=1e-12)
     assert mk_distance(phi, psi, flip(rho)).lower == pytest.approx(lower, rel=1e-12)
     assert mk_distance(phi, psi, s * rho).lower == pytest.approx(s * lower, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blocks=st.sampled_from([(1, 1, 1), (2,), (3,), (2, 1), (2, 2), (2, 1, 1)]),
+    seed=st.integers(0, 2**31 - 1),
+    compressed=st.booleans(),
+)
+def test_seminorm_kernel_is_the_scalars(blocks, seed, compressed):
+    # a candidate passing i-iii has a seminorm vanishing on the multiples
+    # of 1 alone, so the lower end of the bracket needs no kernel test
+    rng = np.random.default_rng(seed)
+    rho = compressed_positive(blocks, rng) if compressed or 3 in blocks else m2_sum(blocks, rng)
+    kernel = seminorm_kernel(rho)
+    assert len(kernel) == 1
+    k = kernel[0] / np.trace(kernel[0])
+    assert np.allclose(k, np.eye(sum(blocks)) / sum(blocks), atol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
