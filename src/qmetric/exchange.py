@@ -17,7 +17,11 @@ to the same element.
 A report document is the text json.dumps(report.to_dict(), indent=2)
 gives, byte for byte, but laid out here: with an indent json.dumps always
 runs its pure-Python encoder.  Each witness is written from its array, its
-exact-zero entries from one template and only the others by repr.
+exact-zero entries from one template and only the others by repr.  A
+search outcome document is laid out the same way.
+
+Every writer goes through `_write`, which overwrites a file in place and
+then cuts it to the new length, never truncating it to zero first.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +48,21 @@ class ExchangeError(ValueError):
 
 # the text json.dumps writes for an exact-zero [re, im] pair
 _ZERO_PAIR = "[0.0, 0.0]"
+
+
+def _write(path, text: str) -> None:
+    """Write text to path as open(path, "w") would, but over the old bytes.
+
+    On ext4, truncating a non-empty file to zero starts a flush when it is
+    closed, and that costs an overwrite several times the write itself.  So
+    the file is opened without O_TRUNC, written, and only then cut to the
+    written length, if it is a regular file: /dev/null or a pipe is never
+    truncated.  As before, a write is not atomic.
+    """
+    with open(Path(path), "w", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _matrix_fields(x) -> dict:
@@ -175,7 +196,7 @@ def _to_element(doc: dict, pairs_to_matrix):
 
 
 def save_element(x, path) -> None:
-    Path(path).write_text(_matrix_text(x))
+    _write(path, _matrix_text(x))
 
 
 def _read_element(path, kind: str):
@@ -241,7 +262,7 @@ def _element_to_state(elem):
 
 
 def save_state(state, path) -> None:
-    Path(path).write_text(_matrix_text(state.as_element(), trace=_trace(state)))
+    _write(path, _matrix_text(state.as_element(), trace=_trace(state)))
 
 
 def load_state(path):
@@ -263,7 +284,7 @@ def _layout(value, pad: str = "") -> str:
     """
     if isinstance(value, dict):
         return _block([f"{_scalar(k)}: {_layout(v, pad + '  ')}" for k, v in value.items()], pad, "{}")
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return _block([_layout(v, pad + "  ") for v in value], pad)
     if isinstance(value, np.ndarray):
         inner = pad + "  "
@@ -272,28 +293,27 @@ def _layout(value, pad: str = "") -> str:
     return _scalar(value)
 
 
-def _report_text(report, doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte, for doc = report.to_dict().
+def _with_witness_arrays(report, doc: dict) -> dict:
+    """doc = report.to_dict() with each witness as its array, for `_layout`.
 
     json.dumps with an indent always runs the pure-Python encoder, whose
     cost grows with the D^2- or D^3-long witnesses of failing reports.
-    Here each witness is written from its array instead.
     """
     records = [
         fields if rec.witness is None else {**fields, "witness": rec.witness}
         for rec, fields in zip(report.records, doc["records"])
     ]
-    return _layout({**doc, "records": records})
+    return {**doc, "records": records}
 
 
 def save_report(report, path) -> dict:
     """Write report.to_dict() to path and return that document.
 
     The text is json.dumps(doc, indent=2), byte for byte, laid out by
-    `_report_text` without that encoder.
+    `_layout` without that encoder.
     """
     doc = report.to_dict()
-    Path(path).write_text(_report_text(report, doc))
+    _write(path, _layout(_with_witness_arrays(report, doc)))
     return doc
 
 
@@ -342,7 +362,7 @@ def load_metric_space(path) -> FiniteMetricSpace:
 
 def save_metric_space(space: FiniteMetricSpace, path) -> None:
     doc = {"n": space.n, "d": [float(v) for v in space.dist.ravel()]}
-    Path(path).write_text(json.dumps(doc))
+    _write(path, json.dumps(doc))
 
 
 def outcome_to_dict(outcome) -> dict:
@@ -371,4 +391,11 @@ def outcome_to_dict(outcome) -> dict:
 
 
 def save_outcome(outcome, path) -> None:
-    Path(path).write_text(json.dumps(outcome_to_dict(outcome), indent=2))
+    """Write json.dumps(outcome_to_dict(outcome), indent=2), byte for byte, laid out by `_layout`."""
+    doc = outcome_to_dict(outcome)
+    candidate = outcome.candidate
+    if candidate is not None:
+        doc["candidate"]["data"] = zero_clip(np.asarray(candidate.rho.data))
+        if candidate.report is not None:
+            doc["report"] = _with_witness_arrays(candidate.report, doc["report"])
+    _write(path, _layout(doc))

@@ -332,6 +332,28 @@ class TestVerify:
         assert failing[0]["witness"] is not None
 
 
+def swap(n: int) -> np.ndarray:
+    """The swap F of C^n (x) C^n, F |k l> = |l k>."""
+    return np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+
+
+class TestSwapFamily:
+    """rho = n 1(x)1 - F on (n,): what the algebraic checks accept and representation mode refuses."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_passes_algebraic_fails_representation_ii(self, n):
+        rho = BiElement((n,), n * np.eye(n * n) - swap(n))
+        alg = verify(rho, mode="algebraic")
+        assert alg.passed
+        assert alg.record("i").margin == pytest.approx(n - 1)
+        assert alg.record("v").margin == pytest.approx(n - 2, abs=1e-12)
+        assert alg.record("iii_alg").margin > 0
+        rep = verify(rho)
+        assert not rep.record("ii").passed
+        assert rep.record("ii").margin == pytest.approx(-(n - 1))
+        assert rep.record("i").passed and rep.record("iv").passed and rep.record("v").passed
+
+
 class TestM2Family:
     def test_reference_projector(self):
         p = diag_projector((2,))

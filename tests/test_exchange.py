@@ -1,11 +1,23 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmetric import AlgebraShape, BiElement, FiniteMetricSpace, State, m2_admissible
+from qmetric import (
+    AlgebraShape,
+    BiElement,
+    FiniteMetricSpace,
+    MetricCandidate,
+    SearchConfig,
+    SearchOutcome,
+    State,
+    from_finite_metric,
+    m2_admissible,
+)
 from qmetric import exchange
 from qmetric.algebra import element_type, random_element
 from qmetric.axioms import AxiomRecord, AxiomReport, ToleranceConfig, verify
@@ -16,11 +28,15 @@ from qmetric.exchange import (
     load_element,
     load_metric_space,
     load_state,
+    outcome_to_dict,
     save_element,
     save_metric_space,
+    save_outcome,
     save_report,
     save_state,
+    state_to_dict,
 )
+from qmetric.cli import main
 
 import oracles
 
@@ -452,3 +468,179 @@ class TestMetricSpaceLoading:
         path.write_text(json.dumps({"n": 2, "d": [0, -1, -1, 0]}))
         with pytest.raises(ExchangeError):
             load_metric_space(path)
+
+
+_HISTORY_FLOATS = st.one_of(st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]), st.floats())
+
+_CANDIDATES = st.sampled_from(
+    [
+        None,
+        MetricCandidate(_RANDOM_RHO),
+        MetricCandidate(_RANDOM_RHO, verify(_RANDOM_RHO)),
+        from_finite_metric(FiniteMetricSpace(np.ones((3, 3)) - np.eye(3))),
+    ]
+)
+
+
+@st.composite
+def _outcomes(draw):
+    """Search outcomes, found or not, with histories of up to 2500 rows (over 1000 are downsampled)."""
+    rows = draw(st.sampled_from([0, 1, 7, 1000, 1001, 2500]))
+    values = draw(st.lists(_HISTORY_FLOATS, min_size=1, max_size=9))
+    candidate = draw(_CANDIDATES)
+    config = SearchConfig(
+        shape=draw(st.sampled_from([(2,), (2, 1), (1, 1, 1)])),
+        floor=draw(st.floats(1e-300, 1e300)),
+        trace_target=draw(st.one_of(st.none(), st.floats(1e-300, 1e300))),
+        max_iter=draw(st.integers(1, 10**6)),
+        restarts=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**63)),
+        include_triangle=draw(st.booleans()),
+        normalization=draw(st.sampled_from(["trace", "opnorm"])),
+    )
+    return SearchOutcome(
+        status=draw(st.sampled_from(["candidate_found", "no_convergence"])),
+        candidate=candidate,
+        residual_history=np.resize(np.array(values), (rows, 3)),
+        best_residual=draw(_HISTORY_FLOATS),
+        seed_used=draw(st.integers(0, 63)),
+        iterations_run=draw(st.integers(0, 10**6)),
+        restarts_run=draw(st.integers(1, 64)),
+        mode=draw(st.sampled_from(["representation", "algebraic"])),
+        config=config,
+    )
+
+
+class TestOutcomeDocument:
+    @settings(max_examples=60, deadline=None)
+    @given(_outcomes())
+    def test_layout_matches_json_dumps(self, tmp_path_factory, outcome):
+        path = tmp_path_factory.mktemp("outcome") / "outcome.json"
+        save_outcome(outcome, path)
+        assert path.read_text() == json.dumps(outcome_to_dict(outcome), indent=2)
+
+    def test_tuples_are_laid_out_as_lists(self):
+        value = {"a": (1, (2.5, "x")), "b": [(), {}]}
+        assert exchange._layout(value) == json.dumps(value, indent=2)
+
+
+def _outcome(candidate, rows: int) -> SearchOutcome:
+    return SearchOutcome(
+        "no_convergence", candidate, np.ones((rows, 3)), 0.5, 0, rows, 1, "representation",
+        SearchConfig((2,)),
+    )
+
+
+_BIG_RHO = from_finite_metric(FiniteMetricSpace(np.ones((4, 4)) - np.eye(4)))
+
+# each writer with a longer and a shorter object, and the text it must write
+_WRITERS = {
+    "element": (save_element, _BIG_RHO.rho, m2_admissible(1.0), lambda x: json.dumps(element_to_dict(x))),
+    "state": (
+        save_state,
+        State.classical([0.125] * 8),
+        State.classical([0.5, 0.5]),
+        lambda s: json.dumps(state_to_dict(s)),
+    ),
+    "metric_space": (
+        save_metric_space,
+        FiniteMetricSpace(np.ones((5, 5)) - np.eye(5)),
+        FiniteMetricSpace(np.array([[0.0, 1.5], [1.5, 0.0]])),
+        lambda m: json.dumps({"n": m.n, "d": [float(v) for v in m.dist.ravel()]}),
+    ),
+    "report": (
+        save_report,
+        verify(_RANDOM_RHO),
+        verify(BiElement.zeros((1,))),
+        lambda r: json.dumps(r.to_dict(), indent=2),
+    ),
+    "outcome": (
+        save_outcome,
+        _outcome(_BIG_RHO, 50),
+        _outcome(None, 0),
+        lambda o: json.dumps(outcome_to_dict(o), indent=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WRITERS))
+class TestWriters:
+    def test_shorter_document_leaves_no_old_tail(self, tmp_path, kind):
+        write, longer, shorter, text = _WRITERS[kind]
+        path = tmp_path / "doc.json"
+        write(longer, path)
+        assert path.read_bytes() == text(longer).encode()
+        write(shorter, path)
+        assert len(text(shorter)) < len(text(longer))
+        assert path.read_bytes() == text(shorter).encode()
+
+    def test_never_truncates_to_zero(self, tmp_path, monkeypatch, kind):
+        write, longer, shorter, _ = _WRITERS[kind]
+        path = tmp_path / "doc.json"
+        write(longer, path)
+        flags = []
+        os_open = os.open
+
+        def spy(name, flag, *args, **kwargs):
+            flags.append(flag)
+            return os_open(name, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        write(shorter, path)
+        assert len(flags) == 1
+        assert flags[0] & os.O_WRONLY and flags[0] & os.O_CREAT
+        assert not flags[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("target", ["missing/doc.json", "."])
+    def test_errors_match_write_text(self, tmp_path, kind, target):
+        write, _, shorter, _ = _WRITERS[kind]
+        path = tmp_path / target
+        with pytest.raises(OSError) as want:
+            Path(path).write_text("{}")
+        with pytest.raises(OSError) as got:
+            write(shorter, str(path))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_new_file_mode_and_symlink(self, tmp_path, kind):
+        write, _, shorter, text = _WRITERS[kind]
+        Path(tmp_path / "plain.json").write_text("{}")
+        write(shorter, tmp_path / "new.json")
+        assert os.stat(tmp_path / "new.json").st_mode == os.stat(tmp_path / "plain.json").st_mode
+        (tmp_path / "link.json").symlink_to("plain.json")
+        write(shorter, tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert (tmp_path / "plain.json").read_text() == text(shorter)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_dev_null_is_written_and_not_cut():
+    save_report(verify(_RANDOM_RHO), os.devnull)
+    save_element(_BIG_RHO.rho, os.devnull)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_receives_the_whole_document():
+    report = verify(BiElement.zeros((1,)))
+    r, w = os.pipe()
+    try:
+        save_report(report, f"/dev/fd/{w}")
+    finally:
+        os.close(w)
+    with os.fdopen(r) as f:
+        assert f.read() == json.dumps(report.to_dict(), indent=2)
+
+
+class TestCliWriteErrors:
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_same_error_line_and_exit_2(self, tmp_path, capsys, target):
+        rho = tmp_path / "rho.json"
+        save_element(m2_admissible(1.0), rho)
+        out = tmp_path / target
+        with pytest.raises(OSError) as want:
+            Path(out).write_text("{}")
+        capsys.readouterr()
+        assert main(["verify", str(rho), "--report", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert main(["pdelta", "--shape", "2", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"
