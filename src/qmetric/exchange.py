@@ -17,8 +17,7 @@ to the same element.
 A report document is the text json.dumps(report.to_dict(), indent=2)
 gives, byte for byte, but laid out here: with an indent json.dumps always
 runs its pure-Python encoder.  Each witness is written from its array, its
-exact-zero entries from one template and only the others by repr.  A
-search outcome document is laid out the same way.
+exact-zero entries from one template and only the others by repr.
 
 Every writer goes through `_write`, which overwrites a file in place and
 then cuts it to the new length, never truncating it to zero first.
@@ -54,10 +53,16 @@ def _write(path, text: str) -> None:
     """Write text to path as open(path, "w") would, but over the old bytes.
 
     On ext4, truncating a non-empty file to zero starts a flush when it is
-    closed, and that costs an overwrite several times the write itself.  So
-    the file is opened without O_TRUNC, written, and only then cut to the
-    written length, if it is a regular file: /dev/null or a pipe is never
-    truncated.  As before, a write is not atomic.
+    closed (auto_da_alloc), and that costs an overwrite several times the
+    write itself.  So the file is opened without O_TRUNC, written, and only
+    then cut to the written length, if it is a regular file: /dev/null or a
+    pipe is never truncated.  As before, a write is not atomic.
+
+    The flush skipped is ext4's guard against a garbled file after a crash.
+    Without it, a power loss or kernel crash soon after an overwrite can
+    leave a document of the new length holding old bytes, or a mix of old
+    and new pages, where the truncating write left the new text or an empty
+    file.  Nothing here calls fsync.
     """
     with open(Path(path), "w", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as f:
         f.write(text)
@@ -284,7 +289,7 @@ def _layout(value, pad: str = "") -> str:
     """
     if isinstance(value, dict):
         return _block([f"{_scalar(k)}: {_layout(v, pad + '  ')}" for k, v in value.items()], pad, "{}")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return _block([_layout(v, pad + "  ") for v in value], pad)
     if isinstance(value, np.ndarray):
         inner = pad + "  "
@@ -293,27 +298,28 @@ def _layout(value, pad: str = "") -> str:
     return _scalar(value)
 
 
-def _with_witness_arrays(report, doc: dict) -> dict:
-    """doc = report.to_dict() with each witness as its array, for `_layout`.
+def _report_text(report, doc: dict) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for doc = report.to_dict().
 
     json.dumps with an indent always runs the pure-Python encoder, whose
     cost grows with the D^2- or D^3-long witnesses of failing reports.
+    Here each witness is written from its array instead.
     """
     records = [
         fields if rec.witness is None else {**fields, "witness": rec.witness}
         for rec, fields in zip(report.records, doc["records"])
     ]
-    return {**doc, "records": records}
+    return _layout({**doc, "records": records})
 
 
 def save_report(report, path) -> dict:
     """Write report.to_dict() to path and return that document.
 
     The text is json.dumps(doc, indent=2), byte for byte, laid out by
-    `_layout` without that encoder.
+    `_report_text` without that encoder.
     """
     doc = report.to_dict()
-    _write(path, _layout(_with_witness_arrays(report, doc)))
+    _write(path, _report_text(report, doc))
     return doc
 
 
@@ -391,11 +397,4 @@ def outcome_to_dict(outcome) -> dict:
 
 
 def save_outcome(outcome, path) -> None:
-    """Write json.dumps(outcome_to_dict(outcome), indent=2), byte for byte, laid out by `_layout`."""
-    doc = outcome_to_dict(outcome)
-    candidate = outcome.candidate
-    if candidate is not None:
-        doc["candidate"]["data"] = zero_clip(np.asarray(candidate.rho.data))
-        if candidate.report is not None:
-            doc["report"] = _with_witness_arrays(candidate.report, doc["report"])
-    _write(path, _layout(doc))
+    _write(path, json.dumps(outcome_to_dict(outcome), indent=2))

@@ -514,14 +514,10 @@ def _outcomes(draw):
 class TestOutcomeDocument:
     @settings(max_examples=60, deadline=None)
     @given(_outcomes())
-    def test_layout_matches_json_dumps(self, tmp_path_factory, outcome):
+    def test_written_text_is_json_dumps(self, tmp_path_factory, outcome):
         path = tmp_path_factory.mktemp("outcome") / "outcome.json"
         save_outcome(outcome, path)
         assert path.read_text() == json.dumps(outcome_to_dict(outcome), indent=2)
-
-    def test_tuples_are_laid_out_as_lists(self):
-        value = {"a": (1, (2.5, "x")), "b": [(), {}]}
-        assert exchange._layout(value) == json.dumps(value, indent=2)
 
 
 def _outcome(candidate, rows: int) -> SearchOutcome:
