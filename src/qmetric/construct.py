@@ -39,7 +39,8 @@ class FiniteMetricSpace:
             raise MetricInputError("distance matrix must be square")
         require_finite(d, "distance matrix")
         n = d.shape[0]
-        if not np.allclose(d, d.T, atol=1e-12):
+        # np.allclose(d, d.T, atol=1e-12) without its handling of infinities, which d cannot hold
+        if not (np.abs(d - d.T) <= 1e-12 + 1e-5 * np.abs(d.T)).all():
             raise MetricInputError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(d)) > 1e-12):
             raise MetricInputError("self-distances must be zero")

@@ -12,7 +12,7 @@ Most entries of a dense matrix document are exact zeros, which writers
 emit as the text `[0.0, 0.0]` from one template, and readers parse each
 such pair as one `null` token.  Any other valid JSON spacing still reads,
 through the reference path `dict_to_element(json.loads(text))`, and reads
-to the same element.
+to the same element; so does a document holding a backslash or a `null`.
 
 A report document is the text json.dumps(report.to_dict(), indent=2)
 gives, byte for byte, but laid out here: with an indent json.dumps always
@@ -140,6 +140,22 @@ def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
     return arr
 
 
+def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """values as a float array of the given shape, from one array call.
+
+    None unless values are numbers (a JSON boolean counts) within the float
+    range, nested to that shape; the caller then reads them entry by entry.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting
+        return None
+    # an integer beyond the float range makes an object array
+    if raw.shape != shape or raw.dtype.kind not in "biuf":
+        return None
+    return raw.astype(float)
+
+
 def _zero_pairs_to_matrix(data: list, d: int) -> np.ndarray:
     """_pairs_to_matrix for a list whose None entries stand for 0+0j.
 
@@ -149,10 +165,10 @@ def _zero_pairs_to_matrix(data: list, d: int) -> np.ndarray:
     keep = [k for k, pair in enumerate(data) if pair is not None]
     flat = np.zeros(d * d, dtype=complex)
     if keep:
-        raw = np.asarray([data[k] for k in keep])
-        if raw.shape != (len(keep), 2) or raw.dtype.kind not in "biuf":
+        raw = _floats([data[k] for k in keep], (len(keep), 2))
+        if raw is None:
             raise ExchangeError("not a list of [re, im] pairs")
-        flat[keep] = raw.astype(float).view(complex).ravel()
+        flat[keep] = raw.view(complex).ravel()
     return flat.reshape(d, d)
 
 
@@ -212,15 +228,17 @@ def _read_element(path, kind: str):
     as `null` parses it in about a tenth of the time; None is then taken as
     0+0j only where it is a whole entry of `data`.  Inside strings the swap
     changes only text that no accepted field holds.  A backslash right
-    before the pair would turn the `n` into an escape, so that text goes to
-    the reference path `dict_to_element(json.loads(text))`, as does
-    whatever the fast path does not accept; that path names the fault.
+    before the pair would turn the `n` into an escape, so a document holding
+    any backslash goes to the reference path `dict_to_element(json.loads(text))`,
+    as does one holding `null` and whatever the fast path does not accept;
+    that path names the fault.  Both guards start with a one-character
+    scan: no key of a matrix or state document holds a backslash or an `n`.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
-    if "null" not in text and "\\" + _ZERO_PAIR not in text:
+    if "\\" not in text and ("n" not in text or "null" not in text):
         try:
             return _to_element(json.loads(text.replace(_ZERO_PAIR, "null")), _zero_pairs_to_matrix)
         except Exception:  # the reference path below raises the fault with its own message
@@ -256,12 +274,8 @@ def dict_to_state(doc: dict):
 def _element_to_state(elem):
     if elem.order != 1:
         raise ExchangeError("a state document must have tensor order 1")
-    shape = elem.shape
-    densities = []
-    for a, b in shape.block_ranges():
-        densities.append(np.asarray(elem.data[a:b, a:b]))
     try:
-        return State(shape, tuple(densities))
+        return State._from_element(elem)
     except ValueError as exc:
         raise ExchangeError(str(exc)) from exc
 
@@ -336,12 +350,16 @@ def load_metric_space(path) -> FiniteMetricSpace:
         try:
             doc = json.loads(text)
             n = _integral(doc["n"], "n", "metric-space")
-            flat = [_real(v) for v in doc["d"]]
+            values = doc["d"]
+            flat = _floats(values, (len(values),)) if isinstance(values, list) else None
+            if flat is None:
+                # entry by entry, to name the first entry that is not a number
+                flat = [_real(v) for v in values]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ExchangeError(f"malformed metric-space document: {exc}") from exc
         if n < 1:
             raise ExchangeError(f"metric-space field 'n' must be at least 1, got {n}")
-        if None in flat:
+        if isinstance(flat, list) and None in flat:
             raise ExchangeError(f"distance {flat.index(None)} is not a number within the float range")
         if len(flat) != n * n:
             raise ExchangeError(f"expected {n * n} distances, got {len(flat)}")

@@ -22,12 +22,18 @@ n >= 2, vanishing on the antisymmetric subspace forces a scalar.  The
 bracket is only as tight as that one point; it closes on some inputs
 (two-point spaces, point masses at comparable distances) and stays open
 on others.
+
+A state is the block diagonal element of its densities, and its
+validation runs on that element's cells: one stacked pass per cell size,
+no loop over the blocks.  The computations here read the state's one
+element, which the loader or `State.classical` hands over or which is
+built the first time it is asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +81,61 @@ class NegativeCycleError(PreconditionError, RuntimeError):
     """
 
 
+def _check_densities(groups, num_blocks: int, finite: bool = True) -> None:
+    """Validate the block densities of a state, one stacked pass per cell size.
+
+    groups holds one (where, stack) pair per group of `cells(blocks, 1)`:
+    the block indices of the group and their densities stacked, stack[c]
+    being the density of block where[c].  The blocks must be finite (unless finite is False, for densities already
+    tested), self-adjoint and PSD within STATE_TOL, with total trace one.
+    Of several failing blocks the first in block order names the error.
+    """
+    if finite and not all(np.isfinite(stack).all() for _, stack in groups):
+        # the first block in block order holding a NaN or inf names the error
+        bad = {
+            int(where[c]): stack[c]
+            for where, stack in groups
+            for c in np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        }
+        require_finite(bad[min(bad)], "block densities")
+    not_herm = np.zeros(num_blocks, dtype=bool)
+    not_psd = np.zeros(num_blocks, dtype=bool)
+    traces = np.zeros(num_blocks)
+    for where, stack in groups:
+        adj = adjoints(stack)
+        scale = np.maximum(1.0, matrix_norms(stack))
+        not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
+        herm = (stack + adj) / 2.0
+        lowest = herm[:, 0, 0].real if herm.shape[-1] == 1 else np.linalg.eigvalsh(herm)[:, 0]
+        not_psd[where] = lowest < -STATE_TOL
+        traces[where] = np.trace(stack, axis1=1, axis2=2).real
+    # the first failing block names the error, self-adjointness before positivity
+    fails = np.flatnonzero(not_herm | not_psd)
+    if fails.size:
+        if not_herm[fails[0]]:
+            raise ValueError("block densities must be self-adjoint")
+        raise ValueError("block densities must be positive semidefinite")
+    # added up in block order, whatever the grouping by size
+    total = sum(traces.tolist(), 0.0)
+    if abs(total - 1.0) > STATE_TOL:
+        raise ValueError(f"total trace must be 1, got {total}")
+
+
 @dataclass(frozen=True)
 class State:
-    """A state on A: one PSD density per block, total trace one."""
+    """A state on A: one PSD density per block, total trace one.
+
+    The densities are read-only.  They are validated in one stacked pass
+    per cell size (`_check_densities`), after every block has passed its
+    shape test.  `as_element` gives the block diagonal element of the
+    state; it is built at most once, and a state read from a document or
+    made by `classical` starts from its element, its densities being views
+    of that element's cells.
+    """
 
     shape: AlgebraShape
     densities: tuple[np.ndarray, ...]
+    _element: AlgebraElement | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = as_shape(self.shape)
@@ -90,51 +145,59 @@ class State:
                 f"need {shape.num_blocks} block densities, got {len(self.densities)}"
             )
         dens = []
-        total = 0.0
         for n, d in zip(shape.blocks, self.densities):
             arr = np.array(d, dtype=complex)
             if arr.shape != (n, n):
                 raise ValueError(f"block density must be {n}x{n}, got {arr.shape}")
-            require_finite(arr, "block densities")
-            total += float(np.trace(arr).real)
             arr.setflags(write=False)
             dens.append(arr)
-        # one stacked norm and eigensolve per block size, none on 1x1
-        # blocks; the first block failing a test, in block order, names the
-        # error
-        not_herm = np.zeros(shape.num_blocks, dtype=bool)
-        not_psd = np.zeros(shape.num_blocks, dtype=bool)
-        for g in cells(shape.blocks, 1):
-            where = g.labels[:, 0]
-            stack = np.stack([dens[k] for k in where])
-            adj = adjoints(stack)
-            scale = np.maximum(1.0, matrix_norms(stack))
-            not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
-            herm = (stack + adj) / 2.0
-            lowest = herm[:, 0, 0].real if herm.shape[-1] == 1 else np.linalg.eigvalsh(herm)[:, 0]
-            not_psd[where] = lowest < -STATE_TOL
-        for herm_fails, psd_fails in zip(not_herm, not_psd):
-            if herm_fails:
-                raise ValueError("block densities must be self-adjoint")
-            if psd_fails:
-                raise ValueError("block densities must be positive semidefinite")
-        if abs(total - 1.0) > STATE_TOL:
-            raise ValueError(f"total trace must be 1, got {total}")
+        _check_densities(
+            [(g.labels[:, 0], np.stack([dens[k] for k in g.labels[:, 0]])) for g in cells(shape.blocks, 1)],
+            shape.num_blocks,
+        )
         object.__setattr__(self, "densities", tuple(dens))
+
+    @classmethod
+    def _from_element(cls, elem: AlgebraElement) -> "State":
+        """The state whose densities are the blocks of elem, an order-1 element.
+
+        elem's kept cells are its block densities stacked by size, so they
+        are validated as they are (elem is finite already), and the
+        densities are read-only views of them.  The state keeps elem.
+        """
+        groups = [(g.labels[:, 0], mats) for g, (_, mats) in zip(cells(elem.shape.blocks, 1), elem.cells)]
+        _check_densities(groups, elem.shape.num_blocks, finite=False)
+        dens = [None] * elem.shape.num_blocks
+        for where, mats in groups:
+            for k, mat in zip(where.tolist(), mats):
+                dens[k] = mat
+        state = cls.__new__(cls)
+        object.__setattr__(state, "shape", elem.shape)
+        object.__setattr__(state, "densities", tuple(dens))
+        object.__setattr__(state, "_element", elem)
+        return state
 
     @classmethod
     def classical(cls, weights) -> "State":
         """Probability vector as a state on the all-ones shape."""
         w = np.asarray(weights, dtype=float)
-        shape = AlgebraShape((1,) * w.size)
-        return cls(shape, tuple(np.array([[v]], dtype=complex) for v in w))
+        if w.ndim != 1:
+            raise ValueError(f"weights must be a vector, got an array of shape {w.shape}")
+        finite = np.isfinite(w)
+        if not finite.all():
+            # the first bad weight names the error, as its 1x1 block would
+            require_finite(w[[finite.argmin()]], "block densities")
+        return cls._from_element(AlgebraElement(AlgebraShape((1,) * w.size), np.diag(w)))
 
     def as_element(self) -> AlgebraElement:
-        d = self.shape.dim
-        out = np.zeros((d, d), dtype=complex)
-        for (a, b), dens in zip(self.shape.block_ranges(), self.densities):
-            out[a:b, a:b] = dens
-        return AlgebraElement(self.shape, out)
+        """The block diagonal element with the densities as its blocks, built once."""
+        if self._element is None:
+            d = self.shape.dim
+            out = np.zeros((d, d), dtype=complex)
+            for (a, b), dens in zip(self.shape.block_ranges(), self.densities):
+                out[a:b, a:b] = dens
+            object.__setattr__(self, "_element", AlgebraElement(self.shape, out))
+        return self._element
 
     def pair(self, a: AlgebraElement) -> float:
         """The pairing phi(a) = sum_k tr(d_k a_k); real for self-adjoint a."""
@@ -325,7 +388,7 @@ class MKDistance:
 
 
 def _classical_weights(state: State) -> np.ndarray:
-    return np.array([float(d[0, 0].real) for d in state.densities])
+    return np.diagonal(state.as_element().data).real
 
 
 def _point_mass(weights: np.ndarray) -> int | None:

@@ -47,6 +47,7 @@ from qmetric.algebra import (
     cellwise_min_singular,
     element_type,
     hermitian_param_basis,
+    matrix_norms,
     op_norm_array,
     random_element,
     swap_matrix,
@@ -228,6 +229,19 @@ class TestCells:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * data.nbytes
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+def test_matrix_norms_equal_numpy_operator_norms(lead):
+    rng = np.random.default_rng(len(lead))
+    for n in range(1, 10):
+        mats = rng.standard_normal(lead + (5, n, n)) + 1j * rng.standard_normal(lead + (5, n, n))
+        want = np.linalg.norm(mats, 2, axis=(-2, -1))
+        if n == 1:
+            # a 1x1 norm is the modulus, without LAPACK, so it may differ in the last bit
+            np.testing.assert_allclose(matrix_norms(mats), want, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(matrix_norms(mats), want)
 
 
 class TestKeptCells:

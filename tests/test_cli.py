@@ -383,6 +383,20 @@ class TestNonFiniteInput:
         assert "finite" in captured.err
         assert "SVD" not in captured.err
 
+    def test_distance_rejects_nan_state_with_the_element_message(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        save_element(m2_admissible(1.0), rho)
+        good = tmp_path / "phi.json"
+        save_state(State(AlgebraShape((2,)), (np.diag([0.5, 0.5]),)), good)
+        doc = json.loads(good.read_text())
+        doc["data"][0] = [float("nan"), 0.0]
+        bad = tmp_path / "psi.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["distance", "--rho", str(rho), "--phi", str(good), "--psi", str(bad), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "matrix data must be finite; found 1 NaN or infinite entries" in captured.err
+
     def test_distance_rejects_infinite_distance(self, tmp_path, capsys):
         space = tmp_path / "inf.txt"
         space.write_text("1\ninf 1\n")

@@ -238,6 +238,13 @@ class TestZeroPairReader:
             '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
             '{"shape": [1, 1], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
             '{"shape":[2],"order":1,"rows":2,"cols":2,"data":[[1.0,0.0],[0.0,0.0],[ 0.0, 0.0],[0.0 ,0.0]]}',
+            # a backslash inside a string field away from any pair, and infinities
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "a\\tb", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "\\u006eull", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[Infinity, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -Infinity]]}',
+            # a null and a true entry next to the pairs
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], null, [0.0, 0.0], true]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], true]}',
             # no valid algebra shape: zero blocks, and no blocks at all
             '{"shape": [0, 0], "order": 1, "rows": 0, "cols": 0, "data": []}',
             '{"shape": [], "order": 1, "rows": 0, "cols": 0, "data": []}',
@@ -447,6 +454,51 @@ class TestMetricSpaceLoading:
         assert np.array_equal(load_metric_space(path).dist, [[0.0, 1.0], [1.0, 0.0]])
         path.write_text(json.dumps({"n": 2, "d": [0, 2**70, 2**70, 0]}))
         assert load_metric_space(path).dist[0, 1] == float(2**70)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            [0, 1, 1, 0],
+            [False, True, True, False],
+            [0.0, True, 1, 0],
+            [0, 2**53 + 1, 2**53 + 1, 0],
+            [0, 2**63 + 3, 2**63 + 3, 0],
+            [0, 2**64 - 1, 2**64 - 1, 0],
+            [0, 10**400, 10**400, 0],
+            [0.5, 10**400, 1, 0],
+            [0, [1], 1, 0],
+            [[0, 1], [1, 0]],
+            [0, "1", 1, 0],
+            [0, None, 1, 0],
+            [0, {}, 1, 0],
+            [0, 1, 1],
+            [],
+            "0110",
+        ],
+    )
+    def test_one_array_call_reads_like_the_entry_loop(self, tmp_path, monkeypatch, d):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": 2, "d": d}))
+
+        def load():
+            try:
+                return load_metric_space(path).dist.tobytes()
+            except ExchangeError as exc:
+                return str(exc)
+
+        got = load()
+        monkeypatch.setattr(exchange, "_floats", lambda values, shape: None)
+        assert got == load()
+
+    def test_written_spaces_take_one_array_call(self, tmp_path, monkeypatch):
+        space = FiniteMetricSpace(np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        save_metric_space(space, tmp_path / "s.json")
+
+        def refuse(value):
+            raise AssertionError("the entry loop was taken")
+
+        monkeypatch.setattr(exchange, "_real", refuse)
+        assert np.array_equal(load_metric_space(tmp_path / "s.json").dist, space.dist)
 
     def test_lower_triangle_text(self, tmp_path):
         path = tmp_path / "space.txt"

@@ -34,6 +34,7 @@ from qmetric import (
 )
 
 from qmetric.algebra import random_element
+from qmetric.exchange import load_element, load_state, save_state
 from qmetric.lipschitz import _mk_upper_bound, _shortest_paths, _transport
 
 from oracles import (
@@ -117,6 +118,45 @@ class TestStates:
         assert s.densities[0][0, 0] == 0.25
         assert not s.densities[0].flags.writeable
 
+    def test_wrong_shape_is_reported_before_a_non_finite_block(self):
+        # every block passes its shape test before any is tested for finiteness
+        with pytest.raises(ValueError, match=r"block density must be 2x2, got \(1, 1\)"):
+            State(AlgebraShape((1, 2)), (np.array([[np.nan]]), np.array([[1.0]])))
+        with pytest.raises(NonFiniteError, match="found 1 NaN"):
+            State(AlgebraShape((1, 2)), (np.array([[np.nan]]), np.full((2, 2), np.inf)))
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.75], [0.0, 1.0, 0.0], [0.125] * 8])
+    def test_every_way_of_building_gives_the_same_state(self, tmp_path, weights):
+        shape = AlgebraShape((1,) * len(weights))
+        built = State(shape, tuple(np.array([[w]]) for w in weights))
+        save_state(built, tmp_path / "s.json")
+        states = [built, load_state(tmp_path / "s.json"), State.classical(weights)]
+        for s in states:
+            assert s.shape == shape
+            for d, want in zip(s.densities, built.densities):
+                assert np.array_equal(d, want) and not d.flags.writeable
+            assert s.as_element() is s.as_element()
+            assert s.as_element().data.tobytes() == built.as_element().data.tobytes()
+
+    @pytest.mark.parametrize("blocks", [(2,), (1, 2), (2, 1, 3)])
+    def test_loaded_block_state_equals_the_built_one(self, tmp_path, blocks):
+        shape = AlgebraShape(blocks)
+        save_state(random_state(shape, np.random.default_rng(sum(blocks))), tmp_path / "s.json")
+        loaded = load_state(tmp_path / "s.json")
+        data = load_element(tmp_path / "s.json").data
+        built = State(shape, tuple(data[a:b, a:b] for a, b in shape.block_ranges()))
+        assert loaded.as_element() is loaded.as_element()
+        assert loaded.as_element().data.tobytes() == built.as_element().data.tobytes() == data.tobytes()
+        for d, want in zip(loaded.densities, built.densities):
+            assert np.array_equal(d, want) and not d.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                d[...] = 0
+
+    @pytest.mark.parametrize("weights", [0.5, [[0.5, 0.5]]])
+    def test_classical_needs_a_vector(self, weights):
+        with pytest.raises(ValueError, match="weights must be a vector"):
+            State.classical(weights)
+
     def test_pure_state(self):
         v = PureState(AlgebraShape((1, 2)), 1, np.array([1.0, 1.0]) / np.sqrt(2))
         s = v.to_state()
@@ -130,6 +170,9 @@ class TestStates:
     def test_classical_rejects_nan(self):
         with pytest.raises(NonFiniteError, match="block densities must be finite"):
             State.classical([np.nan, 1.0])
+        # the first bad weight names the error, as its 1x1 block did
+        with pytest.raises(NonFiniteError, match="found 1 NaN"):
+            State.classical([0.5, np.inf, np.nan])
 
     def test_pure_state_rejects_nan(self):
         with pytest.raises(NonFiniteError, match="pure-state vector must be finite"):
