@@ -12,19 +12,17 @@ A supported element of order m is block diagonal once its coordinates are
 grouped by block-label tuple: it is the direct sum of its K^m cells, the
 cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
 groups, one group per cell size.  The spectral functions (`op_norm` and
-`min_eig` on elements, `cellwise_eigh`, `cellwise_norm`,
-`cellwise_min_eig`, and `cellwise_min_singular`, which takes a leading
-sample axis and returns the least value over the samples) work one
-stacked LAPACK call per group instead of one call on the dense D^m x D^m
-matrix.
+`min_eig` on elements, `cellwise_eigh`, `cellwise_norm` and
+`cellwise_min_eig`) work one stacked LAPACK call per group instead of one
+call on the dense D^m x D^m matrix.
 Cells of size one need no LAPACK call at all.  The dense maps stay as the
 reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
 a block's coordinates sit; no dense support mask exists.  Element
 validation, random draws, the diagonal projector, the hermitian parameter
-basis, the canonical m(nu) = 1 element, the search's flat cell vectors,
-the direct sum and the tensor-product regrouping are built from them.
+basis, the search's flat cell vectors, the direct sum and the
+tensor-product regrouping are built from them.
 Validation gathers an element's cells to count the nonzeros inside the
 support, and the element keeps them, read-only, as `cells`: each element
 is gathered once in its lifetime.
@@ -225,27 +223,22 @@ def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.n
     return out
 
 
-def _smallest(per_cell) -> tuple[float, np.ndarray]:
-    """The least of (index, values, vectors) triples, one value per cell.
+def lowest_eigenpair(eighs) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a `cellwise_eigh` result, with a unit eigenvector.
 
-    Returns that value and its cell's vector, embedded into the full
-    coordinates, which the cells partition.
+    The vector is its cell's, embedded into the full coordinates, which the
+    cells partition.
     """
     best, where, vec = np.inf, None, None
     dim = 0
-    for index, values, vectors in per_cell:
+    for index, vals, vecs in eighs:
         dim += index.size
-        c = int(np.argmin(values))
-        if where is None or values[c] < best:
-            best, where, vec = float(values[c]), index[c], vectors[c]
+        c = int(np.argmin(vals[:, 0]))
+        if where is None or vals[c, 0] < best:
+            best, where, vec = float(vals[c, 0]), index[c], vecs[c, :, 0]
     out = np.zeros(dim, dtype=complex)
     out[where] = vec
     return best, out
-
-
-def lowest_eigenpair(eighs) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a `cellwise_eigh` result, with a unit eigenvector."""
-    return _smallest((index, vals[:, 0], vecs[:, :, 0]) for index, vals, vecs in eighs)
 
 
 def hermitian_defect(stacks: CellStacks) -> float:
@@ -259,26 +252,6 @@ def cellwise_min_eig(stacks: CellStacks, tol: float = HERM_TOL) -> tuple[float, 
     if gap > tol * max(1.0, cellwise_norm(stacks)):
         raise ValueError(f"input is not self-adjoint within tolerance (defect {gap:.3e})")
     return lowest_eigenpair(cellwise_eigh(stacks))
-
-
-def cellwise_min_singular(stacks: CellStacks, shifts: CellStacks) -> tuple[float, np.ndarray]:
-    """Least smallest singular value of x + y_k over k, with a unit right singular vector.
-
-    x is the direct sum `stacks`.  `shifts` holds the cells of the direct
-    sums y_k with a leading sample axis, mats[k, c] being cell c of y_k.
-    One SVD call per cell size covers every sample; the first sample
-    holding the least value gives the vector.
-    """
-    per_size = []
-    for (index, mats), (_, more) in zip(stacks, shifts):
-        total = mats + more
-        if total.shape[-1] == 1:
-            s, vh = np.abs(total[..., 0]), np.ones_like(total)
-        else:
-            _, s, vh = np.linalg.svd(total)
-        per_size.append((index, s[..., -1], vh[..., -1, :].conj()))
-    k = int(np.concatenate([s for _, s, _ in per_size], axis=1).min(axis=1).argmin())
-    return _smallest((index, s[k], v[k]) for index, s, v in per_size)
 
 
 def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, CellStacks]:

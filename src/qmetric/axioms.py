@@ -8,7 +8,7 @@ the complement of the diagonal (iii), be flip symmetric (iv), and satisfy
 the operator triangle inequality (v).  In "algebraic" mode (ii) and (iii)
 are replaced by multiplication-map conditions: m(rho) = 0 (ii_alg) and
 invertibility of rho + nu for every positive flip-symmetric nu with
-m(nu) = 1 (iii_alg, checked by sampling, so a pass means "not falsified").
+m(nu) = 1 (iii_alg).
 
 Every check returns a record with a signed margin (positive means satisfied
 with slack) instead of raising, so failing candidates produce a complete
@@ -24,9 +24,10 @@ the dense slack as the reference the tests compare against.  The
 feasibility search lifts its whole structure basis through
 `triangle_slack_cells` in one call.
 
-The test elements nu of the sampled iii_alg check depend only on (shape,
-count, seed), never on rho: they are drawn once per process and cached, and
-every rho + nu is solved in one stacked SVD per cell size.
+Checks iii and iii_alg share one kernel, lambda_min(rho + shift) minus the
+floor over the cells: the shift is the diagonal projector for iii, and for
+iii_alg its part on the 1x1 diagonal cells, scaled by the candidate norm.
+The iii_alg decision is exact, not sampled.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ from .algebra import (
     ShapeMismatchError,
     TriElement,
     _multiply,
-    adjoints,
     as_shape,
-    assemble,
     cell_stacks,
     cells,
     cellwise_eigh,
-    cellwise_min_singular,
     cellwise_norm,
     complex_pairs,
     diag_projector,
@@ -58,7 +56,6 @@ from .algebra import (
     lowest_eigenpair,
     op_norm,
     permute_legs,
-    random_element,
     require_finite,
 )
 
@@ -77,8 +74,8 @@ class ToleranceConfig:
     eq_tol and psd_tol are applied on the unit-normalized candidate.  The
     nondegeneracy floor is absolute; when strict_floor is None it resolves
     to DEFAULT_FLOOR_REL times the candidate norm (absolute DEFAULT_FLOOR_REL
-    for a zero candidate).  sample_count and seed drive the sampled
-    invertibility check.
+    for a zero candidate).  sample_count and seed are recorded in report
+    documents but read by no check: iii_alg is decided exactly.
     """
 
     eq_tol: float = 1e-9
@@ -106,7 +103,7 @@ class ToleranceConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomRecord:
     """Outcome of a single axiom check.
 
@@ -137,7 +134,7 @@ class AxiomRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomReport:
     """Full verdict of one verification run."""
 
@@ -246,21 +243,28 @@ def check_nondegenerate(
         prerequisites_ok = (
             check_positive(rho, cfg, scale).passed and check_diag_vanish(rho, cfg, scale).passed
         )
-    if not prerequisites_ok:
-        return AxiomRecord(
-            "iii",
-            False,
-            float("nan"),
-            indeterminate=True,
-            note="positivity or diagonal vanishing failed; restriction ill-defined",
-        )
     floor = cfg.resolved_floor(scale)
-    p = diag_projector(rho.shape)
-    shifted = [(i, r + q) for (i, r), (_, q) in zip(rho.cells, p.cells)]
+    shift = diag_projector(rho.shape).cells
+    note = "positivity or diagonal vanishing failed; restriction ill-defined"
+    return _nondegenerate("iii", rho, shift, floor, prerequisites_ok, note)
+
+
+def _nondegenerate(
+    axiom: str, rho: BiElement, shift: CellStacks, floor: float, prerequisites_ok: bool, note: str
+) -> AxiomRecord:
+    """The nondegeneracy kernel of both modes: lambda_min(rho + shift) - floor, cell by cell.
+
+    shift lists one cell stack per cell size of rho, or a scalar for a size
+    it leaves alone.  When the prerequisites fail the record is
+    indeterminate, with a NaN margin and the note.
+    """
+    if not prerequisites_ok:
+        return AxiomRecord(axiom, False, float("nan"), indeterminate=True, note=note)
+    shifted = [(i, r + q) for (i, r), (_, q) in zip(rho.cells, shift)]
     lam, vec = lowest_eigenpair(cellwise_eigh(shifted))
     margin = lam - floor
     witness = None if margin >= 0 else vec
-    return AxiomRecord("iii", margin >= 0, margin, witness=witness)
+    return AxiomRecord(axiom, margin >= 0, margin, witness=witness)
 
 
 def triangle_defect(rho: BiElement) -> TriElement:
@@ -328,118 +332,35 @@ def check_alg_diag(rho: BiElement, cfg: ToleranceConfig | None = None, scale: fl
     return AxiomRecord("ii_alg", defect <= cfg.eq_tol * scale, -defect)
 
 
-def canonical_mult_one(shape: AlgebraShape | Sequence[int]) -> BiElement:
-    """Deterministic positive flip-symmetric element with m(nu) = 1.
+def check_alg_nondegenerate_sampled(
+    rho: BiElement,
+    cfg: ToleranceConfig | None = None,
+    scale: float | None = None,
+    prerequisites_ok: bool | None = None,
+) -> AxiomRecord:
+    """Algebraic nondegeneracy: rho + nu is invertible for every test element nu.
 
-    Per-block scaling of the diagonal projector: (I + S_i) / (n_i + 1) on
-    the (i, i) cell.  On an all-ones shape this is the classical diagonal
-    indicator.
-    """
-    shape = as_shape(shape)
-    # row (p, q) of a diagonal cell (i, i) has p in block i, so it takes 2 / (n_i + 1)
-    row_scale = np.repeat(2.0 / (np.asarray(shape.blocks) + 1)[shape.block_labels()], shape.dim)
-    return BiElement(shape, diag_projector(shape).data * row_scale[:, None])
-
-
-# Entries kept by each sampled-test-element cache.  Search certification
-# passes each job's own seed, and one entry at D = 18 holds about 13 MB.
-_SAMPLE_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _mult_one_samples(blocks: tuple[int, ...], count: int, seed: int) -> tuple[BiElement, ...]:
-    """The body of `sample_mult_one_elements`, cached per argument tuple."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    shape = AlgebraShape(blocks)
-    d = shape.dim
-    out = [canonical_mult_one(shape)]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    eye2 = np.eye(d * d, dtype=complex)
-    eye1 = np.eye(d, dtype=complex)
-    base = out[0].data
-
-    # Every matrix below is supported, so its spectra are those of its cells.
-    def norm(arr: np.ndarray, order: int = 2) -> float:
-        return cellwise_norm(cell_stacks(arr, shape.blocks, order))
-
-    def lowest(arr: np.ndarray) -> float:
-        return lowest_eigenpair(cellwise_eigh(cell_stacks(arr, shape.blocks, 2)))[0]
-
-    for _ in range(count - 1):
-        accepted = None
-        for _attempt in range(64):
-            g = random_element(shape, 2, rng)
-            w = assemble([(i, c @ adjoints(c)) for i, c in g.cells], d * d)
-            w = (w + permute_legs(w, (1, 0), (d, d))) / 2.0
-            w *= 0.5 / max(1.0, norm(w))
-            y = _multiply(w, d)
-            nu = base + w - (np.kron(y, eye1) + np.kron(eye1, y)) / 2.0
-            nu = (nu + nu.conj().T) / 2.0
-            lam = lowest(nu)
-            if lam < 0:
-                c = (-lam + 1e-12) / (1.0 - lam + 1e-12)
-                nu = (1.0 - c) * nu + c * eye2
-                lam = lowest(nu)
-            m_defect = norm(_multiply(nu, d) - eye1, order=1)
-            flip_defect = norm(permute_legs(nu, (1, 0), (d, d)) - nu)
-            if lam >= -1e-12 and m_defect <= 1e-10 and flip_defect <= 1e-10:
-                accepted = BiElement(shape, nu)
-                break
-        if accepted is None:
-            raise RuntimeError("test-element sampler failed to produce a valid element")
-        out.append(accepted)
-    return tuple(out)
-
-
-def sample_mult_one_elements(shape: AlgebraShape | Sequence[int], count: int, seed: int) -> list[BiElement]:
-    """Positive flip-symmetric test elements with m(nu) = 1.
-
-    The canonical element always comes first.  The rest start from it, add
-    a random positive flip-symmetric perturbation, subtract a lift that
-    restores m(nu) = 1, and mix toward the identity of A (x) A (also on the
-    slice) until positive again, drawing again up to 64 times per element.
-    Randomness is counter-based from the seed.
-
-    The elements depend only on (shape, count, seed), so they
-    are drawn once per process and cached; each call returns a fresh list
-    of the same read-only elements.  `check_alg_nondegenerate_sampled`
-    solves all of them in one stacked SVD per cell size.  Raises ValueError
-    when count < 1.
-    """
-    return list(_mult_one_samples(as_shape(shape).blocks, count, seed))
-
-
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _sample_cells(
-    blocks: tuple[int, ...], count: int, seed: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Cells of the sampled test elements, one (count, cells, n, n) stack per cell size."""
-    nus = sample_mult_one_elements(blocks, count, seed)
-    stacks = tuple(cell_stacks(np.stack([nu.data for nu in nus]), blocks, 2))
-    for _, mats in stacks:
-        mats.setflags(write=False)
-    return stacks
-
-
-def check_alg_nondegenerate_sampled(rho: BiElement, cfg: ToleranceConfig | None = None) -> AxiomRecord:
-    """Sampled invertibility of rho + nu over the m(nu) = 1 slice.
-
-    A pass means no sampled nu falsified invertibility; it is evidence, not
-    proof.  The margin is the worst smallest singular value minus eq_tol.
-    The test elements depend only on (shape, sample_count, seed): they are
-    drawn once per process, and every rho + nu is solved in one stacked SVD
-    per cell size without forming rho + nu.  The first sample holding the
-    least value gives the witness.
+    A test element is positive and flip symmetric, with m(nu) = 1.  The
+    decision is exact, not sampled; the name is kept for compatibility.
+    For positive rho the axiom holds iff rho is definite on every cell
+    except the (k, k) cells with n_k = 1, where m(nu) = 1 forces nu = 1
+    (README, "Notes on semantics", has the proof).  So the margin is
+    lambda_min(rho + scale P1) - floor, with P1 the part of the diagonal
+    projector on those exempt cells, and the witness of a failure is its
+    cell's lowest eigenvector.  Positivity is the prerequisite: when it
+    fails the record is indeterminate.  scale and prerequisites_ok are
+    computed when not given.
     """
     cfg = _cfg(cfg)
-    samples = _sample_cells(rho.shape.blocks, cfg.sample_count, cfg.seed)
-    worst, worst_vec = cellwise_min_singular(rho.cells, samples)
-    margin = worst - cfg.eq_tol
-    passed = margin > 0
-    witness = None if passed else worst_vec
-    note = "sampled check: pass means not falsified"
-    return AxiomRecord("iii_alg", passed, margin, witness=witness, note=note)
+    if scale is None:
+        scale = op_norm(rho) or 1.0
+    if prerequisites_ok is None:
+        prerequisites_ok = check_positive(rho, cfg, scale).passed
+    # the cells of size 1 are the exempt cells, where the projector is 1, and
+    # the cross cells of two 1x1 blocks, where it is 0
+    shift = [(i, scale * q if q.shape[-1] == 1 else 0.0) for i, q in diag_projector(rho.shape).cells]
+    note = "positivity failed; the exact decision needs positive rho"
+    return _nondegenerate("iii_alg", rho, shift, cfg.resolved_floor(scale), prerequisites_ok, note)
 
 
 def verify(
@@ -472,7 +393,7 @@ def verify(
         )
     else:
         rec_ii = check_alg_diag(rho, cfg, scale)
-        rec_iii = check_alg_nondegenerate_sampled(rho, cfg)
+        rec_iii = check_alg_nondegenerate_sampled(rho, cfg, scale, prerequisites_ok=rec_i.passed)
     records = (rec_i, rec_ii, rec_iii, rec_iv, rec_v)
     return AxiomReport(mode=mode, shape=rho.shape, records=records, config=cfg)
 

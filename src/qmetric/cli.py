@@ -262,7 +262,9 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eq-tol", type=float, default=1e-9, dest="eq_tol")
     parser.add_argument("--psd-tol", type=float, default=1e-9, dest="psd_tol")
     parser.add_argument("--floor", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=8)
+    parser.add_argument(
+        "--samples", type=int, default=8, help="recorded in the report; no check reads it"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -121,7 +121,7 @@ def _check_densities(groups, num_blocks: int, finite: bool = True) -> None:
         raise ValueError(f"total trace must be 1, got {total}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A state on A: one PSD density per block, total trace one.
 
@@ -206,7 +206,7 @@ class State:
         return float(np.trace(self.as_element().data @ a.data).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A vector state supported in a single block."""
 

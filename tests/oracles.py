@@ -8,7 +8,6 @@ the package paths it checks.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -289,10 +288,7 @@ def structure_basis(blocks, mode: str) -> np.ndarray:
         if mode == "representation":
             diag = m - q @ m @ q
         else:
-            diag = np.zeros((d, d), dtype=complex)
-            for p in range(d):
-                for t in range(d):
-                    diag[p, t] = sum(m[p * d + r, r * d + t] for r in range(d))
+            diag = multiply(m, d)
         columns.append(np.concatenate([(swap @ m @ swap - m).ravel(), diag.ravel()]))
     c = np.array(columns).T
     _, sv, vt = np.linalg.svd(np.concatenate([c.real, c.imag]), full_matrices=False)
@@ -404,38 +400,141 @@ def complex_pairs(arr) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]
 
 
-def alg_nondegenerate_loop(rho: BiElement, nus, eq_tol: float) -> tuple[bool, float, np.ndarray | None]:
-    """The sampled iii_alg check, one sample and one cell at a time.
+# ---------------------------------------------------------------------------
+# The algebraic nondegeneracy axiom iii_alg quantifies over the test
+# elements nu: positive, flip symmetric, with m(nu) = 1.  The package decides
+# it exactly on cells; these oracles probe that decision from both sides, a
+# refuting nu built from a failing record's witness and random test elements
+# that must not go below a passing record's margin.
+# ---------------------------------------------------------------------------
 
-    For each nu, the smallest singular value of every cell of rho + nu.
-    The first sample with a strictly smaller value wins; within a sample,
-    the first cell in the order (cell size, leg sizes, block labels).
-    Returns (passed, margin, witness), the witness None on a pass.
-    """
-    blocks = rho.shape.blocks
+
+def multiply(arr: np.ndarray, d: int) -> np.ndarray:
+    """The multiplication map on a D^2 x D^2 matrix, by its defining sum."""
+    out = np.zeros((d, d), dtype=complex)
+    for p in range(d):
+        for t in range(d):
+            out[p, t] = sum(arr[p * d + q, q * d + t] for q in range(d))
+    return out
+
+
+def exempt_projector(blocks) -> np.ndarray:
+    """The diagonal projector's part on the (k, k) cells with n_k = 1."""
     d = sum(blocks)
-    ranges = _ranges(blocks)
-    pairs = sorted(
-        itertools.product(range(len(blocks)), repeat=2),
-        key=lambda k: (blocks[k[0]] * blocks[k[1]], blocks[k[0]], blocks[k[1]]),
-    )
-    worst, witness = np.inf, None
-    for nu in nus:
-        total = rho.data + nu.data
-        for k1, k2 in pairs:
-            idx = [p * d + q for p in range(*ranges[k1]) for q in range(*ranges[k2])]
-            cell = total[np.ix_(idx, idx)]
-            if len(idx) == 1:
-                s, vh = np.abs(cell[0]), np.ones((1, 1), dtype=complex)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in _ranges(blocks):
+        if b - a == 1:
+            out[a * d + a, a * d + a] = 1.0
+    return out
+
+
+def swap_family(blocks, c: float) -> np.ndarray:
+    """(+)_k (n_k 1 - F_k) on the (k, k) cells, with F_k the swap, and c 1 on every cross cell."""
+    d = sum(blocks)
+    label = [k for k, n in enumerate(blocks) for _ in range(n)]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            if label[p] == label[q]:
+                out[p * d + q, p * d + q] += blocks[label[p]]
+                out[p * d + q, q * d + p] -= 1.0
             else:
-                _, s, vh = np.linalg.svd(cell)
-            smin, vec = s[-1], vh[-1].conj()
-            if smin < worst:
-                worst = float(smin)
-                witness = np.zeros(d * d, dtype=complex)
-                witness[idx] = vec
-    margin = worst - eq_tol
-    return margin > 0, margin, None if margin > 0 else witness
+                out[p * d + q, p * d + q] = c
+    return out
+
+
+def mult_one_samples(blocks, count: int, seed: int) -> list:
+    """Random test elements, the canonical element first.
+
+    Each other one adds a random positive flip-symmetric perturbation w to
+    the canonical element, subtracts (y (x) 1 + 1 (x) y) / 2 with y = m(w),
+    which restores m(nu) = 1, and mixes toward the identity until positive.
+    """
+    d = sum(blocks)
+    mask = support_mask(tuple(blocks), 2)
+    swap, eye = swap_matrix(d), np.eye(d)
+    base = canonical_mult_one(blocks)
+    rng = np.random.default_rng(seed)
+    out = [base]
+    for _ in range(count - 1):
+        g = (rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)) * mask
+        w = g @ g.conj().T
+        w = (w + swap @ w @ swap) / 2.0
+        w *= 0.5 / max(1.0, np.linalg.norm(w, 2))
+        y = multiply(w, d)
+        nu = base + w - (np.kron(y, eye) + np.kron(eye, y)) / 2.0
+        nu = (nu + nu.conj().T) / 2.0
+        lam = np.linalg.eigvalsh(nu)[0]
+        if lam < 0:
+            c = -lam / (1.0 - lam)
+            nu = (1.0 - c) * nu + c * np.eye(d * d)
+        out.append(nu)
+    return out
+
+
+def least_singular_value(rho: BiElement, nus) -> float:
+    """The least smallest singular value of rho + nu over the test elements, densely."""
+    return min(float(np.linalg.svd(rho.data + nu, compute_uv=False)[-1]) for nu in nus)
+
+
+def takagi_unitary(xs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """A unitary U with xs = U S U^T, S >= 0 diagonal, for complex symmetric xs.
+
+    The columns for the positive values s are u = a + ib, (a, b) an
+    eigenvector of [[Re xs, Im xs], [Im xs, -Re xs]] for s; they satisfy
+    xs conj(u) = s u.  Any orthonormal completion serves for s = 0, since
+    xs conj(v) = 0 for every v orthogonal to them (Horn & Johnson, Matrix
+    Analysis, 2nd ed., Cor. 4.4.4).
+    """
+    n = len(xs)
+    vals, vecs = np.linalg.eigh(np.block([[xs.real, xs.imag], [xs.imag, -xs.real]]))
+    keep = vals > tol * max(1.0, vals[-1])
+    u = vecs[:n, keep] + 1j * vecs[n:, keep]
+    q, _ = np.linalg.qr(u, mode="complete")
+    return np.concatenate([u, q[:, u.shape[1] :]], axis=1)
+
+
+def refuting_nu(blocks, witness: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """A test element nu that kills the witness x of a refuted iii_alg record.
+
+    x must lie in one cell.  On a cross cell the canonical element, which is
+    zero there, kills it.  On a (k, k) cell with n = n_k >= 2, let X_s be
+    the symmetric n x n matrix of (x + Fx) / 2.  The cell of nu is
+    |Omega><Omega|, Omega = sum_p e_p (x) e_p, when X_s = 0, and otherwise
+    sum_{p<q} |w_pq><w_pq| / (n - 1) with w_pq = vec(U (E_pq + E_qp) U^T)
+    and X_s = U S U^T the Takagi form.  Each w_pq is symmetric, so nu kills
+    the antisymmetric part of x; <w_pq, x_s> = tr((E_pq + E_qp) S) = 0; and
+    m(|w><w|) = W W* for symmetric W sums to (n - 1) 1.  The other diagonal
+    cells keep the canonical element.
+    """
+    d = sum(blocks)
+    label = [k for k, n in enumerate(blocks) for _ in range(n)]
+    hit = {(label[i // d], label[i % d]) for i in np.flatnonzero(np.abs(witness) > tol)}
+    assert len(hit) == 1, f"the witness spans the cells {sorted(hit)}"
+    ((k, l),) = hit
+    nu = canonical_mult_one(blocks)
+    if k != l:
+        return nu
+    n = blocks[k]
+    if n == 1:
+        raise ValueError("m(nu) = 1 makes nu = 1 on a 1x1 diagonal cell; nothing refutes there")
+    a, b = _ranges(blocks)[k]
+    idx = [p * d + q for p in range(a, b) for q in range(a, b)]
+    x = witness[idx].reshape(n, n)
+    xs = (x + x.T) / 2.0
+    if np.abs(xs).max() <= tol:
+        ws, weight = [np.eye(n).ravel()], 1.0
+    else:
+        u = takagi_unitary(xs, tol)
+        units = np.eye(n)
+        ws = [
+            (u @ (np.outer(units[p], units[q]) + np.outer(units[q], units[p])) @ u.T).ravel()
+            for p in range(n)
+            for q in range(p + 1, n)
+        ]
+        weight = 1.0 / (n - 1)
+    nu[np.ix_(idx, idx)] = weight * sum(np.outer(w, w.conj()) for w in ws)
+    return nu
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ import pytest
 
 from qmetric import (
     AlgebraShape,
+    AxiomRecord,
     BiElement,
     MetricCandidate,
     NonFiniteError,
+    PureState,
+    State,
     ToleranceConfig,
     check_alg_diag,
     check_alg_nondegenerate_sampled,
@@ -19,6 +22,7 @@ from qmetric import (
     identity,
     m2_admissible,
     mult_map,
+    op_norm,
     tensor2,
     triangle_defect,
     verify,
@@ -28,11 +32,10 @@ from qmetric.axioms import (
     M2_DIAG_PROJECTOR,
     M2_NOGO_WITNESS,
     M2_TRIANGLE_DEFECT,
-    canonical_mult_one,
     m2_defect_quadratic_form,
-    sample_mult_one_elements,
 )
 
+import oracles
 from oracles import classical_axioms, embed_distance_matrix
 
 
@@ -199,43 +202,135 @@ class TestAlgebraicNondegenerate:
         "blocks", [(2,), (1, 1), (2, 1), (3,), (1,) * 9, (2, 2), (2, 1, 1), (2, 2, 2), (3, 3, 3)]
     )
     def test_canonical_element_properties(self, blocks):
-        nu = canonical_mult_one(blocks)
+        nu = BiElement(blocks, oracles.canonical_mult_one(blocks))
         assert np.allclose(mult_map(nu).data, np.eye(sum(blocks)), atol=1e-12)
         assert np.allclose(flip(nu).data, nu.data, atol=1e-14)
         assert np.linalg.eigvalsh(nu.data)[0] >= -1e-12
 
     def test_classical_canonical_is_indicator(self):
-        nu = canonical_mult_one((1, 1))
-        assert np.array_equal(nu.data.real, np.diag([1.0, 0.0, 0.0, 1.0]))
+        nu = oracles.canonical_mult_one((1, 1))
+        assert np.array_equal(nu.real, np.diag([1.0, 0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("blocks", [(2,), (1, 1, 1), (1, 2)])
     def test_sampler_constraints(self, blocks):
         d = sum(blocks)
-        for nu in sample_mult_one_elements(blocks, 5, seed=3):
+        for nu in oracles.mult_one_samples(blocks, 5, seed=3):
+            nu = BiElement(blocks, nu)
             assert np.allclose(mult_map(nu).data, np.eye(d), atol=1e-9)
             assert np.allclose(flip(nu).data, nu.data, atol=1e-9)
             assert np.linalg.eigvalsh(nu.data)[0] >= -1e-11
 
     def test_sampler_deterministic(self):
-        a = sample_mult_one_elements((2,), 4, seed=9)
-        b = sample_mult_one_elements((2,), 4, seed=9)
+        a = oracles.mult_one_samples((2,), 4, seed=9)
+        b = oracles.mult_one_samples((2,), 4, seed=9)
         for x, y in zip(a, b):
-            assert np.array_equal(x.data, y.data)
-
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_sampler_rejects_count_below_one(self, count):
-        with pytest.raises(ValueError, match="count"):
-            sample_mult_one_elements((2,), count, seed=0)
+            assert np.array_equal(x, y)
 
     def test_valid_classical_passes(self):
         rec = check_alg_nondegenerate_sampled(classical_two_point())
         assert rec.passed
-        assert "not falsified" in rec.note
+        assert rec.margin == 1.0 - 1e-8 and rec.note == ""
 
     def test_zero_candidate_falsified_by_canonical(self):
         rec = check_alg_nondegenerate_sampled(BiElement.zeros((1, 1)))
         assert not rec.passed
         assert rec.witness is not None
+
+
+def p_anti(n: int) -> BiElement:
+    """The projector (1 - F) / 2 onto the antisymmetric subspace of C^n (x) C^n."""
+    return BiElement((n,), (np.eye(n * n) - swap(n)) / 2.0)
+
+
+class TestExactAlgebraicCheck:
+    """Verdicts of the exact iii_alg decision that the sampled check got wrong or left open."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_p_anti_fails_with_a_symmetric_kernel_witness(self, n):
+        rec = verify(p_anti(n), mode="algebraic").record("iii_alg")
+        assert not rec.passed and not rec.indeterminate
+        # lambda_min 0 less the floor 1e-8 * ||P_anti||, with ||P_anti|| = 1
+        assert rec.margin == pytest.approx(-1e-8, abs=1e-15)
+        assert np.allclose(swap(n) @ rec.witness, rec.witness, atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", [(2,), (3,), (2, 1), (2, 2)])
+    def test_metric_like_fails(self, blocks):
+        from test_cells import metric_like
+
+        rho = metric_like(blocks, np.random.default_rng(sum(blocks)))
+        rec = verify(rho, mode="algebraic").record("iii_alg")
+        assert not rec.passed and not rec.indeterminate
+        nu = oracles.refuting_nu(blocks, rec.witness)
+        assert np.linalg.norm((rho.data + nu) @ rec.witness) <= 1e-12 * op_norm(rho)
+
+    def test_m2_admissible_fails(self):
+        rec = verify(m2_admissible(1.0), mode="algebraic").record("iii_alg")
+        assert not rec.passed and rec.witness is not None
+
+    def test_two_minus_swap_margin(self):
+        # the spectrum of 2 - F is 1 on the symmetric and 3 on the antisymmetric part
+        rec = verify(BiElement((2,), 2 * np.eye(4) - swap(2)), mode="algebraic").record("iii_alg")
+        assert rec.passed and rec.margin == pytest.approx(1.0 - 3e-8, abs=1e-15)
+
+    @pytest.mark.parametrize("blocks", [(2, 1), (2, 2), (3, 3), (3, 1, 1)])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_swap_family_direct_sums(self, blocks, c):
+        # (+)_k (n_k 1 - F_k) with c 1 on every cross cell: a metric from c = 2 on
+        report = verify(BiElement(blocks, oracles.swap_family(blocks, c)), mode="algebraic")
+        assert report.failing == (() if c >= 2 else ("v",))
+
+    def test_indeterminate_when_positivity_fails(self):
+        rho = BiElement((1, 1), -1.0 * np.eye(4))
+        rec = verify(rho, mode="algebraic").record("iii_alg")
+        assert rec.indeterminate and not rec.passed and np.isnan(rec.margin)
+        assert check_alg_nondegenerate_sampled(rho).indeterminate
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-30, 1e-20, 1.0, 1e20, 1e150])
+    def test_scaled_classical_metric_passes(self, s):
+        d = oracles.random_metric(np.random.default_rng(5), 5)
+        rec = verify(s * embed_distance_matrix(d), mode="algebraic").record("iii_alg")
+        assert rec.passed
+        assert rec.margin == pytest.approx(s * (d[d > 0].min() - 1e-8 * d.max()), rel=1e-12)
+
+    def test_classical_verdicts_match_the_oracle(self):
+        rng = np.random.default_rng(300)
+        for n in range(2, 8):
+            d = oracles.random_metric(rng, n)
+            collapsed = d.copy()
+            collapsed[0, 1] = collapsed[1, 0] = 0.0
+            for variant in (
+                d,
+                oracles.plant_triangle_violation(rng, d) if n >= 3 else d,
+                oracles.plant_negativity(rng, d),
+                collapsed,
+            ):
+                want = classical_axioms(variant)
+                report = verify(embed_distance_matrix(variant), mode="algebraic")
+                got = {r.axiom: r.passed for r in report.records}
+                assert got["i"] == want["i"] and got["ii_alg"] == want["ii"]
+                assert got["iii_alg"] == (want["i"] and want["iii"])
+                assert (got["iv"], got["v"], report.passed) == (want["iv"], want["v"], want["all"])
+
+
+def _witnessed_record() -> AxiomRecord:
+    return check_triangle(m2_admissible(1.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: State((2,), (np.eye(2) / 2,)),
+        lambda: PureState((2,), 0, [1.0, 0.0]),
+        _witnessed_record,
+        lambda: verify(m2_admissible(1.0)),
+    ],
+    ids=["State", "PureState", "AxiomRecord", "AxiomReport"],
+)
+def test_equality_and_hash_are_by_identity(make):
+    a, twin = make(), make()
+    assert a == a and a != twin
+    assert hash(a) == hash(a)
+    assert len({a, twin}) == 2
 
 
 class TestToleranceConfig:

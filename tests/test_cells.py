@@ -44,7 +44,6 @@ from qmetric.algebra import (
     cell_stacks,
     cells,
     cellwise_min_eig,
-    cellwise_min_singular,
     element_type,
     hermitian_param_basis,
     matrix_norms,
@@ -52,15 +51,7 @@ from qmetric.algebra import (
     random_element,
     swap_matrix,
 )
-from qmetric.axioms import (
-    _mult_one_samples,
-    _sample_cells,
-    canonical_mult_one,
-    check_alg_nondegenerate_sampled,
-    m2_admissible,
-    sample_mult_one_elements,
-    triangle_slack_cells,
-)
+from qmetric.axioms import check_alg_nondegenerate_sampled, m2_admissible, triangle_slack_cells
 from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
 from qmetric.lipschitz import _seminorm_cells
 from qmetric.search import _cone_groups, _layout
@@ -111,9 +102,12 @@ def dense_records(rho: BiElement, cfg: ToleranceConfig, mode: str) -> dict:
     else:
         m_defect = dense_norm(mult_map(rho).data)
         out["ii_alg"] = (m_defect <= eq, -m_defect)
-        nus = sample_mult_one_elements(rho.shape, cfg.sample_count, cfg.seed)
-        smin = min(np.linalg.svd(arr + nu.data, compute_uv=False)[-1] for nu in nus)
-        out["iii_alg"] = (smin - cfg.eq_tol > 0, smin - cfg.eq_tol)
+        if out["i"][0]:
+            shift = scale * oracles.exempt_projector(rho.shape.blocks)
+            margin = dense_min_eig(arr + shift) - cfg.resolved_floor(norm)
+            out["iii_alg"] = (margin >= 0, margin)
+        else:
+            out["iii_alg"] = (False, float("nan"))
     return out
 
 
@@ -289,7 +283,6 @@ class TestLayoutOracles:
     def test_projectors(self, blocks):
         fresh = _diag_projector_cached.__wrapped__(blocks)
         assert np.array_equal(fresh.data, oracles.diag_projector(blocks))
-        assert np.array_equal(canonical_mult_one(blocks).data, oracles.canonical_mult_one(blocks))
 
     @pytest.mark.parametrize("blocks", ALL_SHAPES)
     @pytest.mark.parametrize("order", [1, 2])
@@ -331,59 +324,52 @@ class TestLayoutOracles:
         assert np.allclose(spanned, complement, atol=1e-14)
 
 
-class TestSampledCheck:
-    """The stacked iii_alg check against the loop over samples and cells."""
+class TestExactAlgebraicCheck:
+    """iii_alg probed from both sides: refuted by an explicit nu, unbeaten by random ones."""
 
-    @pytest.mark.parametrize("blocks", ALL_SHAPES)
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("count", [1, 8])
-    def test_matches_loop(self, blocks, seed, count):
-        rng = np.random.default_rng(sum(blocks) + 10 * seed + count)
-        g = random_element(blocks, 2, rng).data
-        cfg = ToleranceConfig(sample_count=count, seed=seed)
-        nus = sample_mult_one_elements(blocks, count, seed)
-        for rho in (BiElement.zeros(blocks), BiElement(blocks, g @ g.conj().T)):
-            rec = check_alg_nondegenerate_sampled(rho, cfg)
-            passed, margin, witness = oracles.alg_nondegenerate_loop(rho, nus, cfg.eq_tol)
-            assert rec.passed == passed and rec.margin == margin
-            if witness is None:
-                assert rec.witness is None
-            else:
-                assert rec.witness.tobytes() == witness.tobytes()
+    @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])
+    def test_failures_are_refuted_by_an_explicit_nu(self, blocks):
+        rng = np.random.default_rng(len(str(blocks)) + 16)
+        rhos = tensor_candidates(rng) if blocks == "tensor" else candidates(blocks, rng)
+        for rho in rhos:
+            rec = verify(rho, mode="algebraic").record("iii_alg")
+            if rec.passed or rec.indeterminate:
+                continue
+            b, d = rho.shape.blocks, rho.shape.dim
+            scale = op_norm(rho) or 1.0
+            nu = oracles.refuting_nu(b, rec.witness)
+            BiElement(b, nu)  # supported
+            assert np.linalg.eigvalsh(nu)[0] >= -1e-12
+            swap = oracles.swap_matrix(d)
+            assert np.abs(swap @ nu @ swap - nu).max() <= 1e-12
+            assert np.abs(oracles.multiply(nu, d) - np.eye(d)).max() <= 1e-12
+            reach = abs(rec.margin + ToleranceConfig().resolved_floor(scale))
+            assert np.linalg.norm((rho.data + nu) @ rec.witness) <= reach + 1e-12 * scale
 
-    def test_ties_go_to_the_first_sample(self):
-        # both samples reach 0.5, on different cells; the first one's cell
-        # gives the vector
-        shifts = np.stack([np.diag([0.5, 1.0, 0.5, 1.0]), np.diag([1.0, 0.5, 1.0, 1.0])]).astype(complex)
-        value, vec = cellwise_min_singular(
-            cell_stacks(np.zeros((4, 4), dtype=complex), (1, 1), 2), cell_stacks(shifts, (1, 1), 2)
-        )
-        assert value == 0.5
-        assert vec.tolist() == [1.0, 0.0, 0.0, 0.0]
+    @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])
+    def test_passes_hold_against_sampled_nu(self, blocks):
+        # on every cell but the exempt ones rho + nu >= rho; there rho + nu = rho + 1
+        rng = np.random.default_rng(len(str(blocks)) + 61)
+        rhos = tensor_candidates(rng) if blocks == "tensor" else candidates(blocks, rng)
+        if blocks != "tensor":
+            rhos.append(BiElement(blocks, oracles.swap_family(blocks, 2.0)))
+        for rho in rhos:
+            rec = verify(rho, mode="algebraic").record("iii_alg")
+            if not rec.passed:
+                continue
+            scale = op_norm(rho) or 1.0
+            nus = oracles.mult_one_samples(rho.shape.blocks, 8, sum(rho.shape.blocks))
+            bound = min(rec.margin + ToleranceConfig().resolved_floor(scale), 1.0)
+            assert oracles.least_singular_value(rho, nus) >= bound - 1e-12 * scale
 
-    @pytest.mark.parametrize("blocks", [(1,) * 4, (2,), (2, 1), (2, 2, 2)])
-    def test_cached_samples_equal_fresh_ones(self, blocks):
-        cached = sample_mult_one_elements(blocks, 6, 5)
-        fresh = _mult_one_samples.__wrapped__(blocks, 6, 5)
-        assert len(cached) == len(fresh) == 6
-        for a, b in zip(cached, fresh):
-            assert a.data.tobytes() == b.data.tobytes()
-            assert not a.data.flags.writeable
-        for index, mats in _sample_cells(blocks, 6, 5):
-            assert mats.shape[:2] == (6, index.shape[0])
-            assert not index.flags.writeable and not mats.flags.writeable
-
-    def test_returned_list_is_fresh(self):
-        first = sample_mult_one_elements((2, 1), 3, 4)
-        kept = [nu.data.tobytes() for nu in first]
-        first.reverse()
-        first.append(first[0])
-        again = sample_mult_one_elements((2, 1), 3, 4)
-        assert [nu.data.tobytes() for nu in again] == kept
-
-    def test_caches_are_bounded(self):
-        for cached in (_mult_one_samples, _sample_cells):
-            assert cached.cache_info().maxsize is not None
+    def test_standalone_call_equals_the_verify_record(self):
+        rng = np.random.default_rng(7)
+        for blocks in [(2,), (2, 1), (1, 1, 1)]:
+            for rho in candidates(blocks, rng):
+                got = check_alg_nondegenerate_sampled(rho)
+                want = verify(rho, mode="algebraic").record("iii_alg")
+                assert (got.passed, got.indeterminate, got.note) == (want.passed, want.indeterminate, want.note)
+                assert np.array_equal(got.margin, want.margin, equal_nan=True)
 
 
 @pytest.mark.parametrize("blocks", ALL_SHAPES + ["tensor"])
@@ -542,6 +528,33 @@ def test_margins_invariant_under_conjugation_and_flip(blocks, seed, messy):
             assert abs(a.margin - b.margin) <= tol, tag
     alg = verify(rho, mode="algebraic").record("ii_alg").margin
     assert abs(verify(moved, mode="algebraic").record("ii_alg").margin - alg) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["metric", "collapsed", "swap", "anti", "swap-sum"]),
+    seed=st.integers(0, 2**31 - 1),
+    exponent=st.floats(-150.0, 150.0),
+)
+def test_alg_verdict_invariant_under_scale_conjugation_and_flip(family, seed, exponent):
+    rng = np.random.default_rng(seed)
+    if family in ("metric", "collapsed"):
+        d = random_metric(rng, int(rng.integers(2, 7)))
+        if family == "collapsed":
+            d[0, 1] = d[1, 0] = 0.0
+        rho = embed_distance_matrix(d)
+    elif family in ("swap", "anti"):
+        # n 1 - F is definite, 1 - F = 2 P_anti has the symmetric subspace as kernel
+        n = int(rng.integers(2, 5))
+        rho = BiElement((n,), (n if family == "swap" else 1) * np.eye(n * n) - swap_matrix(n))
+    else:
+        blocks = [(2, 1), (2, 2), (3, 3), (3, 1, 1)][int(rng.integers(4))]
+        rho = BiElement(blocks, oracles.swap_family(blocks, float(rng.choice([0.5, 2.0]))))
+    want = family in ("metric", "swap", "swap-sum")
+    blocks = rho.shape.blocks
+    uu = np.kron(*(2 * [_block_unitary(blocks, rng)]))
+    for other in (rho, 10.0**exponent * rho, BiElement(blocks, uu @ rho.data @ uu.conj().T), flip(rho)):
+        assert verify(other, mode="algebraic").record("iii_alg").passed == want
 
 
 class TestScale:

@@ -15,6 +15,10 @@ from qmetric.exchange import load_element, save_element, save_metric_space, save
 from qmetric.construct import FiniteMetricSpace
 
 
+# the swap F of C^2 (x) C^2
+SWAP2 = np.eye(4)[[0, 2, 1, 3]]
+
+
 @pytest.fixture
 def path3(tmp_path):
     p = tmp_path / "path3.json"
@@ -66,6 +70,22 @@ class TestVerify:
         assert failing == ["v"]
         emitted = json.loads(capsys.readouterr().out)
         assert emitted["passed"] is False
+
+    @pytest.mark.parametrize(
+        "data, code",
+        [((np.eye(4) - SWAP2) / 2.0, 1), (2.0 * np.eye(4) - SWAP2, 0)],
+        ids=["P_anti", "2-F"],
+    )
+    def test_algebraic_mode_on_the_two_level_swap_family(self, tmp_path, capsys, data, code):
+        p = tmp_path / "rho.json"
+        save_element(BiElement((2,), data), p)
+        assert main(["verify", str(p), "--mode", "algebraic", "--json"]) == code
+        rec = {r["axiom"]: r for r in json.loads(capsys.readouterr().out)["records"]}["iii_alg"]
+        if code:
+            assert rec["passed"] is False and "witness" in rec
+        else:
+            # the spectrum of 2 - F is {1, 3}, so the floor is 1e-8 * 3
+            assert rec["passed"] is True and rec["margin"] == pytest.approx(1.0 - 3e-8, abs=1e-15)
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
