@@ -34,7 +34,7 @@ from .axioms import (
     verify,
 )
 from .construct import conic_combine, direct_sum, from_finite_metric, tensor_product
-from .lipschitz import State, lip_seminorm, mk_distance
+from .lipschitz import MKDistance, State, exact_distance, lip_seminorm, mk_distance
 from .search import SearchConfig, feasibility_search
 
 
@@ -110,14 +110,17 @@ def cmd_construct(args) -> int:
         raise exchange.ExchangeError(
             f"{args.construction} takes exactly {needed} input file(s)"
         )
+    if args.r is not None and args.construction in ("from-metric", "tensor"):
+        raise exchange.ExchangeError(f"{args.construction} takes no --r; only conic and direct-sum do")
+    r = 1.0 if args.r is None else args.r
     if args.construction == "from-metric":
         candidate = from_finite_metric(exchange.load_metric_space(args.inputs[0]))
     else:
         a, b = (MetricCandidate(exchange.load_element(p, expect_order=2)) for p in args.inputs)
         if args.construction == "conic":
-            candidate = conic_combine(a, b, args.r)
+            candidate = conic_combine(a, b, r)
         elif args.construction == "direct-sum":
-            candidate = direct_sum(a, b, args.r)
+            candidate = direct_sum(a, b, r)
         else:
             candidate = tensor_product(a, b, mode=args.mode)
     report = verify(candidate.rho, cfg, mode=args.mode)
@@ -170,27 +173,39 @@ def cmd_lipschitz(args) -> int:
     return 0
 
 
-def _delta_state(n: int, idx: int) -> State:
+def _point_index(text: str, n: int) -> int:
+    try:
+        idx = int(text)
+    except ValueError:
+        raise exchange.ExchangeError(f"point index must be an integer, got {text!r}") from None
     if not 0 <= idx < n:
         raise exchange.ExchangeError(f"point index {idx} out of range for {n} points")
-    w = np.zeros(n)
-    w[idx] = 1.0
-    return State.classical(w)
+    return idx
 
 
 def cmd_distance(args) -> int:
+    if args.classical and args.rho:
+        raise exchange.ExchangeError("--classical and --rho exclude each other")
     if args.classical:
         space = exchange.load_metric_space(args.classical)
-        rho = from_finite_metric(space).rho
-        phi = _delta_state(space.n, int(args.phi))
-        psi = _delta_state(space.n, int(args.psi))
+        i, j = _point_index(args.phi, space.n), _point_index(args.psi, space.n)
+        if args.method == "auto":
+            # the exact kernel reads the space's distances: no candidate, no states
+            value = exact_distance(space.dist, i, j)
+            result = MKDistance(value, value, True, 0)
+        else:
+            # the general bracket needs rho
+            phi, psi = (State.classical(np.eye(space.n)[k]) for k in (i, j))
+            result = mk_distance(
+                phi, psi, from_finite_metric(space), method=args.method, max_iter=args.max_iter
+            )
+    elif not args.rho:
+        raise exchange.ExchangeError("distance needs --classical or --rho")
     else:
-        if not args.rho:
-            raise exchange.ExchangeError("distance needs --classical or --rho")
         rho = exchange.load_element(args.rho, expect_order=2)
         phi = exchange.load_state(args.phi)
         psi = exchange.load_state(args.psi)
-    result = mk_distance(phi, psi, rho, method=args.method, max_iter=args.max_iter)
+        result = mk_distance(phi, psi, rho, method=args.method, max_iter=args.max_iter)
     _say(
         args,
         lambda: f"lower: {result.lower:.12g}\nupper: {result.upper:.12g}\n"
@@ -293,7 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
         "construction", choices=["from-metric", "conic", "direct-sum", "tensor"]
     )
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--r", type=float, default=1.0, help="weight or cross-distance")
+    p.add_argument(
+        "--r",
+        type=float,
+        default=None,
+        help="conic: weight of the second input; direct-sum: cross-distance (default 1.0); "
+        "the other constructions take none",
+    )
     p.add_argument("--mode", choices=MODES, default=REPRESENTATION)
     p.add_argument("--out")
     _add_tolerances(p)
@@ -324,8 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("distance", help="transport distance between two states")
-    p.add_argument("--classical", help="metric-space file; --phi/--psi are point indices")
-    p.add_argument("--rho", help="candidate file; --phi/--psi are state files")
+    p.add_argument(
+        "--classical",
+        help="metric-space file; --phi/--psi are point indices; with --method auto the "
+        "exact distance is read from the space's distances, no candidate is built",
+    )
+    p.add_argument(
+        "--rho", help="candidate file; --phi/--psi are state files; excludes --classical"
+    )
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--method", choices=["auto", "ascent"], default="auto")

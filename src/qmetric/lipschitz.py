@@ -387,10 +387,6 @@ class MKDistance:
         }
 
 
-def _classical_weights(state: State) -> np.ndarray:
-    return np.diagonal(state.as_element().data).real
-
-
 def _point_mass(weights: np.ndarray) -> int | None:
     """The point i when weights are exactly those of delta_i, else None."""
     hits = np.flatnonzero(weights)
@@ -478,28 +474,29 @@ def _transport(w: np.ndarray, dist: np.ndarray) -> tuple[float, int]:
     raise RuntimeError(f"transport solver reached its bound of {bound} augmentations")
 
 
-def _mk_exact(phi: State, psi: State, rho: BiElement) -> float:
-    """Exact supremum on an all-ones shape.
+def exact_distance(dmat: np.ndarray, p, q) -> float:
+    """Exact supremum on an all-ones shape whose distances are the n x n array dmat.
 
-    The unit ball is |a(x) - a(y)| <= d(x, y) for every ordered pair, so
-    the arc from x to y weighs min(d(x, y), d(y, x)); the two differ where
-    rho is not flip symmetric.  Under the shortest-path lengths of those
+    p and q are both point indices or both weight vectors of length n.  The
+    unit ball is |a(x) - a(y)| <= d(x, y) for every ordered pair, so the
+    arc from x to y weighs min(d(x, y), d(y, x)); the two differ where rho
+    is not flip symmetric, or a metric space's distances are symmetric only
+    within its tolerance.  Under the shortest-path lengths of those
     weights the supremum is a transport cost (Kantorovich duality): d(i, j)
     between point masses delta_i and delta_j for a metric, possibly less
     where the triangle inequality fails, and the cheapest shipping of
     p - q between other states.  A negative cycle leaves the unit ball
-    empty.
+    empty.  The candidate of a finite metric space carries the space's
+    distances on its diagonal, so a query on the space passes them in
+    directly and needs neither the candidate nor the states.
     """
-    n = rho.shape.dim
-    dmat = np.diagonal(rho.data).real.reshape(n, n)
     dist = _shortest_paths(np.minimum(dmat, dmat.T))
     if (np.diagonal(dist) < 0.0).any():
         raise NegativeCycleError(
             "transport failed: the distances have a negative cycle, so no element "
             "satisfies the constraints"
         )
-    p, q = _classical_weights(phi), _classical_weights(psi)
-    i, j = _point_mass(p), _point_mass(q)
+    i, j = (x if isinstance(x, int) else _point_mass(x) for x in (p, q))
     if i is not None and j is not None:
         return float(dist[i, j])
     return _transport(p - q, dist)[0]
@@ -591,7 +588,9 @@ def mk_distance(
     if method not in ("auto", "ascent"):
         raise ValueError("method must be one of auto, ascent")
     if method == "auto" and rho.shape.is_classical:
-        value = _mk_exact(phi, psi, rho)
+        n = rho.shape.dim
+        p, q = (np.diagonal(x.as_element().data).real for x in (phi, psi))
+        value = exact_distance(np.diagonal(rho.data).real.reshape(n, n), p, q)
         return MKDistance(value, value, True, 0)
     lower = _mk_lower(phi, psi, metric_pseudo_inverse(candidate, cfg))
     upper = _mk_upper_bound(phi, psi, rho)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmetric
 from qmetric import AlgebraElement, AlgebraShape, BiElement, State, exchange, m2_admissible
 from qmetric.axioms import M2_DIAG_PROJECTOR, AxiomReport
 from qmetric.cli import main
 from qmetric.exchange import load_element, save_element, save_metric_space, save_state
-from qmetric.construct import FiniteMetricSpace
+from qmetric.construct import FiniteMetricSpace, from_finite_metric
+from qmetric.lipschitz import mk_distance
+
+from oracles import random_metric
 
 
 # the swap F of C^2 (x) C^2
@@ -178,6 +185,28 @@ class TestConstruct:
     def test_wrong_input_count(self, path3):
         assert main(["construct", "conic", path3, "--quiet"]) == 2
 
+    @pytest.mark.parametrize("construction", ["from-metric", "tensor"])
+    def test_r_is_refused_where_it_means_nothing(self, path3, tmp_path, capsys, construction):
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        inputs = [path3] if construction == "from-metric" else [str(rho), str(rho)]
+        assert main(["construct", construction, *inputs, "--quiet"]) == 0
+        assert main(["construct", construction, *inputs, "--r", "-5", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {construction} takes no --r; only conic and direct-sum do\n"
+
+    @pytest.mark.parametrize("construction", ["conic", "direct-sum"])
+    def test_r_defaults_to_one(self, path3, tmp_path, capsys, construction):
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        capsys.readouterr()
+        argv = ["construct", construction, str(rho), str(rho), "--json"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--r", "1.0"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("change", [
         {"n": 2.7}, {"n": True}, {"n": "2"}, {"n": -2}, {"d": [0, "1", "1", 0]}, {"d": [0, 10**400, 1, 0]},
     ])
@@ -270,6 +299,81 @@ class TestLipschitzAndDistance:
 
     def test_distance_needs_an_input(self, capsys):
         assert main(["distance", "--phi", "0", "--psi", "1"]) == 2
+
+    def test_classical_and_rho_exclude_each_other(self, path3, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = ["distance", "--classical", path3, "--phi", "0", "--psi", "2", "--rho", missing]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --classical and --rho exclude each other\n"
+
+    @pytest.mark.parametrize("text", ["x", "1e0", "1.0", ""])
+    def test_point_index_must_be_an_integer(self, path3, capsys, text):
+        assert main(["distance", "--classical", path3, "--phi", text, "--psi", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point index must be an integer, got {text!r}\n"
+
+    def test_point_index_out_of_range(self, path3, capsys):
+        assert main(["distance", "--classical", path3, "--phi", "0", "--psi", "-1"]) == 2
+        assert capsys.readouterr().err == "error: point index -1 out of range for 3 points\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.sampled_from(["json", "text", "skewed"]))
+    def test_classical_queries_match_the_candidate_path(self, tmp_path_factory, n, seed, layout):
+        # every pair answers from the distances exactly as mk_distance does on
+        # the candidate and the point-mass states
+        rng = np.random.default_rng(seed)
+        d = random_metric(rng, n) + 0.5 * (1.0 - np.eye(n))
+        path = tmp_path_factory.mktemp("space") / ("space.txt" if layout == "text" else "space.json")
+        if layout == "text":
+            path.write_text("".join(" ".join(map(repr, d[k, :k].tolist())) + "\n" for k in range(1, n)))
+        else:
+            if layout == "skewed":
+                # asymmetric within FiniteMetricSpace's tolerance; the triangles keep a 0.5 slack
+                d[np.triu_indices(n, 1)] *= 1.0 + rng.uniform(-9e-6, 9e-6, n * (n - 1) // 2)
+            path.write_text(json.dumps({"n": n, "d": d.ravel().tolist()}))
+        space = exchange.load_metric_space(path)
+        rho = from_finite_metric(space)
+        eye = np.eye(n)
+
+        def query(i, j, *flags):
+            argv = ["distance", "--classical", str(path), "--phi", str(i), "--psi", str(j), "--json"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv + list(flags)) == 0
+            return out.getvalue()
+
+        for i in range(n):
+            for j in range(n):
+                want = mk_distance(State.classical(eye[i]), State.classical(eye[j]), rho)
+                assert query(i, j) == json.dumps(want.to_dict()) + "\n"
+        i, j = map(int, rng.integers(n, size=2))
+        exact = json.loads(query(i, j))["lower"]
+        bracket = json.loads(query(i, j, "--method", "ascent"))
+        slack = 1e-9 * max(1.0, exact)
+        assert bracket["lower"] - slack <= exact <= bracket["upper"] + slack
+
+    def test_classical_queries_build_no_candidate_and_no_states(self, path3, monkeypatch, capsys):
+        # a path that rebuilt them would lose the gain silently
+        built = []
+
+        def spy(name, real):
+            def record(*args):
+                built.append(name)
+                return real(*args)
+            return record
+
+        monkeypatch.setattr(qmetric.cli, "from_finite_metric", spy("candidate", from_finite_metric))
+        monkeypatch.setattr(State, "classical", spy("state", State.classical))
+        argv = ["distance", "--classical", path3, "--phi", "0", "--psi", "2", "--json"]
+        assert main(argv) == 0
+        assert built == []
+        assert main(argv + ["--method", "ascent"]) == 0
+        assert built == ["state", "state", "candidate"]
+        first, second = map(json.loads, capsys.readouterr().out.splitlines())
+        assert first["lower"] == first["upper"] == 2.0
+        assert second["lower"] <= 2.0 <= second["upper"]
 
     def test_method_lp_is_an_invalid_choice(self, path3, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -35,7 +35,13 @@ from qmetric import (
 
 from qmetric.algebra import random_element
 from qmetric.exchange import load_element, load_state, save_state
-from qmetric.lipschitz import _mk_upper_bound, _shortest_paths, _transport
+from qmetric.lipschitz import (
+    NegativeCycleError,
+    _mk_upper_bound,
+    _shortest_paths,
+    _transport,
+    exact_distance,
+)
 
 from oracles import (
     embed_distance_matrix,
@@ -405,6 +411,20 @@ class TestMKDistance:
         bent[0, 0] = 3.0
         same = mk_distance(State.classical(eye[0]), State.classical(eye[0]), embed_distance_matrix(bent))
         assert same.lower == transport_lp_dual(bent, eye[0], eye[0]) == 0.0
+
+    def test_kernel_takes_indices_or_weights(self):
+        # point indices skip the point-mass test on weights and give the same value
+        rng = np.random.default_rng(18)
+        bent = plant_triangle_violation(rng, random_metric(rng, 5))
+        bent[1, 3] *= 0.5
+        eye = np.eye(5)
+        for i, j in [(0, 4), (3, 1), (1, 3), (2, 2)]:
+            want = exact_distance(bent, eye[i], eye[j])
+            assert exact_distance(bent, i, j) == want
+            assert want == mk_distance(State.classical(eye[i]), State.classical(eye[j]),
+                                       embed_distance_matrix(bent)).lower
+        with pytest.raises(NegativeCycleError):
+            exact_distance(np.array([[0.0, -2.0], [1.0, 0.0]]), 0, 1)
 
     def test_point_masses_with_negative_cycle_raise(self):
         # a(0) - a(1) <= -2 and a(1) - a(0) <= 1 leave the program infeasible
