@@ -371,9 +371,12 @@ def verify(
 ) -> AxiomReport:
     """Run the five checks of the selected mode and collect all margins.
 
-    Tolerances are applied as if rho were normalized to unit operator norm;
-    margins are reported in the original scale.  No short-circuiting: every
-    axiom is evaluated so a failing candidate is fully diagnosed.
+    Tolerances are applied as if rho were normalized to unit operator norm,
+    and margins are reported in the original scale.  Representation-mode
+    check iii is the exception so far: it shifts rho by the unscaled
+    diagonal projector, so it fails a valid rho scaled by 1e20 (ROADMAP
+    item 5).  No short-circuiting: every axiom is evaluated so a failing
+    candidate is fully diagnosed.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

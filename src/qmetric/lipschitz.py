@@ -23,11 +23,10 @@ bracket is only as tight as that one point; it closes on some inputs
 (two-point spaces, point masses at comparable distances) and stays open
 on others.
 
-A state is the block diagonal element of its densities, and its
-validation runs on that element's cells: one stacked pass per cell size,
-no loop over the blocks.  The computations here read the state's one
-element, which the loader or `State.classical` hands over or which is
-built the first time it is asked for.
+A state is the block diagonal element of its densities, held from
+construction whichever way it is built.  Its validation runs on that
+element's cells, one stacked pass per cell size with no loop over the
+blocks, and the computations here read that one element.
 """
 
 from __future__ import annotations
@@ -81,27 +80,20 @@ class NegativeCycleError(PreconditionError, RuntimeError):
     """
 
 
-def _check_densities(groups, num_blocks: int, finite: bool = True) -> None:
-    """Validate the block densities of a state, one stacked pass per cell size.
+def _check_densities(elem: AlgebraElement) -> None:
+    """Validate the block densities of a state, the cells of elem, one stacked pass per cell size.
 
-    groups holds one (where, stack) pair per group of `cells(blocks, 1)`:
-    the block indices of the group and their densities stacked, stack[c]
-    being the density of block where[c].  The blocks must be finite (unless finite is False, for densities already
-    tested), self-adjoint and PSD within STATE_TOL, with total trace one.
-    Of several failing blocks the first in block order names the error.
+    elem is a finite order-1 element, so its cells are the densities of its
+    blocks stacked by size.  They must be self-adjoint and PSD within
+    STATE_TOL, with total trace one.  Of several failing blocks the first in
+    block order names the error.
     """
-    if finite and not all(np.isfinite(stack).all() for _, stack in groups):
-        # the first block in block order holding a NaN or inf names the error
-        bad = {
-            int(where[c]): stack[c]
-            for where, stack in groups
-            for c in np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-        }
-        require_finite(bad[min(bad)], "block densities")
+    num_blocks = elem.shape.num_blocks
     not_herm = np.zeros(num_blocks, dtype=bool)
     not_psd = np.zeros(num_blocks, dtype=bool)
     traces = np.zeros(num_blocks)
-    for where, stack in groups:
+    for g, (_, stack) in zip(cells(elem.shape.blocks, 1), elem.cells):
+        where = g.labels[:, 0]
         adj = adjoints(stack)
         scale = np.maximum(1.0, matrix_norms(stack))
         not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
@@ -125,56 +117,51 @@ def _check_densities(groups, num_blocks: int, finite: bool = True) -> None:
 class State:
     """A state on A: one PSD density per block, total trace one.
 
-    The densities are read-only.  They are validated in one stacked pass
-    per cell size (`_check_densities`), after every block has passed its
-    shape test.  `as_element` gives the block diagonal element of the
-    state; it is built at most once, and a state read from a document or
-    made by `classical` starts from its element, its densities being views
-    of that element's cells.
+    A state is the block diagonal element of its densities, held from
+    construction and returned by `as_element`.  Every state is made from
+    its element and validated on that element's cells (`_check_densities`),
+    and its densities are read-only views of those cells.  Built from
+    densities, it first tests every block's shape, then every block's
+    finiteness, then assembles the element.
     """
 
     shape: AlgebraShape
     densities: tuple[np.ndarray, ...]
-    _element: AlgebraElement | None = field(default=None, init=False, repr=False, compare=False)
+    _element: AlgebraElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = as_shape(self.shape)
-        object.__setattr__(self, "shape", shape)
         if len(self.densities) != shape.num_blocks:
             raise ValueError(
                 f"need {shape.num_blocks} block densities, got {len(self.densities)}"
             )
         dens = []
         for n, d in zip(shape.blocks, self.densities):
-            arr = np.array(d, dtype=complex)
+            arr = np.asarray(d, dtype=complex)
             if arr.shape != (n, n):
                 raise ValueError(f"block density must be {n}x{n}, got {arr.shape}")
-            arr.setflags(write=False)
             dens.append(arr)
-        _check_densities(
-            [(g.labels[:, 0], np.stack([dens[k] for k in g.labels[:, 0]])) for g in cells(shape.blocks, 1)],
-            shape.num_blocks,
-        )
+        for arr in dens:
+            require_finite(arr, "block densities")
+        stacks = [(g.index, np.stack([dens[k] for k in g.labels[:, 0]])) for g in cells(shape.blocks, 1)]
+        self._adopt(AlgebraElement(shape, assemble(stacks, shape.dim)))
+
+    def _adopt(self, elem: AlgebraElement) -> None:
+        """Validate elem, an order-1 element, and keep it; the densities are views of its cells."""
+        _check_densities(elem)
+        dens = [None] * elem.shape.num_blocks
+        for g, (_, mats) in zip(cells(elem.shape.blocks, 1), elem.cells):
+            for k, mat in zip(g.labels[:, 0].tolist(), mats):
+                dens[k] = mat
+        object.__setattr__(self, "shape", elem.shape)
         object.__setattr__(self, "densities", tuple(dens))
+        object.__setattr__(self, "_element", elem)
 
     @classmethod
     def _from_element(cls, elem: AlgebraElement) -> "State":
-        """The state whose densities are the blocks of elem, an order-1 element.
-
-        elem's kept cells are its block densities stacked by size, so they
-        are validated as they are (elem is finite already), and the
-        densities are read-only views of them.  The state keeps elem.
-        """
-        groups = [(g.labels[:, 0], mats) for g, (_, mats) in zip(cells(elem.shape.blocks, 1), elem.cells)]
-        _check_densities(groups, elem.shape.num_blocks, finite=False)
-        dens = [None] * elem.shape.num_blocks
-        for where, mats in groups:
-            for k, mat in zip(where.tolist(), mats):
-                dens[k] = mat
+        """The state whose densities are the blocks of elem, a finite order-1 element."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "shape", elem.shape)
-        object.__setattr__(state, "densities", tuple(dens))
-        object.__setattr__(state, "_element", elem)
+        state._adopt(elem)
         return state
 
     @classmethod
@@ -190,13 +177,7 @@ class State:
         return cls._from_element(AlgebraElement(AlgebraShape((1,) * w.size), np.diag(w)))
 
     def as_element(self) -> AlgebraElement:
-        """The block diagonal element with the densities as its blocks, built once."""
-        if self._element is None:
-            d = self.shape.dim
-            out = np.zeros((d, d), dtype=complex)
-            for (a, b), dens in zip(self.shape.block_ranges(), self.densities):
-                out[a:b, a:b] = dens
-            object.__setattr__(self, "_element", AlgebraElement(self.shape, out))
+        """The block diagonal element with the densities as its blocks."""
         return self._element
 
     def pair(self, a: AlgebraElement) -> float:
@@ -233,18 +214,14 @@ class PureState:
     def embedded(self) -> np.ndarray:
         """The vector inside C^D, zero outside its block."""
         out = np.zeros(self.shape.dim, dtype=complex)
-        a, b = self.shape.block_ranges()[self.block]
-        out[a:b] = self.vector
+        out[self.shape.block_labels() == self.block] = self.vector
         return out
 
     def to_state(self) -> State:
-        dens = []
-        for k, n in enumerate(self.shape.blocks):
-            if k == self.block:
-                dens.append(np.outer(self.vector, self.vector.conj()))
-            else:
-                dens.append(np.zeros((n, n), dtype=complex))
-        return State(self.shape, tuple(dens))
+        """The state of the vector: its projector as the one cell of its block, +0.0 elsewhere."""
+        index = np.flatnonzero(self.shape.block_labels() == self.block)
+        data = assemble([(index[None], np.outer(self.vector, self.vector.conj())[None])], self.shape.dim)
+        return State._from_element(AlgebraElement(self.shape, data))
 
 
 def _rho_of(candidate) -> BiElement:

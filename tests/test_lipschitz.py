@@ -131,17 +131,40 @@ class TestStates:
         with pytest.raises(NonFiniteError, match="found 1 NaN"):
             State(AlgebraShape((1, 2)), (np.array([[np.nan]]), np.full((2, 2), np.inf)))
 
-    @pytest.mark.parametrize("weights", [[0.25, 0.75], [0.0, 1.0, 0.0], [0.125] * 8])
-    def test_every_way_of_building_gives_the_same_state(self, tmp_path, weights):
-        shape = AlgebraShape((1,) * len(weights))
-        built = State(shape, tuple(np.array([[w]]) for w in weights))
+    @pytest.mark.parametrize(
+        "blocks, dens, pure",
+        [
+            ((1, 1), [[[0.25]], [[0.75]]], None),
+            ((1, 1, 1), None, (1, [1.0])),
+            ((1,) * 8, [[[0.125]]] * 8, None),
+            ((2,), None, (0, [0.6, 0.8j])),
+            ((1, 2), [[[0.25]], [[0.375, 0.125 - 0.25j], [0.125 + 0.25j, 0.375]]], None),
+            ((2, 1, 3), None, (2, [0.48, 0.6j, 0.64])),
+        ],
+    )
+    def test_every_way_of_building_gives_the_same_state(self, tmp_path, blocks, dens, pure):
+        # a pure state's densities are its vector's projector and zeros; documents
+        # hold no negative zero and no part below 1e-14, so each state here is exact in one
+        shape = AlgebraShape(blocks)
+        if pure is not None:
+            dens = [np.zeros((n, n)) for n in blocks]
+            v = np.asarray(pure[1], dtype=complex)
+            dens[pure[0]] = np.outer(v, v.conj())
+        built = State(shape, tuple(dens))
         save_state(built, tmp_path / "s.json")
-        states = [built, load_state(tmp_path / "s.json"), State.classical(weights)]
+        states = [built, load_state(tmp_path / "s.json")]
+        if shape.is_classical:
+            states.append(State.classical([d[0, 0].real for d in built.densities]))
+        if pure is not None:
+            states.append(PureState(shape, *pure).to_state())
         for s in states:
             assert s.shape == shape
             for d, want in zip(s.densities, built.densities):
                 assert np.array_equal(d, want) and not d.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    d[...] = 0
             assert s.as_element() is s.as_element()
+            # bytes, so the signs of the zeros outside the blocks count too
             assert s.as_element().data.tobytes() == built.as_element().data.tobytes()
 
     @pytest.mark.parametrize("blocks", [(2,), (1, 2), (2, 1, 3)])
@@ -168,6 +191,9 @@ class TestStates:
         s = v.to_state()
         assert np.trace(s.densities[1]).real == pytest.approx(1.0)
         assert np.all(s.densities[0] == 0)
+        # the zeros outside the vector's block are +0.0, whatever the vector's signs
+        data = PureState(AlgebraShape((1, 2)), 1, [0.6, -0.8j]).to_state().as_element().data
+        assert not np.signbit(np.concatenate([data[0], data[:, 0]]).view(float)).any()
 
     def test_pure_state_requires_unit_vector(self):
         with pytest.raises(ValueError):
