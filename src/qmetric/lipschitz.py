@@ -9,7 +9,11 @@ supremum of |phi(a) - psi(a)| over self-adjoint a in the unit seminorm
 ball.  On all-ones shapes the supremum is exact: by Kantorovich duality it
 is the cheapest transport of one state onto the other at the shortest-path
 lengths under the distances, which between point masses is one such
-length and between other states is solved by successive shortest paths.
+length and between other states is solved by the transportation simplex.
+It pivots until no reduced cost is below -1e-12 times the largest cost,
+and follows Bland's rule after a pivot that moves no mass, so no basis
+repeats and it terminates.
+
 On general shapes the result is a bracket instead of a bare number: the
 lower end is the value at the one feasible point a = P(delta) / lip(P(delta)),
 with delta = phi - psi and P removing the trace, and the upper end comes
@@ -211,12 +215,6 @@ class PureState:
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
-    def embedded(self) -> np.ndarray:
-        """The vector inside C^D, zero outside its block."""
-        out = np.zeros(self.shape.dim, dtype=complex)
-        out[self.shape.block_labels() == self.block] = self.vector
-        return out
-
     def to_state(self) -> State:
         """The state of the vector: its projector as the one cell of its block, +0.0 elsewhere."""
         index = np.flatnonzero(self.shape.block_labels() == self.block)
@@ -330,14 +328,23 @@ def check_leibniz(
 
 
 def pure_state_bound(v: PureState, w: PureState, candidate) -> float:
-    """Upper bound ||rho (v (x) w)|| on the distance between cross-block vector states."""
+    """Upper bound ||rho (v (x) w)|| on the distance between cross-block vector states.
+
+    v (x) w lies in the cell (k, l) of the blocks of v and w, where it is
+    the Kronecker product of their vectors, so one product with that cell
+    of rho gives the norm.
+    """
     rho = _rho_of(candidate)
     if v.shape != rho.shape or w.shape != rho.shape:
         raise ShapeMismatchError("pure states and candidate live over different shapes")
     if v.block == w.block:
         raise ValueError("the bound needs pure states in two distinct blocks")
-    vec = np.kron(v.embedded(), w.embedded())
-    return float(np.linalg.norm(rho.data @ vec))
+    cell = next(
+        stack[c]
+        for g, (_, stack) in zip(cells(rho.shape.blocks, 2), rho.cells)
+        for c in np.flatnonzero((g.labels == (v.block, w.block)).all(axis=1))
+    )
+    return float(np.linalg.norm(cell @ np.kron(v.vector, w.vector)))
 
 
 @dataclass(frozen=True)
@@ -385,70 +392,111 @@ def _shortest_paths(dmat: np.ndarray) -> np.ndarray:
 def _transport(w: np.ndarray, dist: np.ndarray) -> tuple[float, int]:
     """Least cost of shipping the positive part of w onto its negative part at costs dist.
 
-    Successive shortest paths (Ahuja, Magnanti & Orlin, Network Flows,
-    1993, ch. 9) on the bipartite graph from the points with w > 0 to those
+    The transportation simplex (Dantzig's u-v method; Ahuja, Magnanti &
+    Orlin, Network Flows, 1993, ch. 11) from the points with w > 0 to those
     with w < 0.  dist must be a shortest-path closure with no negative
     cycle, so shipping straight from source to sink is never dearer than
-    through other points.  Each round labels the residual graph by
-    Bellman-Ford, from every source with supply left: forward arcs cost
-    dist, and an arc with flow on it adds a backward arc at -dist.  The
-    cheapest path to a sink with demand left then carries as much as its
-    source, its sink and its backward arcs allow.  Point 0 takes whatever
-    imbalance w carries, which is what pinning a(0) = 0 does in the dual.
+    through other points.  Point 0 takes whatever imbalance w carries, which
+    is what pinning a(0) = 0 does in the dual.
 
-    Returns the cost and the number of augmentations.  Each augmentation
-    empties a source, fills a sink or clears the flow on a backward arc;
-    random instances take one or two per node (point with w != 0), and the
-    loop raises RuntimeError once it reaches nodes**2.
+    The least-cost start ships as much as it can on the cheapest cell whose
+    row and column are both open and closes exactly one of the two, giving
+    a spanning tree of k + m - 1 cells at k sources and m sinks.  Each pivot
+    sets the potentials u_i + v_j = c_ij on the tree, lets a cell of most
+    negative reduced cost c_ij - u_i - v_j enter, and moves the largest
+    amount theta around the cycle it closes; of the cells that then empty,
+    the first in row-major order leaves.  After a degenerate pivot (theta =
+    0) the first cell in row-major order with negative reduced cost enters
+    instead, so every run of degenerate pivots follows Bland's rule and no
+    basis repeats.  The loop stops once every reduced cost is at least
+    -1e-12 times the largest cost.
+
+    Returns the cost and the number of pivots.  Random instances of up to
+    15 points take at most about ten; the loop raises RuntimeError once it
+    reaches nodes**2, nodes being the points with w != 0.
     """
     w = w.copy()
     w[0] = -w[1:].sum()
     src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
-    k, nodes = src.size, src.size + snk.size
+    k, m = src.size, snk.size
+    if not k or not m:
+        return 0.0, 0
+    nodes = k + m
     cost = dist[src][:, snk]
-    left = np.concatenate([w[src], -w[snk]])
-    flow = np.zeros_like(cost)
-    # arcs[u, v] is the residual cost of node u to node v, sources first
-    arcs = np.full((nodes, nodes), np.inf)
-    arcs[:k, k:] = cost
-    # a label moves only on a gain above the rounding of a path's length,
-    # so zero-cost two-cycles never enter the predecessor tree
-    slack = 1e-12 * float(cost.max(initial=0.0))
-    columns = np.arange(nodes)
-    bound = nodes * nodes
-    for count in range(bound + 1):
-        if not (left[:k] > 0.0).any() or not (left[k:] > 0.0).any():
-            return float((flow * cost).sum()), count
-        arcs[k:, :k] = np.where(flow.T > 0.0, -cost.T, np.inf)
-        label = np.where((left > 0.0) & (columns < k), 0.0, np.inf)
-        pred = np.full(nodes, -1)
-        for _ in range(nodes):
-            reach = label[:, None] + arcs
-            best = reach.argmin(axis=0)
-            shorter = reach[best, columns]
-            gain = shorter < label - slack
-            if not gain.any():
-                break
-            label[gain] = shorter[gain]
-            pred[gain] = best[gain]
+    c = cost.tolist()
+    # flow[i, j] is the flow on basic cell (i, j); adj lists each node's
+    # neighbours in the tree, row i being node i and column j node k + j
+    flow: dict[tuple[int, int], float] = {}
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    supply, demand = w[src].tolist(), (-w[snk]).tolist()
+    rows_open, cols_open = [True] * k, [True] * m
+    rows_left, cols_left = k, m
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        if not (rows_open[i] and cols_open[j]):
+            continue
+        amount = min(supply[i], demand[j])
+        supply[i] -= amount
+        demand[j] -= amount
+        flow[i, j] = amount
+        adj[i].append(k + j)
+        adj[k + j].append(i)
+        # the last open row or column stays open until the other side is used up
+        if cols_left == 1 or (rows_left > 1 and supply[i] <= demand[j]):
+            rows_open[i] = False
+            rows_left -= 1
         else:
-            raise RuntimeError("transport solver found a negative residual cycle")
-        ends = np.flatnonzero((left > 0.0) & (columns >= k))
-        path = [int(ends[label[ends].argmin()])]
-        while pred[path[-1]] >= 0 and len(path) <= nodes:
-            path.append(int(pred[path[-1]]))
-        if len(path) > nodes:
-            raise RuntimeError("transport solver found a cycle of predecessors")
-        # path runs sink, source, sink, ..., source with supply left
-        path = np.array(path)
-        fwd = (path[1::2], path[0::2] - k)
-        back = (path[1:-1:2], path[2::2] - k)
-        amount = min(left[path[0]], left[path[-1]], flow[back].min(initial=np.inf))
-        flow[back] -= amount
-        flow[fwd] += amount
-        left[path[0]] -= amount
-        left[path[-1]] -= amount
-    raise RuntimeError(f"transport solver reached its bound of {bound} augmentations")
+            cols_open[j] = False
+            cols_left -= 1
+    tol = 1e-12 * float(cost.max(initial=0.0))
+    bound = nodes * nodes
+    pivots, degenerate = 0, False
+    while True:
+        # potentials and depths on the tree rooted at row 0, and each node's parent
+        pot, up, depth = [0.0] * nodes, [-1] * nodes, [0] * nodes
+        todo = [0]
+        for x in todo:
+            for y in adj[x]:
+                if y != up[x]:
+                    up[y], depth[y] = x, depth[x] + 1
+                    pot[y] = (c[x][y - k] if x < k else c[y][x - k]) - pot[x]
+                    todo.append(y)
+        pots = np.array(pot)
+        reduced = cost - pots[:k, None] - pots[None, k:]
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= -tol:
+            return math.fsum(f * c[i][j] for (i, j), f in flow.items()), pivots
+        if pivots == bound:
+            raise RuntimeError(f"transport solver reached its bound of {bound} pivots")
+        if degenerate:
+            enter = int((reduced < -tol).argmax())
+        i, j = divmod(enter, m)
+        # the tree path from column j to row i, each step a cell; together
+        # with (i, j) it closes the cycle, whose cells lose and gain in turn
+        a, b, head, tail = k + j, i, [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                head.append(a)
+                a = up[a]
+            else:
+                tail.append(b)
+                b = up[b]
+        path = [(min(x, up[x]), max(x, up[x]) - k) for x in head + tail[::-1]]
+        losing, gaining = path[0::2], path[1::2]
+        theta = min(flow[cell] for cell in losing)
+        out = min(cell for cell in losing if flow[cell] == theta)
+        for cell in losing:
+            flow[cell] -= theta
+        for cell in gaining:
+            flow[cell] += theta
+        del flow[out]
+        flow[i, j] = theta
+        adj[out[0]].remove(k + out[1])
+        adj[k + out[1]].remove(out[0])
+        adj[i].append(k + j)
+        adj[k + j].append(i)
+        pivots += 1
+        degenerate = theta == 0.0
 
 
 def exact_distance(dmat: np.ndarray, p, q) -> float:

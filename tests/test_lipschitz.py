@@ -463,10 +463,9 @@ class TestMKDistance:
         with pytest.raises(RuntimeError, match="negative cycle"):
             mk_distance(State.classical([0.3, 0.7]), State.classical([0.6, 0.4]), rho)
 
-    def test_augmentations_stay_under_the_bound(self):
-        # the solver raises after nodes**2 augmentations, nodes being the
-        # points that send or receive mass; random instances take about
-        # one per node
+    def test_pivots_stay_under_the_bound(self):
+        # the solver raises once it reaches nodes**2 pivots, nodes being the
+        # points that send or receive mass
         rng = np.random.default_rng(19)
         for trial in range(200):
             n = int(rng.integers(2, 16))
@@ -476,9 +475,74 @@ class TestMKDistance:
             balanced[0] = -balanced[1:].sum()
             nodes = np.count_nonzero(balanced)
             value, count = _transport(p - q, _shortest_paths(np.minimum(d, d.T)))
-            assert 1 <= count < nodes**2
-            assert count <= 2 * nodes
+            assert 0 <= count < nodes**2
             assert value == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_distances_cost_the_mass_moved(self, n):
+        # every off-diagonal distance is 0.7, so no reduced cost is ever
+        # negative and each unit of mass moved costs 0.7 wherever it goes;
+        # with an even n every step of the start empties a row and a column
+        d = 0.7 * (1.0 - np.eye(n))
+        half = n // 2
+        p = np.where(np.arange(n) < half, 1.0 / half, 0.0)
+        q = np.where(np.arange(n) < half, 0.0, 1.0 / (n - half))
+        for there, back in ((p, q), (q, p)):
+            assert _transport(there - back, d)[0] == pytest.approx(0.7, rel=1e-12)
+            assert exact_distance(d, there, back) == pytest.approx(0.7, rel=1e-12)
+        assert exact_distance(d, p, q) == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9)
+        # against the uniform state 1 / n stays at each of the half sources
+        spread = np.full(n, 1.0 / n)
+        moved = 0.7 * (1.0 - half / n)
+        assert exact_distance(d, p, spread) == pytest.approx(moved, rel=1e-12)
+
+    def test_point_mass_against_mixed_state(self):
+        # all of delta_i's mass leaves i, so the cost is sum_j q_j d(i, j)
+        rng = np.random.default_rng(20)
+        for n in range(2, 13):
+            d = random_metric(rng, n)
+            q = rng.dirichlet(np.ones(n))
+            for i in range(n):
+                want = float(q @ d[i])
+                assert exact_distance(d, np.eye(n)[i], q) == pytest.approx(want, rel=1e-12)
+                assert exact_distance(d, q, np.eye(n)[i]) == pytest.approx(want, rel=1e-12)
+            assert want == pytest.approx(transport_lp_dual(d, np.eye(n)[-1], q), rel=1e-9)
+
+    def test_integer_distances_with_zeros(self):
+        # distinct points at distance 0 and equal masses give ties in every
+        # step of the start and bases with empty cells
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(3, 13))
+            d = rng.integers(0, 3, (n, n)).astype(float)
+            p, q = (np.where(rng.random(n) < 0.5, 1.0, 0.0) for _ in range(2))
+            p[0], q[-1] = 1.0, 1.0
+            p, q = p / p.sum(), q / q.sum()
+            got = exact_distance(d, p, q)
+            assert got == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9, abs=1e-12)
+
+    def test_assignment_instances_pivot_through_degenerate_bases(self):
+        # uniform mass on one half of some planar points against the other
+        # half is an assignment problem: most pivots move no mass, and the
+        # ones after them follow Bland's rule
+        rng = np.random.default_rng(22)
+        for n in (4, 6, 8, 10, 12, 14):
+            for _ in range(5):
+                x = rng.uniform(size=(n, 2))
+                d = np.linalg.norm(x[:, None] - x[None], axis=-1)
+                order = rng.permutation(n)
+                p, q = np.zeros(n), np.zeros(n)
+                p[order[: n // 2]] = q[order[n // 2 :]] = 2.0 / n
+                value, count = _transport(p - q, d)
+                assert count < n**2
+                assert value == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_large_random_instances(self, n):
+        rng = np.random.default_rng(n)
+        d = random_metric(rng, n)
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        assert exact_distance(d, p, q) == pytest.approx(transport_lp_dual(d, p, q), rel=1e-9)
 
     def test_exact_value_uses_both_orders_of_each_pair(self):
         # fails only flip symmetry: the unit ball bounds |a(0) - a(1)| by
@@ -722,6 +786,24 @@ class TestPureStateBound:
             w = PureState(cand.shape, int(y), np.array([1.0]))
             dist = mk_distance(v.to_state(), w.to_state(), cand).lower
             assert dist <= pure_state_bound(v, w, cand) + 1e-8
+
+    @pytest.mark.parametrize("blocks", [(2, 1), (2, 2), (2, 1, 1), (3, 2)])
+    def test_cell_product_matches_dense_product(self, blocks):
+        rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
+        shape = AlgebraShape(blocks)
+        rho = random_positive(blocks, rng)
+        labels = shape.block_labels()
+        for k in range(len(blocks)):
+            for l in range(len(blocks)):
+                if k == l:
+                    continue
+                x, y = (rng.standard_normal(blocks[b]) + 1j * rng.standard_normal(blocks[b]) for b in (k, l))
+                v = PureState(shape, k, x / np.linalg.norm(x))
+                w = PureState(shape, l, y / np.linalg.norm(y))
+                full_v, full_w = np.zeros(shape.dim, dtype=complex), np.zeros(shape.dim, dtype=complex)
+                full_v[labels == k], full_w[labels == l] = v.vector, w.vector
+                want = np.linalg.norm(rho.data @ np.kron(full_v, full_w))
+                assert pure_state_bound(v, w, rho) == pytest.approx(want, rel=1e-12)
 
 
 def random_positive(blocks, rng) -> BiElement:
