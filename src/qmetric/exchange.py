@@ -15,9 +15,10 @@ through the reference path `dict_to_element(json.loads(text))`, and reads
 to the same element; so does a document holding a backslash or a `null`.
 
 A report document is the text json.dumps(report.to_dict(), indent=2)
-gives, byte for byte, but laid out here: with an indent json.dumps always
-runs its pure-Python encoder.  Each witness is written from its array, its
-exact-zero entries from one template and only the others by repr.
+gives, byte for byte.  As a matrix document is json.dumps text with its
+`data` spliced in, a report is json.dumps text with each witness spliced
+in, written from its array: exact-zero entries from one template, only the
+others by repr.
 
 Every writer goes through `_write`, which overwrites a file in place and
 then cuts it to the new length, never truncating it to zero first.
@@ -30,9 +31,7 @@ import math
 import numbers
 import os
 import stat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +46,8 @@ class ExchangeError(ValueError):
 
 # the text json.dumps writes for an exact-zero [re, im] pair
 _ZERO_PAIR = "[0.0, 0.0]"
+# an [re, im] pair of a report record's witness, as json.dumps(indent=2) lays it out
+_WITNESS_PAIR = "[\n          {},\n          {}\n        ]"
 
 
 def _write(path, text: str) -> None:
@@ -80,17 +81,9 @@ def element_to_dict(x) -> dict:
     return {**_matrix_fields(x), "data": complex_pairs(zero_clip(np.asarray(x.data)))}
 
 
-def _scalar(value) -> str:
-    """json.dumps(value) for a str, None, bool, int or float."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+def _scalar(value: float) -> str:
+    """json.dumps(value) for a float."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _pair_texts(arr, zero: str, pair) -> list[str]:
@@ -124,22 +117,6 @@ def _real(value) -> float | None:
     return None
 
 
-def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
-    """The d x d complex matrix of a row-major list of [re, im] pairs.
-
-    Goes entry by entry and names the first entry that is not a pair of
-    numbers.
-    """
-    arr = np.empty((d, d), dtype=complex)
-    flat = arr.ravel()
-    for k, pair in enumerate(data):
-        parts = [_real(v) for v in pair] if isinstance(pair, (list, tuple)) and len(pair) == 2 else [None]
-        if None in parts:
-            raise ExchangeError(f"entry {k} is not an [re, im] pair")
-        flat[k] = complex(*parts)
-    return arr
-
-
 def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
     """values as a float array of the given shape, from one array call.
 
@@ -156,19 +133,34 @@ def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return raw.astype(float)
 
 
-def _zero_pairs_to_matrix(data: list, d: int) -> np.ndarray:
-    """_pairs_to_matrix for a list whose None entries stand for 0+0j.
+def _pairs(values: list) -> np.ndarray:
+    """The complex vector of a list of [re, im] pairs.
 
-    The other entries must convert in one array call; anything else raises,
-    and the caller reads the document again the reference way.
+    Converts in one array call; when that fails, goes entry by entry and
+    names the first entry that is not a pair of numbers.
     """
+    raw = _floats(values, (len(values), 2))
+    if raw is not None:
+        return raw.view(complex).ravel()
+    out = np.empty(len(values), dtype=complex)
+    for k, pair in enumerate(values):
+        parts = [_real(v) for v in pair] if isinstance(pair, (list, tuple)) and len(pair) == 2 else [None]
+        if None in parts:
+            raise ExchangeError(f"entry {k} is not an [re, im] pair")
+        out[k] = complex(*parts)
+    return out
+
+
+def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
+    """The d x d complex matrix of a row-major list of d*d [re, im] pairs."""
+    return _pairs(data).reshape(d, d)
+
+
+def _zero_pairs_to_matrix(data: list, d: int) -> np.ndarray:
+    """_pairs_to_matrix for a list whose None entries stand for 0+0j."""
     keep = [k for k, pair in enumerate(data) if pair is not None]
     flat = np.zeros(d * d, dtype=complex)
-    if keep:
-        raw = _floats([data[k] for k in keep], (len(keep), 2))
-        if raw is None:
-            raise ExchangeError("not a list of [re, im] pairs")
-        flat[keep] = raw.view(complex).ravel()
+    flat[keep] = _pairs([data[k] for k in keep])
     return flat.reshape(d, d)
 
 
@@ -288,49 +280,33 @@ def load_state(path):
     return _element_to_state(_read_element(path, "state"))
 
 
-def _block(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
-    """A JSON container nested at pad from the texts of its items, as json.dumps(indent=2) lays it out."""
-    if not items:
-        return brackets
-    inner = pad + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def _layout(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2) nested at pad, byte for byte, for string keys.
-
-    A numpy array stands for its complex_pairs, written by `_pair_texts`.
-    """
-    if isinstance(value, dict):
-        return _block([f"{_scalar(k)}: {_layout(v, pad + '  ')}" for k, v in value.items()], pad, "{}")
-    if isinstance(value, list):
-        return _block([_layout(v, pad + "  ") for v in value], pad)
-    if isinstance(value, np.ndarray):
-        inner = pad + "  "
-        zero = _block(["0.0", "0.0"], inner)
-        return _block(_pair_texts(value, zero, lambda *pair: _block(pair, inner)), pad)
-    return _scalar(value)
-
-
 def _report_text(report, doc: dict) -> str:
     """json.dumps(doc, indent=2), byte for byte, for doc = report.to_dict().
 
     json.dumps with an indent always runs the pure-Python encoder, whose
-    cost grows with the D^2- or D^3-long witnesses of failing reports.
-    Here each witness is written from its array instead.
+    cost grows with the D^2- or D^3-long witnesses of failing reports.  So
+    each record with a witness is laid out with `"witness": null`, and that
+    text, which cannot occur inside a JSON string, is replaced in record
+    order by the witness written from its array at the records' depth.
     """
     records = [
-        fields if rec.witness is None else {**fields, "witness": rec.witness}
+        fields if rec.witness is None else {**fields, "witness": None}
         for rec, fields in zip(report.records, doc["records"])
     ]
-    return _layout({**doc, "records": records})
+    text = json.dumps({**doc, "records": records}, indent=2)
+    for rec in report.records:
+        if rec.witness is not None:
+            pairs = _pair_texts(rec.witness, _WITNESS_PAIR.format("0.0", "0.0"), _WITNESS_PAIR.format)
+            witness = "[\n        " + ",\n        ".join(pairs) + "\n      ]" if pairs else "[]"
+            text = text.replace('"witness": null', f'"witness": {witness}', 1)
+    return text
 
 
 def save_report(report, path) -> dict:
     """Write report.to_dict() to path and return that document.
 
-    The text is json.dumps(doc, indent=2), byte for byte, laid out by
-    `_report_text` without that encoder.
+    The text is json.dumps(doc, indent=2), byte for byte, with the
+    witnesses spliced in by `_report_text`.
     """
     doc = report.to_dict()
     _write(path, _report_text(report, doc))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -528,6 +529,80 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "distance matrix must be finite; found 2 NaN or infinite entries" in captured.err
+
+
+def _error_line(capsys) -> str:
+    """The one stderr line of a run that printed nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+class TestDocumentBoundaryErrors:
+    """Faults found in an input document exit 2 with one error line."""
+
+    def test_missing_matrix_file(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path / "missing.json"), "--quiet"]) == 2
+        assert _error_line(capsys).startswith("error: cannot read matrix document")
+
+    def test_order_two_document_as_a_state(self, m2_file, tmp_path, capsys):
+        psi = tmp_path / "psi.json"
+        save_state(State(AlgebraShape((2,)), (np.diag([0.5, 0.5]),)), psi)
+        assert main(["distance", "--rho", m2_file, "--phi", m2_file, "--psi", str(psi)]) == 2
+        assert _error_line(capsys) == "error: a state document must have tensor order 1"
+
+    def test_state_density_that_is_not_positive(self, m2_file, tmp_path, capsys):
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        phi.write_text(json.dumps({"shape": [2], "order": 1, "rows": 2, "cols": 2,
+                                   "data": [[-0.5, 0], [0, 0], [0, 0], [1.5, 0]]}))
+        save_state(State(AlgebraShape((2,)), (np.diag([0.5, 0.5]),)), psi)
+        assert main(["distance", "--rho", m2_file, "--phi", str(phi), "--psi", str(psi)]) == 2
+        assert _error_line(capsys) == "error: block densities must be positive semidefinite"
+
+    @pytest.mark.parametrize("text", ['{"n": 2}', '{"n": 2, "d": [0, 1'], ids=["no-distances", "truncated"])
+    def test_malformed_metric_space_document(self, tmp_path, capsys, text):
+        space = tmp_path / "space.json"
+        space.write_text(text)
+        assert main(["construct", "from-metric", str(space), "--quiet"]) == 2
+        assert _error_line(capsys).startswith("error: malformed metric-space document: ")
+
+    def test_lower_triangle_value_that_is_not_a_number(self, tmp_path, capsys):
+        space = tmp_path / "space.txt"
+        space.write_text("x\n")
+        assert main(["construct", "from-metric", str(space), "--quiet"]) == 2
+        assert _error_line(capsys) == "error: bad distance value 'x'"
+
+
+class TestDefaultStdout:
+    """The text the commands print when neither --quiet nor --json is given."""
+
+    def test_pdelta_matrix_table(self, capsys):
+        assert main(["pdelta", "--shape", "2"]) == 0
+        zero, one, half = "+0.0000+0.0000j", "+1.0000+0.0000j", "+0.5000+0.0000j"
+        rows = [[one, zero, zero, zero], [zero, half, half, zero], [zero, half, half, zero], [zero, zero, zero, one]]
+        assert capsys.readouterr().out == "".join("  ".join(row) + "\n" for row in rows)
+
+    def test_nogo_m2_summary(self, capsys):
+        assert main(["nogo-m2", "--samples", "50"]) == 0
+        assert capsys.readouterr().out == (
+            "lambda=0.1: defect match True, identity True, witness -0.200 (expected -0.200), fails exactly at v: True\n"
+            "lambda=1.0: defect match True, identity True, witness -2.000 (expected -2.000), fails exactly at v: True\n"
+            "lambda=10.0: defect match True, identity True, witness -20.000 (expected -20.000), fails exactly at v: True\n"
+            "no-go reproduction: ok\n"
+        )
+
+    def test_search_summary(self, capsys):
+        # margins such as -4.440892e-16 vary with numpy and BLAS; the layout does not
+        assert main(["search", "--shape", "1,1", "--max-iter", "300", "--restarts", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status: candidate_found"
+        assert re.fullmatch(r"best residual: \S+ after \d+ iterations, \d+ restart\(s\)", lines[1])
+        assert lines[2] == "axiom     passed   margin"
+        assert [line[:19] for line in lines[3:-1]] == [f"{axiom:<10}yes      " for axiom in ("i", "ii", "iii", "iv", "v")]
+        assert all(re.fullmatch(r"[+-]\d\.\d{6}e[+-]\d\d", line[19:]) for line in lines[3:-1])
+        assert lines[-1] == "overall: pass (mode representation)"
 
 
 def test_import_leaves_scipy_out():

@@ -369,6 +369,20 @@ _FIXED_REPORT = AxiomReport(
 # reports of verify itself, whose witnesses are eigenvector and singular-vector columns
 _RANDOM_RHO = random_element((2, 1), 2, np.random.default_rng(7), hermitian=True)
 
+# the splice's edge cases: an empty witness is written `[]`, and a note holding
+# the text `"witness": null` is escaped in the JSON text, so no witness lands in it
+_SPLICE_REPORT = AxiomReport(
+    "algebraic",
+    AlgebraShape((1, 1)),
+    (
+        AxiomRecord("i", False, -1.0, witness=np.array([], dtype=complex)),
+        AxiomRecord("ii", True, 0.5, note='"witness": null'),
+        AxiomRecord("iii", False, -2.0, witness=np.array([0.0, -0.0, 1.5j]), note='{"witness": null}'),
+        AxiomRecord("v", False, -3.0, witness=np.zeros((0, 2), dtype=complex)),
+    ),
+    ToleranceConfig(),
+)
+
 
 class TestReportDocument:
     @settings(max_examples=200, deadline=None)
@@ -377,6 +391,7 @@ class TestReportDocument:
     @example(verify(_RANDOM_RHO))
     @example(verify(_RANDOM_RHO, mode="algebraic"))
     @example(verify(BiElement.zeros((2, 2)), mode="algebraic"))
+    @example(_SPLICE_REPORT)
     def test_witness_pairs_match_entrywise_writer(self, tmp_path_factory, report):
         path = tmp_path_factory.mktemp("report") / "report.json"
         doc = save_report(report, path)

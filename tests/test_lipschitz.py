@@ -235,6 +235,14 @@ class TestPseudoInverse:
         with pytest.raises(PreconditionError):
             metric_pseudo_inverse(diag_projector((2,)))
 
+    def test_refuses_a_non_positive_candidate_naming_only_positivity(self):
+        # -P_anti on (2,) vanishes on the diagonal but is not positive; the
+        # nondegeneracy check is skipped once an earlier one fails
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        with pytest.raises(PreconditionError) as exc:
+            metric_pseudo_inverse(BiElement((2,), -(np.eye(4) - swap) / 2))
+        assert str(exc.value).endswith("failed: positivity")
+
     def test_admissible_family_allowed(self):
         # the two-level family satisfies everything except the triangle,
         # which the pseudo-inverse does not need
