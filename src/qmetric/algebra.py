@@ -20,15 +20,12 @@ reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
 a block's coordinates sit; no dense support mask exists.  Element
-validation, random draws, the diagonal projector, the hermitian parameter
-basis, the search's flat cell vectors, the direct sum and the
-tensor-product regrouping are built from them.
+validation, random draws, the diagonal projector, the search's structure
+basis and flat cell vectors, the direct sum and the tensor-product
+regrouping are built from them.
 Validation gathers an element's cells to count the nonzeros inside the
 support, and the element keeps them, read-only, as `cells`: each element
 is gathered once in its lifetime.
-
-`null_space` is the one null-space solve; the search's structure basis is
-its one caller.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
@@ -514,42 +511,6 @@ def random_element(
     if hermitian:
         raw = (raw + raw.conj().T) / 2.0
     return element_type(order)(shape, raw)
-
-
-def hermitian_param_basis(shape: AlgebraShape | Sequence[int], order: int) -> np.ndarray:
-    """Orthonormal real basis of the supported hermitian matrices, stacked.
-
-    Frobenius-orthonormal: one matrix per diagonal support entry, two
-    (real and imaginary) per off-diagonal support pair.
-    """
-    shape = as_shape(shape)
-    d = shape.dim**order
-    # the support pairs (r, c), r <= c, in row-major order
-    flat = np.sort(np.concatenate([
-        (g.index[:, :, None] * d + g.index[:, None, :]).ravel() for g in cells(shape.blocks, order)
-    ]))
-    rows, cols = np.divmod(flat[flat // d <= flat % d], d)
-    off = rows != cols
-    # each support entry takes one matrix, an off-diagonal one a second
-    first = np.cumsum(1 + off) - 1 - off
-    out = np.zeros((len(rows) + np.count_nonzero(off), d, d), dtype=complex)
-    out[first[~off], rows[~off], rows[~off]] = 1.0
-    re, r, c = first[off], rows[off], cols[off]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    out[re, r, c] = out[re, c, r] = inv_sqrt2
-    out[re + 1, r, c] = 1j * inv_sqrt2
-    out[re + 1, c, r] = -1j * inv_sqrt2
-    return out
-
-
-def null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the null space of the matrix a.
-
-    A singular value counts as zero when it is at most 1e-10 times the
-    largest, so the cut scales with a.
-    """
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vt[int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0))):]
 
 
 def zero_clip(arr: np.ndarray) -> np.ndarray:

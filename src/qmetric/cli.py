@@ -97,9 +97,10 @@ def cmd_verify(args) -> int:
     rho = exchange.load_element(args.path, expect_order=2)
     cfg = _tolerance_config(args)
     report = verify(rho, cfg, mode=args.mode)
-    doc = exchange.save_report(report, args.report) if args.report else None
+    if args.report:
+        exchange.save_report(report, args.report)
     _say(args, lambda: _report_table(report))
-    _emit_json(args, lambda: report.to_dict() if doc is None else doc)
+    _emit_json(args, report.to_dict)
     return 0 if report.passed else 1
 
 

@@ -44,6 +44,10 @@ class ExchangeError(ValueError):
     """Malformed or inconsistent exchange document."""
 
 
+# The largest magnitude of a finite number in a document: 2**24 of headroom
+# below the float maximum keeps the checks' three-term sums and cell norms finite.
+ENTRY_BOUND = 2.0**1000
+
 # the text json.dumps writes for an exact-zero [re, im] pair
 _ZERO_PAIR = "[0.0, 0.0]"
 # an [re, im] pair of a report record's witness, as json.dumps(indent=2) lays it out
@@ -133,35 +137,45 @@ def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return raw.astype(float)
 
 
+def _require_bounded(values: np.ndarray, name) -> None:
+    """Raise ExchangeError naming, by name(flat index), the first finite value above ENTRY_BOUND in magnitude.
+
+    A NaN anywhere skips the check and infinities pass; the reader rejects both as non-finite.
+    """
+    size = np.abs(values).ravel()
+    if size.max(initial=0.0) > ENTRY_BOUND:
+        over = np.flatnonzero((size > ENTRY_BOUND) & (size < np.inf))
+        if over.size:
+            raise ExchangeError(
+                f"{name(over[0])} has magnitude {size[over[0]]:.6g}; "
+                "finite values above 2**1000 (about 1.07e301) are rejected"
+            )
+
+
 def _pairs(values: list) -> np.ndarray:
     """The complex vector of a list of [re, im] pairs.
 
-    Converts in one array call; when that fails, goes entry by entry and
-    names the first entry that is not a pair of numbers.
+    Converts in one array call, else entry by entry to name the first entry
+    that is not a pair of numbers; names a part beyond ENTRY_BOUND either way.
     """
     raw = _floats(values, (len(values), 2))
-    if raw is not None:
-        return raw.view(complex).ravel()
-    out = np.empty(len(values), dtype=complex)
-    for k, pair in enumerate(values):
-        parts = [_real(v) for v in pair] if isinstance(pair, (list, tuple)) and len(pair) == 2 else [None]
-        if None in parts:
-            raise ExchangeError(f"entry {k} is not an [re, im] pair")
-        out[k] = complex(*parts)
-    return out
+    if raw is None:
+        raw = np.empty((len(values), 2))
+        for k, pair in enumerate(values):
+            parts = [_real(v) for v in pair] if isinstance(pair, (list, tuple)) and len(pair) == 2 else [None]
+            if None in parts:
+                raise ExchangeError(f"entry {k} is not an [re, im] pair")
+            raw[k] = parts
+    _require_bounded(raw, lambda k: f"entry {k // 2}")
+    return raw.view(complex).ravel()
 
 
-def _pairs_to_matrix(data: list, d: int) -> np.ndarray:
-    """The d x d complex matrix of a row-major list of d*d [re, im] pairs."""
-    return _pairs(data).reshape(d, d)
-
-
-def _zero_pairs_to_matrix(data: list, d: int) -> np.ndarray:
-    """_pairs_to_matrix for a list whose None entries stand for 0+0j."""
+def _zero_pairs(data: list) -> np.ndarray:
+    """_pairs for a list whose None entries stand for 0+0j."""
     keep = [k for k, pair in enumerate(data) if pair is not None]
-    flat = np.zeros(d * d, dtype=complex)
+    flat = np.zeros(len(data), dtype=complex)
     flat[keep] = _pairs([data[k] for k in keep])
-    return flat.reshape(d, d)
+    return flat
 
 
 def _integral(value, field: str, doc: str = "matrix") -> int:
@@ -174,10 +188,10 @@ def _integral(value, field: str, doc: str = "matrix") -> int:
 
 
 def dict_to_element(doc: dict):
-    return _to_element(doc, _pairs_to_matrix)
+    return _to_element(doc, _pairs)
 
 
-def _to_element(doc: dict, pairs_to_matrix):
+def _to_element(doc: dict, pairs):
     try:
         blocks = tuple(_integral(n, "shape") for n in doc["shape"])
         order = _integral(doc["order"], "order")
@@ -201,7 +215,7 @@ def _to_element(doc: dict, pairs_to_matrix):
             f"dimension mismatch: blocks {blocks} at order {order} need "
             f"{d}x{d}, document says {rows}x{cols} with {len(data)} entries"
         )
-    arr = pairs_to_matrix(data, d)
+    arr = pairs(data).reshape(d, d)
     try:
         return element_type(order)(shape, arr)
     except ValueError as exc:
@@ -232,7 +246,7 @@ def _read_element(path, kind: str):
         raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
     if "\\" not in text and ("n" not in text or "null" not in text):
         try:
-            return _to_element(json.loads(text.replace(_ZERO_PAIR, "null")), _zero_pairs_to_matrix)
+            return _to_element(json.loads(text.replace(_ZERO_PAIR, "null")), _zero_pairs)
         except Exception:  # the reference path below raises the fault with its own message
             pass
     try:
@@ -280,20 +294,17 @@ def load_state(path):
     return _element_to_state(_read_element(path, "state"))
 
 
-def _report_text(report, doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte, for doc = report.to_dict().
+def _report_text(report) -> str:
+    """json.dumps(report.to_dict(), indent=2), byte for byte.
 
     json.dumps with an indent always runs the pure-Python encoder, whose
     cost grows with the D^2- or D^3-long witnesses of failing reports.  So
     each record with a witness is laid out with `"witness": null`, and that
     text, which cannot occur inside a JSON string, is replaced in record
     order by the witness written from its array at the records' depth.
+    The witnesses' [re, im] lists are never built.
     """
-    records = [
-        fields if rec.witness is None else {**fields, "witness": None}
-        for rec, fields in zip(report.records, doc["records"])
-    ]
-    text = json.dumps({**doc, "records": records}, indent=2)
+    text = json.dumps(report._document(lambda witness: None), indent=2)
     for rec in report.records:
         if rec.witness is not None:
             pairs = _pair_texts(rec.witness, _WITNESS_PAIR.format("0.0", "0.0"), _WITNESS_PAIR.format)
@@ -302,15 +313,9 @@ def _report_text(report, doc: dict) -> str:
     return text
 
 
-def save_report(report, path) -> dict:
-    """Write report.to_dict() to path and return that document.
-
-    The text is json.dumps(doc, indent=2), byte for byte, with the
-    witnesses spliced in by `_report_text`.
-    """
-    doc = report.to_dict()
-    _write(path, _report_text(report, doc))
-    return doc
+def save_report(report, path) -> None:
+    """Write report.to_dict() to path as `_report_text` lays it out."""
+    _write(path, _report_text(report))
 
 
 def load_metric_space(path) -> FiniteMetricSpace:
@@ -354,6 +359,7 @@ def load_metric_space(path) -> FiniteMetricSpace:
                     dist[k + 1, j] = dist[j, k + 1] = float(v)
                 except ValueError as exc:
                     raise ExchangeError(f"bad distance value {v!r}") from exc
+    _require_bounded(dist, lambda k: f"distance {k} (d({k // n}, {k % n}))")
     try:
         return FiniteMetricSpace(dist)
     except ValueError as exc:

@@ -22,6 +22,8 @@ proof.
 Every projection keeps rho and S block diagonal by cells (see
 `algebra.cells`), so the search holds only their cells and never forms
 the dense D^3 x D^3 slack; (b) and (c) are stacked clips per cell group.
+The structural subspace is built per cell pair {(k, l), (l, k)}: in closed
+form on a cross pair, by one small cached solve on a diagonal cell.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from .algebra import (
     as_shape,
     cells,
     diag_projector,
-    hermitian_param_basis,
-    null_space,
-    permute_legs,
     random_element,
     require_finite,
+    swap_matrix,
     zero_clip,
 )
 from .axioms import (
@@ -131,23 +131,47 @@ def project_psd(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return (vecs * np.maximum(vals, floor)[..., None, :]) @ adjoints(vecs)
 
 
+def _hermitian_basis(s: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of the s x s hermitian matrices, stacked."""
+    unit = np.eye(s * s).reshape(s, s, s, s)  # unit[r, c] has its one 1 at (r, c)
+    r, c = np.triu_indices(s, 1)
+    sym, anti = (unit[r, c] + unit[c, r]) / np.sqrt(2.0), 1j * (unit[r, c] - unit[c, r]) / np.sqrt(2.0)
+    return np.concatenate([unit[np.arange(s), np.arange(s)], sym, anti])
+
+
+@lru_cache(maxsize=None)
+def _diagonal_cell_basis(n: int, mode: str) -> np.ndarray:
+    """Orthonormal basis of the structural subspace on a diagonal cell C^n (x) C^n.
+
+    The null space, by one SVD over `_hermitian_basis`, of S X S = X, S the swap,
+    and X = Q X Q, Q = (1 - S)/2 (representation) or m(X) = 0 (algebraic).
+    """
+    h, s = _hermitian_basis(n * n), swap_matrix(n)
+    q = (np.eye(n * n) - s) / 2.0
+    diag = h - q @ h @ q if mode == REPRESENTATION else _multiply(h, n)
+    rows = np.concatenate([(s @ h @ s - h).reshape(len(h), -1), diag.reshape(len(h), -1)], axis=1)
+    _, sv, vt = np.linalg.svd(rows.view(float).T, full_matrices=False)
+    return np.einsum("ma,aij->mij", vt[np.count_nonzero(sv > 1e-10 * sv[0]) :], h)
+
+
 @lru_cache(maxsize=None)
 def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
-    shape = AlgebraShape(blocks)
-    d = shape.dim
-    params = hermitian_param_basis(shape, 2)
-    n = params.shape[0]
-    rows = [(params - permute_legs(params, (1, 0), (d, d))).reshape(n, -1)]
-    if mode == REPRESENTATION:
-        q = np.eye(d * d, dtype=complex) - diag_projector(shape).data
-        compressed = q @ params @ q
-        rows.append((params - compressed).reshape(n, -1))
-    else:
-        rows.append(_multiply(params, d).reshape(n, -1))
-    cmat = np.concatenate(
-        [np.concatenate([r.real, r.imag], axis=1) for r in rows], axis=1
-    ).T
-    basis = np.einsum("ma,aij->mij", null_space(cmat), params)
+    """The structural subspace as a direct sum over the cell pairs {(k, l), (l, k)}.
+
+    Only a diagonal cell carries the mode's condition.  A cross pair k < l takes
+    every hermitian matrix on cell (k, l), mirrored onto (l, k) by the flip
+    (coordinate i D + j to j D + i) and scaled by 1/sqrt(2).
+    """
+    d, parts = sum(blocks), []
+    pairs = [(k, l, i) for g in cells(blocks, 2) for (k, l), i in zip(g.labels.tolist(), g.index) if k <= l]
+    for k, l, index in pairs:
+        mats = _diagonal_cell_basis(blocks[k], mode) if k == l else _hermitian_basis(len(index)) / np.sqrt(2.0)
+        part = np.zeros((len(mats), d * d, d * d), dtype=complex)
+        # a diagonal cell is its own mirror, and its elements are flip symmetric
+        for at in (index, index % d * d + index // d):
+            part[:, at[:, None], at[None, :]] = mats
+        parts.append(part)
+    basis = np.concatenate(parts)
     basis.setflags(write=False)
     return basis
 
@@ -173,15 +197,15 @@ def project_structure(
     return BiElement(rho.shape, np.einsum("n,nij->ij", coeffs, basis))
 
 
-def _layout(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+def _layout(blocks: tuple[int, ...], order: int) -> np.ndarray:
     """The flat cell vector of order-fold elements: the cell groups one after another.
 
     Returns the flat position (row * N + col) in the dense N x N matrix
-    of every entry, and the (cells, n, n) shape of each size's stretch.
+    of every entry.
     """
     dim = sum(blocks) ** order
     at = [g.index[:, :, None] * dim + g.index[:, None, :] for g in cells(blocks, order)]
-    return np.concatenate([a.ravel() for a in at]), [a.shape for a in at]
+    return np.concatenate([a.ravel() for a in at])
 
 
 def _clip(z: np.ndarray, groups: list) -> np.ndarray:
@@ -204,19 +228,17 @@ def _cone_groups(blocks: tuple[int, ...], floor: float) -> list:
     the cells of one size and rank: (positions, stack shape, u, u*, floor),
     u None at full rank.  Rank-0 cells (1x1 diagonal cells) are in none.
     """
-    pos, shapes = _layout(blocks, 2)
-    p = diag_projector(blocks).data.ravel()[pos]
     groups, start = [], 0
-    for c, n, _ in shapes:
-        size = c * n * n
-        vals, vecs = np.linalg.eigh(np.eye(n) - p[start : start + size].reshape(c, n, n))
+    for _, p in diag_projector(blocks).cells:
+        c, n, _ = p.shape
+        vals, vecs = np.linalg.eigh(np.eye(n) - p)
         rank = np.count_nonzero(vals > 0.5, axis=1)
         for k in np.unique(rank[rank > 0]):
             sel = np.flatnonzero(rank == k)
             cols = (start + sel[:, None] * n * n + np.arange(n * n)).ravel()
             u = None if k == n else vecs[sel, :, n - k :]
             groups.append((cols, (len(sel), n, n), u, None if u is None else adjoints(u), floor))
-        start += size
+        start += c * n * n
     return groups
 
 
@@ -242,7 +264,7 @@ class _SearchContext:
                 f"the structural subspace over blocks {blocks} is trivial"
             )
         self.traces = np.einsum("nii->n", basis).real
-        self.pos, _ = _layout(blocks, 2)
+        self.pos = _layout(blocks, 2)
         self.n_rho = len(self.pos)
         parts = [basis.reshape(m, -1)[:, self.pos]]
         if cfg.include_triangle:

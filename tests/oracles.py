@@ -254,6 +254,16 @@ def _ranges(blocks) -> list:
     return out
 
 
+def block_unitary(blocks, rng: np.random.Generator) -> np.ndarray:
+    """A random block-diagonal unitary of C^D: one Haar unitary per block, by QR."""
+    u = np.zeros((sum(blocks), sum(blocks)), dtype=complex)
+    for a, b in _ranges(blocks):
+        n = b - a
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u[a:b, a:b] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return u
+
+
 def swap_matrix(n: int) -> np.ndarray:
     s = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):

@@ -20,7 +20,6 @@ from qmetric import (
 )
 from qmetric.algebra import (
     cells,
-    hermitian_param_basis,
     permute_legs,
     random_element,
     swap_matrix,
@@ -324,14 +323,6 @@ class TestHelpers:
     def test_support_mask_counts(self):
         covered = sum(g.index.shape[0] * g.index.shape[1] ** 2 for g in cells((2, 1), 2))
         assert covered == sum((n * m) ** 2 for n in (2, 1) for m in (2, 1))
-
-    def test_hermitian_param_basis_orthonormal(self):
-        basis = hermitian_param_basis((2, 1), 2)
-        flat = basis.reshape(basis.shape[0], -1)
-        gram = (flat.conj() @ flat.T).real
-        assert np.allclose(gram, np.eye(basis.shape[0]), atol=1e-12)
-        for h in basis:
-            assert np.allclose(h, h.conj().T)
 
     def test_zero_clip(self):
         arr = np.array([[1e-15 + 1e-16j, 1.0]])

@@ -45,7 +45,6 @@ from qmetric.algebra import (
     cells,
     cellwise_min_eig,
     element_type,
-    hermitian_param_basis,
     matrix_norms,
     op_norm_array,
     random_element,
@@ -284,13 +283,6 @@ class TestLayoutOracles:
         fresh = _diag_projector_cached.__wrapped__(blocks)
         assert np.array_equal(fresh.data, oracles.diag_projector(blocks))
 
-    @pytest.mark.parametrize("blocks", ALL_SHAPES)
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_hermitian_param_basis(self, blocks, order):
-        assert np.array_equal(
-            hermitian_param_basis(blocks, order), oracles.hermitian_param_basis(blocks, order)
-        )
-
     # the direct sum is a dense D^2 x D^2 matrix: 690 MB at D = 9
     @pytest.mark.parametrize("blocks", [b for b in ALL_SHAPES if sum(b) <= 6])
     def test_direct_sum(self, blocks):
@@ -312,7 +304,7 @@ class TestLayoutOracles:
     def test_offdiag_columns_complement_the_diagonal(self, blocks):
         # the search's per-cell isometries u have orthonormal columns, and
         # their u u* are the cells of 1 - P (the identity where u is None)
-        pos, _ = _layout(blocks, 2)
+        pos = _layout(blocks, 2)
         complement = (np.eye(sum(blocks) ** 2) - diag_projector(blocks).data).ravel()[pos]
         spanned = np.zeros_like(complement)
         for cols, shape, u, uh, _ in _cone_groups(blocks, 1.0):
@@ -463,7 +455,7 @@ def test_seminorm_cells_match_dense_kronecker_form(blocks):
     dense = oracles.commutator_gap(a.data, x.data)
     tol = 1e-12 * max(1.0, np.abs(dense).max())
     assert np.abs(assemble(_seminorm_cells(a.data, x), size) - dense).max() <= tol
-    basis = hermitian_param_basis(blocks, 1)
+    basis = oracles.hermitian_param_basis(blocks, 1)
     together = _seminorm_cells(basis, x)
     for k, h in enumerate(basis):
         one = assemble([(index, mats[k]) for index, mats in together], size)
@@ -490,18 +482,6 @@ def test_slack_cells_carry_leading_axes():
                 assert np.array_equal(i, j) and np.array_equal(a[k], b)
 
 
-def _block_unitary(blocks, rng) -> np.ndarray:
-    d = sum(blocks)
-    u = np.zeros((d, d), dtype=complex)
-    start = 0
-    for n in blocks:
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        u[start : start + n, start : start + n] = q * (np.diag(r) / np.abs(np.diag(r)))
-        start += n
-    return u
-
-
 INVARIANT = ("i", "ii", "iii", "iv", "v")
 
 
@@ -514,7 +494,7 @@ INVARIANT = ("i", "ii", "iii", "iv", "v")
 def test_margins_invariant_under_conjugation_and_flip(blocks, seed, messy):
     rng = np.random.default_rng(seed)
     rho = random_element(blocks, 2, rng, hermitian=True) if messy else metric_like(blocks, rng)
-    uu = np.kron(*(2 * [_block_unitary(blocks, rng)]))
+    uu = np.kron(*(2 * [oracles.block_unitary(blocks, rng)]))
     moved = BiElement(blocks, uu @ rho.data @ uu.conj().T)
     base = verify(rho)
     tol = 1e-9 * max(1.0, op_norm(rho))
@@ -552,7 +532,7 @@ def test_alg_verdict_invariant_under_scale_conjugation_and_flip(family, seed, ex
         rho = BiElement(blocks, oracles.swap_family(blocks, float(rng.choice([0.5, 2.0]))))
     want = family in ("metric", "swap", "swap-sum")
     blocks = rho.shape.blocks
-    uu = np.kron(*(2 * [_block_unitary(blocks, rng)]))
+    uu = np.kron(*(2 * [oracles.block_unitary(blocks, rng)]))
     for other in (rho, 10.0**exponent * rho, BiElement(blocks, uu @ rho.data @ uu.conj().T), flip(rho)):
         assert verify(other, mode="algebraic").record("iii_alg").passed == want
 

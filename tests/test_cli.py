@@ -575,6 +575,51 @@ class TestDocumentBoundaryErrors:
         assert _error_line(capsys) == "error: bad distance value 'x'"
 
 
+class TestOverflowScaleInput:
+    """Finite values above 2**1000 exit 2 at the boundary, before any check can overflow.
+
+    The suite turns every warning into an error, so an overflow warning fails these tests.
+    """
+
+    BOUND_TEXT = "finite values above 2**1000 (about 1.07e301) are rejected"
+
+    @pytest.mark.parametrize("mode", ["representation", "algebraic"])
+    @pytest.mark.parametrize("scale", [4e307, 7.5e307])
+    def test_matrix_document(self, tmp_path, capsys, mode, scale):
+        p = tmp_path / "rho.json"
+        save_element(BiElement((2,), scale * (2 * np.eye(4) - SWAP2)), p)
+        assert main(["verify", str(p), "--mode", mode, "--json"]) == 2
+        want = f"error: entry 0 has magnitude {scale:.6g}; {self.BOUND_TEXT}"
+        assert _error_line(capsys) == want
+
+    def test_matrix_document_at_the_bound_is_checked(self, tmp_path, capsys):
+        # entries of exactly 2**1000: every check stays finite
+        p = tmp_path / "rho.json"
+        save_element(BiElement((2,), 2.0**999 * (2 * np.eye(4) - SWAP2)), p)
+        assert main(["verify", str(p), "--mode", "algebraic", "--quiet"]) == 0
+        assert main(["verify", str(p), "--mode", "representation", "--quiet"]) == 1
+
+    def test_state_document(self, m2_file, tmp_path, capsys):
+        phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+        save_state(State(AlgebraShape((2,)), (np.diag([0.5, 0.5]),)), phi)
+        doc = json.loads(phi.read_text())
+        doc["data"][2] = [0.0, -1e302]
+        psi.write_text(json.dumps(doc))
+        assert main(["distance", "--rho", m2_file, "--phi", str(phi), "--psi", str(psi)]) == 2
+        assert _error_line(capsys) == f"error: entry 2 has magnitude 1e+302; {self.BOUND_TEXT}"
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".json", '{"n": 3, "d": [0, 1.5e308, 1.5e308, 1.5e308, 0, 1.5e308, 1.5e308, 1.5e308, 0]}'),
+        (".txt", "1\n1.5e308 1\n"),
+    ])
+    def test_metric_space(self, tmp_path, capsys, suffix, text):
+        space = tmp_path / f"space{suffix}"
+        space.write_text(text)
+        assert main(["distance", "--classical", str(space), "--phi", "0", "--psi", "2"]) == 2
+        where = "distance 1 (d(0, 1))" if suffix == ".json" else "distance 2 (d(0, 2))"
+        assert _error_line(capsys) == f"error: {where} has magnitude 1.5e+308; {self.BOUND_TEXT}"
+
+
 class TestDefaultStdout:
     """The text the commands print when neither --quiet nor --json is given."""
 

@@ -44,6 +44,7 @@ from qmetric.lipschitz import (
 )
 
 from oracles import (
+    block_unitary,
     embed_distance_matrix,
     lipschitz_constant,
     plant_triangle_violation,
@@ -840,17 +841,6 @@ def m2_sum(blocks, rng) -> BiElement:
     for part in parts[1:]:
         cand = direct_sum(cand, part, direct_sum_bound(cand, part) * rng.uniform(1.0, 2.0))
     return cand.rho
-
-
-def block_unitary(blocks, rng) -> np.ndarray:
-    d = sum(blocks)
-    u = np.zeros((d, d), dtype=complex)
-    start = 0
-    for n in blocks:
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        u[start : start + n, start : start + n] = q * (np.diag(r) / np.abs(np.diag(r)))
-        start += n
-    return u
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qmetric import (
+    AlgebraShape,
+    BiElement,
     FiniteMetricSpace,
     NonFiniteError,
     SearchConfig,
@@ -20,9 +22,15 @@ from qmetric import (
     project_structure,
     verify,
 )
-from qmetric.algebra import random_element
+from qmetric.algebra import adjoints, random_element
 from qmetric.exchange import load_element, outcome_to_dict, save_element
-from qmetric.search import _layout, _SearchContext, _structure_basis_cached, structure_basis
+from qmetric.search import (
+    _hermitian_basis,
+    _layout,
+    _SearchContext,
+    _structure_basis_cached,
+    structure_basis,
+)
 
 import oracles
 from oracles import classical_axioms
@@ -138,6 +146,52 @@ class TestStructureBasis:
             tracemalloc.stop()
         assert basis.shape[0] == 15
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("blocks", [(1,) * 6, (4,), (4, 2), (3, 1, 2), (3, 3, 3)])
+    def test_dimension_closed_form(self, blocks):
+        # a diagonal cell keeps the hermitian matrices on its antisymmetric
+        # subspace (representation) or the flip symmetric ones with m = 0
+        # (algebraic); a cross pair keeps every hermitian matrix on one cell
+        cross = sum((k * l) ** 2 for i, k in enumerate(blocks) for l in blocks[i + 1 :])
+        sym, anti = ([n * (n + s) // 2 for n in blocks] for s in (1, -1))
+        rep = sum(a * a for a in anti) + cross
+        alg = sum(s * s + a * a - n * n for s, a, n in zip(sym, anti, blocks)) + cross
+        assert structure_basis(blocks, "representation").shape[0] == rep
+        assert structure_basis(blocks, "algebraic").shape[0] == alg
+
+    @pytest.mark.parametrize("blocks", [(2,), (3,), (1, 1, 1), (2, 1), (1, 2), (3, 1, 2)])
+    @pytest.mark.parametrize("mode", ["representation", "algebraic"])
+    def test_elements_are_structural_on_one_cell_pair(self, blocks, mode):
+        labels = AlgebraShape(blocks).block_labels()
+        d = len(labels)
+        swap = oracles.swap_matrix(d)
+        for x in structure_basis(blocks, mode):
+            assert np.abs(x - x.conj().T).max() <= 1e-14
+            assert np.abs(swap @ x @ swap - x).max() <= 1e-14
+            rows, cols = np.nonzero(x)
+            pairs = {frozenset((labels[r // d], labels[r % d])) for r in rows}
+            assert len(pairs) == 1
+            assert np.array_equal(labels[rows // d], labels[cols // d])
+            assert np.array_equal(labels[rows % d], labels[cols % d])
+
+    @pytest.mark.parametrize("blocks", [(2,), (2, 1), (2, 2), (3, 1, 2)])
+    @pytest.mark.parametrize("mode", ["representation", "algebraic"])
+    def test_projector_commutes_with_block_unitary_conjugation(self, blocks, mode):
+        rng = np.random.default_rng(sum(blocks) + len(blocks) + len(mode))
+        for _ in range(3):
+            uu = np.kron(*(2 * [oracles.block_unitary(blocks, rng)]))
+            rho = random_element(blocks, 2, rng)
+            moved = BiElement(blocks, uu @ rho.data @ uu.conj().T)
+            want = uu @ project_structure(rho, mode).data @ uu.conj().T
+            assert np.abs(project_structure(moved, mode).data - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 6])
+    def test_hermitian_basis_orthonormal(self, s):
+        basis = _hermitian_basis(s)
+        flat = basis.reshape(len(basis), -1)
+        assert len(basis) == s * s
+        assert np.allclose((flat.conj() @ flat.T).real, np.eye(s * s), rtol=0, atol=1e-15)
+        assert np.array_equal(basis, adjoints(basis))
 
 
 class TestCertify:
@@ -330,7 +384,7 @@ def test_same_seed_outcomes_pinned(kwargs, mode, expected):
 CONTEXT_SHAPES = [(1, 1, 1), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (2, 1, 1), (1,) * 5]
 
 
-@pytest.mark.parametrize("blocks", CONTEXT_SHAPES + [(2, 2, 2), (3, 3)])
+@pytest.mark.parametrize("blocks", CONTEXT_SHAPES + [(2, 2, 2), (3, 3), (4,), (3, 1, 2)])
 @pytest.mark.parametrize("mode", ["representation", "algebraic"])
 def test_structure_basis_matches_oracle(blocks, mode):
     # both bases as coefficients over the oracle's hermitian parameter
@@ -350,7 +404,7 @@ def cell_vector(ctx, rho, s):
     """The search's flat cell vector of a dense rho and slack S."""
     parts = [rho.ravel()[ctx.pos]]
     if s is not None:
-        parts.append(s.ravel()[_layout(ctx.shape.blocks, 3)[0]])
+        parts.append(s.ravel()[_layout(ctx.shape.blocks, 3)])
     return np.concatenate(parts)
 
 
@@ -360,7 +414,7 @@ def dense_pair(ctx, z):
         return ctx.rho(z), None
     d3 = ctx.shape.dim**3
     s = np.zeros(d3 * d3, dtype=complex)
-    s[_layout(ctx.shape.blocks, 3)[0]] = z[ctx.n_rho :]
+    s[_layout(ctx.shape.blocks, 3)] = z[ctx.n_rho :]
     return ctx.rho(z), s.reshape(d3, d3)
 
 
