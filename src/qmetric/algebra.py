@@ -27,6 +27,10 @@ Validation gathers an element's cells to count the nonzeros inside the
 support, and the element keeps them, read-only, as `cells`: each element
 is gathered once in its lifetime.
 
+`require_finite`, the one numeric guard, refuses NaN, infinities and finite
+parts beyond ENTRY_BOUND in every element, state, metric space and
+configuration as it is made, in code or from a document alike.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 """
@@ -54,17 +58,37 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """Numeric input holds a NaN or infinite entry."""
+    """Numeric input holds a NaN or infinite entry, or a finite one beyond ENTRY_BOUND."""
 
 
-def require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise NonFiniteError, naming `what`, when arr holds a NaN or inf."""
-    finite = np.isfinite(arr)
-    if not finite.all():
+# The largest magnitude of a real or imaginary part or a distance: 2**24 of headroom below
+# the float maximum keeps the checks' three-term sums and cell norms finite.
+ENTRY_BOUND = 2.0**1000
+
+
+def require_finite(arr: np.ndarray, what: str, entry=lambda k: f"entry {k}") -> None:
+    """Raise NonFiniteError when arr holds a NaN, an inf or a finite part beyond ENTRY_BOUND.
+
+    A NaN anywhere, or an inf with no finite part beyond the bound, gives the
+    non-finite error naming `what`; else the first part beyond the bound is
+    named by entry(flat index of its entry).  Within the bound the check
+    costs a min and a max over the parts, and no copy of C-ordered data.
+    """
+    arr = np.asarray(arr)
+    pairs = arr.dtype.kind == "c"
+    parts = np.ascontiguousarray(arr).view(float) if pairs else arr
+    if -ENTRY_BOUND <= parts.min(initial=0.0) and parts.max(initial=0.0) <= ENTRY_BOUND:
+        return
+    size = np.abs(parts).ravel()
+    over = np.flatnonzero((size > ENTRY_BOUND) & (size < np.inf))
+    if over.size and not np.isnan(size.max()):
+        k = int(over[0])
         raise NonFiniteError(
-            f"{what} must be finite; found {int(finite.size - np.count_nonzero(finite))} "
-            "NaN or infinite entries"
+            f"{entry(k // 2 if pairs else k)} has magnitude {size[k]:.6g}; "
+            "finite values above 2**1000 (about 1.07e301) are rejected"
         )
+    bad = np.count_nonzero(~np.isfinite(arr))
+    raise NonFiniteError(f"{what} must be finite; found {bad} NaN or infinite entries")
 
 
 @dataclass(frozen=True)
@@ -258,7 +282,7 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, C
     and kept, so no element gathers its cells twice.
     """
     d = shape.dim**order
-    arr = np.asarray(data, dtype=complex)
+    arr = np.array(data, dtype=complex, order="C")
     if arr.shape != (d, d):
         raise ShapeMismatchError(
             f"expected a {d}x{d} matrix for order {order} over blocks "
@@ -272,7 +296,6 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, C
             f"entries outside the order-{order} block pattern must be exactly "
             f"zero (largest offender {worst:.3e})"
         )
-    arr = arr.copy()
     for out in (arr, *(mats for _, mats in stacks)):
         out.setflags(write=False)
     return arr, stacks
@@ -461,12 +484,6 @@ def diag_projector(shape: AlgebraShape | Sequence[int]) -> BiElement:
     return _diag_projector_cached(as_shape(shape).blocks)
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, _Element):
-        return x.data
-    return np.asarray(x, dtype=complex)
-
-
 def op_norm_array(arr: np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
@@ -477,7 +494,7 @@ def op_norm(x) -> float:
     """Operator norm (largest singular value); cell by cell on an element."""
     if isinstance(x, _Element):
         return cellwise_norm(x.cells)
-    return op_norm_array(_as_array(x))
+    return op_norm_array(np.asarray(x, dtype=complex))
 
 
 def min_eig(x, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:
@@ -488,7 +505,7 @@ def min_eig(x, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:
     """
     if isinstance(x, _Element):
         return cellwise_min_eig(x.cells, tol)
-    arr = _as_array(x)
+    arr = np.asarray(x, dtype=complex)
     gap = op_norm_array(arr - arr.conj().T)
     if gap > tol * max(1.0, op_norm_array(arr)):
         raise ValueError(f"input is not self-adjoint within tolerance (defect {gap:.3e})")

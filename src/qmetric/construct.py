@@ -37,8 +37,8 @@ class FiniteMetricSpace:
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricInputError("distance matrix must be square")
-        require_finite(d, "distance matrix")
         n = d.shape[0]
+        require_finite(d, "distance matrix", lambda k: f"distance {k} (d({k // n}, {k % n}))")
         # np.allclose(d, d.T, atol=1e-12) without its handling of infinities, which d cannot hold
         if not (np.abs(d - d.T) <= 1e-12 + 1e-5 * np.abs(d.T)).all():
             raise MetricInputError("distance matrix must be symmetric")

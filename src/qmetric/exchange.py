@@ -20,6 +20,10 @@ gives, byte for byte.  As a matrix document is json.dumps text with its
 in, written from its array: exact-zero entries from one template, only the
 others by repr.
 
+Readers check a document's layout; its values meet `algebra.require_finite`
+in the constructors, whose NaN, infinity or 2**1000 bound error a reader
+raises as an ExchangeError.
+
 Every writer goes through `_write`, which overwrites a file in place and
 then cuts it to the new length, never truncating it to zero first.
 """
@@ -43,10 +47,6 @@ from .lipschitz import State
 class ExchangeError(ValueError):
     """Malformed or inconsistent exchange document."""
 
-
-# The largest magnitude of a finite number in a document: 2**24 of headroom
-# below the float maximum keeps the checks' three-term sums and cell norms finite.
-ENTRY_BOUND = 2.0**1000
 
 # the text json.dumps writes for an exact-zero [re, im] pair
 _ZERO_PAIR = "[0.0, 0.0]"
@@ -137,26 +137,11 @@ def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return raw.astype(float)
 
 
-def _require_bounded(values: np.ndarray, name) -> None:
-    """Raise ExchangeError naming, by name(flat index), the first finite value above ENTRY_BOUND in magnitude.
-
-    A NaN anywhere skips the check and infinities pass; the reader rejects both as non-finite.
-    """
-    size = np.abs(values).ravel()
-    if size.max(initial=0.0) > ENTRY_BOUND:
-        over = np.flatnonzero((size > ENTRY_BOUND) & (size < np.inf))
-        if over.size:
-            raise ExchangeError(
-                f"{name(over[0])} has magnitude {size[over[0]]:.6g}; "
-                "finite values above 2**1000 (about 1.07e301) are rejected"
-            )
-
-
 def _pairs(values: list) -> np.ndarray:
     """The complex vector of a list of [re, im] pairs.
 
     Converts in one array call, else entry by entry to name the first entry
-    that is not a pair of numbers; names a part beyond ENTRY_BOUND either way.
+    that is not a pair of numbers.
     """
     raw = _floats(values, (len(values), 2))
     if raw is None:
@@ -166,7 +151,6 @@ def _pairs(values: list) -> np.ndarray:
             if None in parts:
                 raise ExchangeError(f"entry {k} is not an [re, im] pair")
             raw[k] = parts
-    _require_bounded(raw, lambda k: f"entry {k // 2}")
     return raw.view(complex).ravel()
 
 
@@ -359,7 +343,6 @@ def load_metric_space(path) -> FiniteMetricSpace:
                     dist[k + 1, j] = dist[j, k + 1] = float(v)
                 except ValueError as exc:
                     raise ExchangeError(f"bad distance value {v!r}") from exc
-    _require_bounded(dist, lambda k: f"distance {k} (d({k // n}, {k % n}))")
     try:
         return FiniteMetricSpace(dist)
     except ValueError as exc:

@@ -335,7 +335,6 @@ def _certification_config(cfg: SearchConfig) -> ToleranceConfig:
         eq_tol=tol,
         psd_tol=tol,
         strict_floor=cfg.floor * 0.5,
-        sample_count=8,
         seed=cfg.seed,
     )
 

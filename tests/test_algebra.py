@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qmetric import (
     AlgebraElement,
     AlgebraShape,
     BiElement,
+    NonFiniteError,
     ShapeMismatchError,
     SupportError,
     diag_projector,
@@ -17,8 +20,10 @@ from qmetric import (
     mult_map,
     op_norm,
     tensor2,
+    verify,
 )
 from qmetric.algebra import (
+    ENTRY_BOUND,
     cells,
     permute_legs,
     random_element,
@@ -87,6 +92,18 @@ class TestElements:
     def test_mixed_shape_rejected(self):
         with pytest.raises(ShapeMismatchError):
             identity((2,)) + identity((1, 1))
+
+    def test_negation_allclose_and_repr(self):
+        a = random_element((2, 1), 2, np.random.default_rng(4))
+        assert np.array_equal((-a).data, -a.data)
+        assert (-a).allclose(a * -1.0)
+        assert not a.allclose(-a)
+        near = a + BiElement((2, 1), 1e-13 * np.eye(9))
+        assert a.allclose(near) and not a.allclose(near, tol=1e-14)
+        with pytest.raises(ShapeMismatchError):
+            a.allclose(identity((2, 1)))
+        assert repr(a) == "BiElement(blocks=(2, 1), dim=9)"
+        assert repr(identity((2,))) == "AlgebraElement(blocks=(2,), dim=2)"
 
 
 class TestTensor2:
@@ -324,6 +341,11 @@ class TestHelpers:
         covered = sum(g.index.shape[0] * g.index.shape[1] ** 2 for g in cells((2, 1), 2))
         assert covered == sum((n * m) ** 2 for n in (2, 1) for m in (2, 1))
 
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_cells_refuse_other_orders(self, order):
+        with pytest.raises(ValueError, match="only tensor orders 1, 2, 3 are supported"):
+            cells((2, 1), order)
+
     def test_zero_clip(self):
         arr = np.array([[1e-15 + 1e-16j, 1.0]])
         out = zero_clip(arr)
@@ -347,3 +369,57 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             AlgebraElement(AlgebraShape((1, 1)), np.diag([np.nan, 1.0]))
         assert issubclass(NonFiniteError, ValueError)
+
+
+class TestEntryBound:
+    """Finite parts above 2**1000 are refused wherever an element is made.
+
+    The suite turns every warning into an error, so an overflow warning fails these tests.
+    """
+
+    BOUND_TEXT = "finite values above 2**1000 (about 1.07e301) are rejected"
+    TWO_MINUS_FLIP = 2 * np.eye(4) - swap_matrix(2)
+
+    def test_overflow_scale_element_is_refused(self):
+        with pytest.raises(NonFiniteError) as err:
+            BiElement((2,), 7.5e307 * self.TWO_MINUS_FLIP)
+        assert str(err.value) == f"entry 0 has magnitude 7.5e+307; {self.BOUND_TEXT}"
+
+    def test_element_at_the_bound_builds_and_verifies(self):
+        rho = BiElement((2,), 2.0**999 * self.TWO_MINUS_FLIP)
+        assert np.abs(rho.data).max() == ENTRY_BOUND
+        assert verify(rho, mode="algebraic").passed
+        assert not verify(rho, mode="representation").passed
+
+    @pytest.mark.parametrize("entry", [2e301, -2e301, 2e301j, -2e301j])
+    def test_each_part_is_bounded(self, entry):
+        data = np.zeros((3, 3), dtype=complex)
+        data[2, 2] = 1.0
+        data[0, 1] = entry
+        with pytest.raises(NonFiniteError, match=r"^entry 1 has magnitude 2e\+301; "):
+            AlgebraElement((2, 1), data)
+        # on a transposed view of the same data, the flat index follows the view
+        with pytest.raises(NonFiniteError, match=r"^entry 3 has magnitude 2e\+301; "):
+            AlgebraElement((2, 1), data.T)
+
+    def test_a_modulus_above_the_bound_is_accepted(self):
+        # the bound is on each part; the modulus of this entry is sqrt(2) * 2**1000
+        x = AlgebraElement((1,), [[ENTRY_BOUND * (1 + 1j)]])
+        assert x.data[0, 0] == ENTRY_BOUND * (1 + 1j)
+
+    def test_nan_anywhere_gives_the_non_finite_error(self):
+        with pytest.raises(NonFiniteError, match="^matrix data must be finite; found 1 NaN"):
+            AlgebraElement((2,), [[3e301, 0.0], [0.0, np.nan]])
+
+    def test_an_infinity_does_not_hide_a_part_above_the_bound(self):
+        with pytest.raises(NonFiniteError, match=r"^entry 3 has magnitude 3e\+301; "):
+            AlgebraElement((2,), [[np.inf, 0.0], [0.0, 3e301]])
+        with pytest.raises(NonFiniteError, match="^matrix data must be finite; found 2 NaN"):
+            AlgebraElement((2,), [[np.inf, 0.0], [0.0, -np.inf]])
+
+    def test_results_beyond_the_bound_are_refused(self):
+        x = AlgebraElement((2,), 0.75 * ENTRY_BOUND * np.eye(2))
+        y = AlgebraElement((2,), 2e150 * np.eye(2))
+        for result in (lambda: x + x, lambda: x - -x, lambda: 2 * x, lambda: (x * 1e-150) @ y):
+            with pytest.raises(NonFiniteError, match=re.escape(self.BOUND_TEXT)):
+                result()

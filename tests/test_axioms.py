@@ -27,7 +27,7 @@ from qmetric import (
     triangle_defect,
     verify,
 )
-from qmetric.algebra import random_element
+from qmetric.algebra import complex_pairs, random_element
 from qmetric.axioms import (
     M2_DIAG_PROJECTOR,
     M2_NOGO_WITNESS,
@@ -344,6 +344,45 @@ class TestToleranceConfig:
     def test_accepts_the_default_floor(self):
         assert ToleranceConfig(strict_floor=None).resolved_floor(2.0) == pytest.approx(2e-8)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"eq_tol": -1e-9}, "tolerances must be nonnegative"),
+            ({"psd_tol": -1e-9}, "tolerances must be nonnegative"),
+            ({"strict_floor": 0.0}, "strict_floor must be positive when given"),
+            ({"strict_floor": -1.0}, "strict_floor must be positive when given"),
+            ({"sample_count": 0}, "sample_count must be >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            ToleranceConfig(**field)
+
+    def test_rejects_a_tolerance_above_the_bound(self):
+        with pytest.raises(NonFiniteError, match=r"^entry 1 has magnitude 1e\+302; finite values above 2\*\*1000"):
+            ToleranceConfig(psd_tol=1e302)
+
+
+class TestRecordsAndCandidates:
+    def test_record_document_is_its_place_in_the_report(self):
+        report = verify(m2_admissible(1.0))
+        doc = report.record("v").to_dict()
+        assert doc == report.to_dict()["records"][4]
+        assert doc["witness"] == complex_pairs(report.record("v").witness)
+
+    def test_unknown_axiom_is_a_key_error(self):
+        with pytest.raises(KeyError, match="ii_alg"):
+            verify(m2_admissible(1.0)).record("ii_alg")
+
+    def test_verified_needs_a_passing_report_in_the_mode(self):
+        rho = classical_two_point()
+        assert not MetricCandidate(rho).verified()
+        passing = MetricCandidate(rho, verify(rho))
+        assert passing.verified() and not passing.verified("algebraic")
+        assert MetricCandidate(rho, verify(rho, mode="algebraic")).verified("algebraic")
+        failing = MetricCandidate(m2_admissible(1.0), verify(m2_admissible(1.0)))
+        assert not failing.verified()
+
 
 class TestVerify:
     def test_classical_discrete_three_points_both_modes(self):
@@ -398,6 +437,15 @@ class TestVerify:
         report = verify(BiElement.zeros((1, 1)))
         assert not report.passed
         assert report.failing == ("iii",)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match=r"mode must be one of \('representation', 'algebraic'\)"):
+            verify(m2_admissible(1.0), mode="classical")
+
+    def test_overflow_scale_defect_is_refused(self):
+        # the defect of m2_admissible(lam) has entries up to 2 lam
+        with pytest.raises(NonFiniteError, match=r"^entry \d+ has magnitude 1\.2e\+301; "):
+            triangle_defect(m2_admissible(6e300))
 
     def test_shape_cross_check(self):
         from qmetric import ShapeMismatchError

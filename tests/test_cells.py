@@ -373,6 +373,9 @@ def test_cell_and_dense_agree(blocks, mode):
     for rho in rhos:
         tol = 1e-12 * max(1.0, dense_norm(rho.data))
         assert op_norm(rho) == pytest.approx(dense_norm(rho.data), rel=0, abs=tol)
+        assert op_norm(rho.data) == pytest.approx(op_norm(rho), rel=0, abs=tol)
+        sym = rho + rho.adjoint
+        assert min_eig(sym.data)[0] == pytest.approx(min_eig(sym)[0], rel=0, abs=2 * tol)
         dense = dense_records(rho, cfg, mode)
         report = verify(rho, cfg, mode=mode)
         for rec in report.records:
@@ -382,6 +385,10 @@ def test_cell_and_dense_agree(blocks, mode):
                 assert rec.indeterminate
             else:
                 assert abs(rec.margin - margin) <= tol, (rho, rec.axiom)
+
+
+def test_op_norm_of_an_empty_array_is_zero():
+    assert op_norm(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("blocks", [(1,) * 4, (2,), (2, 1), (2, 2), (2, 2, 2)])

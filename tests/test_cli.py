@@ -575,6 +575,18 @@ class TestDocumentBoundaryErrors:
         assert _error_line(capsys) == "error: bad distance value 'x'"
 
 
+class TestArgumentBoundaryErrors:
+    """Arguments that no computation can use exit 2 with one error line."""
+
+    def test_search_on_a_trivial_structural_subspace(self, capsys):
+        assert main(["search", "--shape", "1"]) == 2
+        assert _error_line(capsys) == "error: the structural subspace over blocks (1,) is trivial"
+
+    def test_nogo_needs_positive_parameters(self, capsys):
+        assert main(["nogo-m2", "--lambdas", "0,1"]) == 2
+        assert _error_line(capsys) == "error: all family parameters must be positive"
+
+
 class TestOverflowScaleInput:
     """Finite values above 2**1000 exit 2 at the boundary, before any check can overflow.
 
@@ -586,8 +598,10 @@ class TestOverflowScaleInput:
     @pytest.mark.parametrize("mode", ["representation", "algebraic"])
     @pytest.mark.parametrize("scale", [4e307, 7.5e307])
     def test_matrix_document(self, tmp_path, capsys, mode, scale):
+        # an element beyond the bound cannot be built, so the document is written by hand
         p = tmp_path / "rho.json"
-        save_element(BiElement((2,), scale * (2 * np.eye(4) - SWAP2)), p)
+        data = [[v, 0.0] for v in (scale * (2 * np.eye(4) - SWAP2)).ravel().tolist()]
+        p.write_text(json.dumps({"shape": [2], "order": 2, "rows": 4, "cols": 4, "data": data}))
         assert main(["verify", str(p), "--mode", mode, "--json"]) == 2
         want = f"error: entry 0 has magnitude {scale:.6g}; {self.BOUND_TEXT}"
         assert _error_line(capsys) == want
@@ -607,6 +621,11 @@ class TestOverflowScaleInput:
         psi.write_text(json.dumps(doc))
         assert main(["distance", "--rho", m2_file, "--phi", str(phi), "--psi", str(psi)]) == 2
         assert _error_line(capsys) == f"error: entry 2 has magnitude 1e+302; {self.BOUND_TEXT}"
+
+    def test_nogo_parameter_whose_defect_passes_the_bound(self, capsys):
+        # the triangle defect of m2_admissible(lam) holds 2 lam
+        assert main(["nogo-m2", "--lambdas", "6e300"]) == 2
+        assert _error_line(capsys) == f"error: entry 18 has magnitude 1.2e+301; {self.BOUND_TEXT}"
 
     @pytest.mark.parametrize("suffix, text", [
         (".json", '{"n": 3, "d": [0, 1.5e308, 1.5e308, 1.5e308, 0, 1.5e308, 1.5e308, 1.5e308, 0]}'),

@@ -67,6 +67,35 @@ class TestFiniteMetricSpace:
         with pytest.raises(NonFiniteError, match="distance matrix must be finite"):
             FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(MetricInputError, match="distance matrix must be square"):
+            FiniteMetricSpace(np.zeros((2, 3)))
+
+    def test_rejects_overflow_scale_distances(self):
+        # the triangle test would overflow on these; the suite turns the warning into an error
+        d = 1.5e308 * (np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(NonFiniteError) as err:
+            FiniteMetricSpace(d)
+        assert str(err.value) == (
+            "distance 1 (d(0, 1)) has magnitude 1.5e+308; "
+            "finite values above 2**1000 (about 1.07e301) are rejected"
+        )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda big: conic_combine(big, big, 1.0),
+        lambda big: direct_sum(big, big, 2 * 8e300),
+        lambda big: tensor_product(big, big),
+    ],
+    ids=["conic_combine", "direct_sum", "tensor_product"],
+)
+def test_constructions_beyond_the_bound_are_refused(build):
+    # each factor is within 2**1000; each result holds 1.6e301, the direct sum in its cross term
+    with pytest.raises(NonFiniteError, match=r"^entry \d+ has magnitude 1\.6e\+301; "):
+        build(two_point(8e300))
+
 
 class TestFromFiniteMetric:
     def test_two_point(self):

@@ -15,6 +15,7 @@ from qmetric import (
     NonFiniteError,
     PreconditionError,
     PureState,
+    ShapeMismatchError,
     State,
     ToleranceConfig,
     check_leibniz,
@@ -211,8 +212,75 @@ class TestStates:
         with pytest.raises(NonFiniteError, match="pure-state vector must be finite"):
             PureState(AlgebraShape((2,)), 0, np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: State(AlgebraShape((1, 1)), (np.array([[1e302]]), np.array([[0.0]]))),
+            lambda: State(AlgebraShape((2,)), (np.array([[0.5, 1e302j], [-1e302j, 0.5]]),)),
+            lambda: State.classical([1e302, 0.0]),
+            lambda: PureState(AlgebraShape((2,)), 0, [1e302, 0.0]),
+        ],
+        ids=["State", "State-off-diagonal", "State.classical", "PureState"],
+    )
+    def test_rejects_overflow_scale_entries(self, build):
+        # the suite turns warnings into errors, so no check may have overflowed first
+        with pytest.raises(NonFiniteError, match=r"has magnitude 1e\+302; finite values above 2\*\*1000"):
+            build()
+
+    def test_needs_one_density_per_block(self):
+        with pytest.raises(ValueError, match="need 2 block densities, got 1"):
+            State(AlgebraShape((1, 1)), (np.array([[1.0]]),))
+
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_pure_state_block_in_range(self, block):
+        with pytest.raises(ValueError, match=f"block index {block} out of range"):
+            PureState(AlgebraShape((1, 2)), block, [1.0])
+
+    def test_pure_state_vector_fits_its_block(self):
+        with pytest.raises(ValueError, match="vector must have length 2, got 3"):
+            PureState(AlgebraShape((1, 2)), 1, [1.0, 0.0, 0.0])
+
+    def test_pair_needs_the_state_shape(self):
+        with pytest.raises(ShapeMismatchError, match="state and element live over different shapes"):
+            State.classical([0.5, 0.5]).pair(identity((2,)))
+
+
+class TestArgumentGuards:
+    """Transport and seminorm entry points refuse operands they cannot use."""
+
+    def test_lip_seminorm(self):
+        with pytest.raises(ShapeMismatchError, match="element and candidate live over different shapes"):
+            lip_seminorm(identity((2,)), classical_candidate(np.ones((2, 2)) - np.eye(2)))
+
+    def test_pure_state_bound(self):
+        v, w = PureState((1, 1), 0, [1.0]), PureState((1, 1), 1, [1.0])
+        with pytest.raises(ShapeMismatchError, match="pure states and candidate live over different shapes"):
+            pure_state_bound(v, w, classical_candidate(np.ones((3, 3)) - np.eye(3)))
+
+    def test_mk_distance(self):
+        phi, psi = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
+        with pytest.raises(ShapeMismatchError, match="states and candidate live over different shapes"):
+            mk_distance(phi, psi, classical_candidate(np.ones((3, 3)) - np.eye(3)))
+
+    def test_mk_distance_method(self):
+        phi, psi = State.classical([1.0, 0.0]), State.classical([0.0, 1.0])
+        with pytest.raises(ValueError, match="method must be one of auto, ascent"):
+            mk_distance(phi, psi, classical_candidate(np.ones((2, 2)) - np.eye(2)), method="lp")
+
+    @pytest.mark.parametrize("candidate", [identity((2,)), np.eye(4), None])
+    def test_candidate_must_be_a_candidate_or_bielement(self, candidate):
+        with pytest.raises(TypeError, match="expected a MetricCandidate or BiElement"):
+            metric_pseudo_inverse(candidate)
+
 
 class TestPseudoInverse:
+    def test_inverse_beyond_the_bound_is_refused(self):
+        # norm 5e-294 puts the nondegeneracy floor near 5e-302, whose inverse passes 2**1000
+        s, e = 5e-294, 5.1e-302
+        rho = classical_candidate([[0.0, s, s], [s, 0.0, e], [s, e, 0.0]])
+        with pytest.raises(NonFiniteError, match=r"has magnitude 1\.96078e\+301; finite values above 2\*\*1000"):
+            metric_pseudo_inverse(rho)
+
     def test_self_inverse_entries(self):
         pinv = metric_pseudo_inverse(TWO_POINT)
         assert np.allclose(pinv.data.real, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-12)

@@ -325,6 +325,27 @@ class TestFeasibilitySearch:
         with pytest.raises(ValueError):
             SearchConfig(shape=(2,), normalization="nope")
 
+    @pytest.mark.parametrize("target", [0.0, -4.0])
+    def test_trace_target_must_be_positive(self, target):
+        with pytest.raises(ValueError, match="trace_target must be positive"):
+            SearchConfig(shape=(2,), trace_target=target)
+
+    def test_config_above_the_bound(self):
+        with pytest.raises(NonFiniteError, match=r"^entry 2 has magnitude 1e\+302; finite values above 2\*\*1000"):
+            SearchConfig(shape=(2,), trace_target=1e302)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: structure_basis((2,), mode="classical"),
+            lambda: feasibility_search(SearchConfig(shape=(2,)), mode="classical"),
+        ],
+        ids=["structure_basis", "feasibility_search"],
+    )
+    def test_unknown_mode(self, run):
+        with pytest.raises(ValueError, match=r"mode must be one of \('representation', 'algebraic'\)"):
+            run()
+
     def test_opnorm_gauge(self):
         cfg = SearchConfig(
             shape=(1, 1, 1), max_iter=3000, restarts=1, seed=4, normalization="opnorm"
