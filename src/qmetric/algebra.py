@@ -15,8 +15,8 @@ groups, one group per cell size.  The spectral functions (`op_norm` and
 `min_eig` on elements, `cellwise_eigh`, `cellwise_norm` and
 `cellwise_min_eig`) work one stacked LAPACK call per group instead of one
 call on the dense D^m x D^m matrix.
-Cells of size one need no LAPACK call at all.  The dense maps stay as the
-reference the tests compare against.
+Cells of size one, and stacks that are exactly zero, need no LAPACK call
+at all.  The dense maps stay as the reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
 a block's coordinates sit; no dense support mask exists.  Element
@@ -216,9 +216,16 @@ def adjoints(mats: np.ndarray) -> np.ndarray:
 
 
 def matrix_norms(mats: np.ndarray) -> np.ndarray:
-    """Operator norm of every matrix in a stack; 1x1 ones need no LAPACK call."""
+    """Operator norm of every matrix in a stack.
+
+    A stack of 1x1 matrices, or one that is exactly zero, needs no LAPACK
+    call: LAPACK's norm of a zero matrix is +0.0 too.  A NaN makes a stack
+    nonzero, so it still reaches the SVD.
+    """
     if mats.shape[-1] == 1:
         return np.abs(mats[..., 0, 0])
+    if not mats.any():
+        return np.zeros(mats.shape[:-2])
     # the largest singular value, which np.linalg.norm(mats, 2, axis=(-2, -1)) also takes
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
@@ -344,16 +351,26 @@ class _Element:
         stacks = self.cells
         return hermitian_defect(stacks) <= tol * max(1.0, cellwise_norm(stacks))
 
+    def _result(self, op, operand):
+        """The element op(self.data, operand).
+
+        An overflow gives inf or NaN silently, so the new element refuses it
+        with a NonFiniteError rather than numpy warning first.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = op(self.data, operand)
+        return self._like(data)
+
     def __add__(self, other):
         self._check_same(other)
-        return self._like(self.data + other.data)
+        return self._result(np.add, other.data)
 
     def __sub__(self, other):
         self._check_same(other)
-        return self._like(self.data - other.data)
+        return self._result(np.subtract, other.data)
 
     def __mul__(self, scalar):
-        return self._like(self.data * complex(scalar))
+        return self._result(np.multiply, complex(scalar))
 
     __rmul__ = __mul__
 
@@ -362,7 +379,7 @@ class _Element:
 
     def __matmul__(self, other):
         self._check_same(other)
-        return self._like(self.data @ other.data)
+        return self._result(np.matmul, other.data)
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         self._check_same(other)

@@ -100,7 +100,8 @@ def cmd_verify(args) -> int:
     if args.report:
         exchange.save_report(report, args.report)
     _say(args, lambda: _report_table(report))
-    _emit_json(args, report.to_dict)
+    if args.json:
+        print(exchange._report_text(report, None))
     return 0 if report.passed else 1
 
 

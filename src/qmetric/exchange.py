@@ -15,10 +15,11 @@ through the reference path `dict_to_element(json.loads(text))`, and reads
 to the same element; so does a document holding a backslash or a `null`.
 
 A report document is the text json.dumps(report.to_dict(), indent=2)
-gives, byte for byte.  As a matrix document is json.dumps text with its
-`data` spliced in, a report is json.dumps text with each witness spliced
-in, written from its array: exact-zero entries from one template, only the
-others by repr.
+gives, byte for byte, and the `verify --json` payload the text
+json.dumps(report.to_dict()) gives.  As a matrix document is json.dumps
+text with its `data` spliced in, both are json.dumps text with each witness
+spliced in, written from its array: exact-zero entries from one template,
+only the others by repr.
 
 Readers check a document's layout; its values meet `algebra.require_finite`
 in the constructors, whose NaN, infinity or 2**1000 bound error a reader
@@ -48,10 +49,15 @@ class ExchangeError(ValueError):
     """Malformed or inconsistent exchange document."""
 
 
-# the text json.dumps writes for an exact-zero [re, im] pair
-_ZERO_PAIR = "[0.0, 0.0]"
-# an [re, im] pair of a report record's witness, as json.dumps(indent=2) lays it out
-_WITNESS_PAIR = "[\n          {},\n          {}\n        ]"
+# the text json.dumps writes for an [re, im] pair, and for an exact-zero one
+_PAIR = "[{}, {}]"
+_ZERO_PAIR = _PAIR.format("0.0", "0.0")
+# how json.dumps(indent=2) and json.dumps() lay out a report record's witness:
+# one [re, im] pair, then the opening, separator and closing of the pair list
+_WITNESS_LAYOUT = {
+    2: ("[\n          {},\n          {}\n        ]", "[\n        ", ",\n        ", "\n      ]"),
+    None: (_PAIR, "[", ", ", "]"),
+}
 
 
 def _write(path, text: str) -> None:
@@ -106,7 +112,7 @@ def _pair_texts(arr, zero: str, pair) -> list[str]:
 
 def _matrix_text(x, **after) -> str:
     """json.dumps({**element_to_dict(x), **after}), byte for byte, from `_pair_texts`."""
-    entries = _pair_texts(zero_clip(np.asarray(x.data)), _ZERO_PAIR, lambda re, im: f"[{re}, {im}]")
+    entries = _pair_texts(zero_clip(np.asarray(x.data)), _ZERO_PAIR, _PAIR.format)
     text = json.dumps({**_matrix_fields(x), "data": None, **after})
     return text.replace('"data": null', f'"data": [{", ".join(entries)}]', 1)
 
@@ -278,28 +284,30 @@ def load_state(path):
     return _element_to_state(_read_element(path, "state"))
 
 
-def _report_text(report) -> str:
-    """json.dumps(report.to_dict(), indent=2), byte for byte.
+def _report_text(report, indent: int | None) -> str:
+    """json.dumps(report.to_dict(), indent=indent), byte for byte, for indent 2 or None.
 
     json.dumps with an indent always runs the pure-Python encoder, whose
-    cost grows with the D^2- or D^3-long witnesses of failing reports.  So
-    each record with a witness is laid out with `"witness": null`, and that
-    text, which cannot occur inside a JSON string, is replaced in record
-    order by the witness written from its array at the records' depth.
-    The witnesses' [re, im] lists are never built.
+    cost grows with the D^2- or D^3-long witnesses of failing reports, and
+    either layout would first need their [re, im] lists.  So each record
+    with a witness is laid out with `"witness": null`, and that text, which
+    cannot occur inside a JSON string, is replaced in record order by the
+    witness written from its array in the same layout.  The witnesses'
+    [re, im] lists are never built.
     """
-    text = json.dumps(report._document(lambda witness: None), indent=2)
+    pair, start, sep, end = _WITNESS_LAYOUT[indent]
+    text = json.dumps(report._document(lambda witness: None), indent=indent)
     for rec in report.records:
         if rec.witness is not None:
-            pairs = _pair_texts(rec.witness, _WITNESS_PAIR.format("0.0", "0.0"), _WITNESS_PAIR.format)
-            witness = "[\n        " + ",\n        ".join(pairs) + "\n      ]" if pairs else "[]"
+            pairs = _pair_texts(rec.witness, pair.format("0.0", "0.0"), pair.format)
+            witness = start + sep.join(pairs) + end if pairs else "[]"
             text = text.replace('"witness": null', f'"witness": {witness}', 1)
     return text
 
 
 def save_report(report, path) -> None:
-    """Write report.to_dict() to path as `_report_text` lays it out."""
-    _write(path, _report_text(report))
+    """Write report.to_dict() to path as json.dumps(indent=2) lays it out."""
+    _write(path, _report_text(report, 2))
 
 
 def load_metric_space(path) -> FiniteMetricSpace:

@@ -178,6 +178,8 @@ class State:
         if not finite.all():
             # the first bad weight names the error, as its 1x1 block would
             require_finite(w[[finite.argmin()]], "block densities")
+        # an over-bound weight is named by its index in the vector
+        require_finite(w, "block densities")
         return cls._from_element(AlgebraElement(AlgebraShape((1,) * w.size), np.diag(w)))
 
     def as_element(self) -> AlgebraElement:

@@ -31,6 +31,7 @@ from qmetric.algebra import (
     zero_clip,
 )
 from qmetric.axioms import M2_TRIANGLE_DEFECT, m2_admissible
+from qmetric.construct import FiniteMetricSpace, from_finite_metric
 
 SHAPES = [(2,), (1, 1), (3,), (2, 3), (1, 2), (1, 1, 1)]
 
@@ -423,3 +424,11 @@ class TestEntryBound:
         for result in (lambda: x + x, lambda: x - -x, lambda: 2 * x, lambda: (x * 1e-150) @ y):
             with pytest.raises(NonFiniteError, match=re.escape(self.BOUND_TEXT)):
                 result()
+
+    @pytest.mark.parametrize("op", ["matmul", "scale"])
+    def test_results_that_overflow_are_refused_without_a_warning(self, op):
+        # distances of 8e300 are within the bound; x @ x and x * 1e10 overflow to inf
+        rho = from_finite_metric(FiniteMetricSpace(8e300 * (1 - np.eye(3)))).rho
+        result = (lambda: rho @ rho) if op == "matmul" else (lambda: rho * 1e10)
+        with pytest.raises(NonFiniteError, match="^matrix data must be finite; found .* NaN or infinite entries$"):
+            result()

@@ -235,6 +235,30 @@ def test_matrix_norms_equal_numpy_operator_norms(lead):
             np.testing.assert_allclose(matrix_norms(mats), want, rtol=1e-15, atol=0.0)
         else:
             assert np.array_equal(matrix_norms(mats), want)
+    # an exactly zero stack needs no LAPACK call, and a NaN makes a stack nonzero
+    for n in (2, 3, 5):
+        zero = np.zeros(lead + (4, n, n), dtype=complex)
+        signed = zero.copy()
+        signed.real[..., 0, :] = -0.0
+        signed.imag[..., :, -1] = -0.0
+        mixed = zero.copy()
+        mixed[..., 1, :, :] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with_nan = zero.copy()
+        with_nan[..., 2, 0, n - 1] = np.nan
+        for mats in (zero, signed, -zero.real, mixed, with_nan, with_nan.real, mixed + with_nan):
+            assert _outcome(matrix_norms, mats) == _outcome(np.linalg.norm, mats, 2, axis=(-2, -1))
+
+
+def _outcome(norms, *args, **kwargs):
+    """The bytes and dtype of norms(*args, **kwargs), or the type of error it raises.
+
+    LAPACK may refuse a NaN ("SVD did not converge") or return NaN.
+    """
+    try:
+        out = norms(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    return out.dtype, out.shape, out.tobytes()
 
 
 class TestKeptCells:

@@ -406,6 +406,8 @@ class TestReportDocument:
         text = path.read_text()
         assert text == json.dumps(report.to_dict(), indent=2)
         assert text == json.dumps(expected, indent=2)
+        # the compact layout of the verify --json payload splices the same witnesses
+        assert exchange._report_text(report, None) == json.dumps(report.to_dict())
 
 
 class TestStateRoundTrip:

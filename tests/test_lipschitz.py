@@ -208,6 +208,13 @@ class TestStates:
         with pytest.raises(NonFiniteError, match="found 1 NaN"):
             State.classical([0.5, np.inf, np.nan])
 
+    def test_classical_names_an_over_bound_weight_by_its_index(self):
+        with pytest.raises(NonFiniteError, match=r"^entry 1 has magnitude 1e\+302; finite values above 2\*\*1000"):
+            State.classical([0.5, 1e302])
+        # a NaN still gives the non-finite error, whatever else is over the bound
+        with pytest.raises(NonFiniteError, match="^block densities must be finite; found 1 NaN or infinite entries$"):
+            State.classical([1e302, np.nan])
+
     def test_pure_state_rejects_nan(self):
         with pytest.raises(NonFiniteError, match="pure-state vector must be finite"):
             PureState(AlgebraShape((2,)), 0, np.array([np.nan, 1.0]))
