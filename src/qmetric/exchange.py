@@ -9,10 +9,12 @@ metric spaces load from {"n": ..., "d": row-major} documents or from a
 plain-text lower triangle.
 
 Most entries of a dense matrix document are exact zeros, which writers
-emit as the text `[0.0, 0.0]` from one template, and readers parse each
-such pair as one `null` token.  Any other valid JSON spacing still reads,
-through the reference path `dict_to_element(json.loads(text))`, and reads
-to the same element; so does a document holding a backslash or a `null`.
+emit as the text `[0.0, 0.0]` from one template.  Readers take a file's
+bytes once and find its entries by a numpy scan of them; only the header
+fields and the other entries reach json.loads.  Any other valid JSON
+spacing or encoding still reads, through the reference path
+`dict_to_element(json.loads(text))` on the file's text as a text-mode
+open() decodes it, and reads to the same element, with the same errors.
 
 A report document is the text json.dumps(report.to_dict(), indent=2)
 gives, byte for byte, and the `verify --json` payload the text
@@ -25,12 +27,14 @@ Readers check a document's layout; its values meet `algebra.require_finite`
 in the constructors, whose NaN, infinity or 2**1000 bound error a reader
 raises as an ExchangeError.
 
-Every writer goes through `_write`, which overwrites a file in place and
-then cuts it to the new length, never truncating it to zero first.
+Every writer goes through `_write`, which writes a document's bytes over
+a file's old ones and then cuts it to the new length, never truncating it
+to zero first.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -52,6 +56,12 @@ class ExchangeError(ValueError):
 # the text json.dumps writes for an [re, im] pair, and for an exact-zero one
 _PAIR = "[{}, {}]"
 _ZERO_PAIR = _PAIR.format("0.0", "0.0")
+# the bytes that open a matrix document's first entry, and those of an
+# exact-zero entry up to the next entry's bracket, as two overlapping
+# little-endian words: its first eight bytes and its last eight
+_FIRST_ENTRY = b'"data": [['
+_ZERO_ENTRY = (_ZERO_PAIR + ", [").encode()
+_ZERO_HEAD, _ZERO_TAIL = (int.from_bytes(w, "little") for w in (_ZERO_ENTRY[:8], _ZERO_ENTRY[-8:]))
 # how json.dumps(indent=2) and json.dumps() lay out a report record's witness:
 # one [re, im] pair, then the opening, separator and closing of the pair list
 _WITNESS_LAYOUT = {
@@ -62,6 +72,11 @@ _WITNESS_LAYOUT = {
 
 def _write(path, text: str) -> None:
     """Write text to path as open(path, "w") would, but over the old bytes.
+
+    The text is encoded once; every document is ASCII, as json.dumps
+    escapes everything else, so its bytes are those of any locale.  They
+    go to the file in os.write calls until all are written, with no
+    TextIOWrapper or buffer between.
 
     On ext4, truncating a non-empty file to zero starts a flush when it is
     closed (auto_da_alloc), and that costs an overwrite several times the
@@ -75,10 +90,16 @@ def _write(path, text: str) -> None:
     and new pages, where the truncating write left the new text or an empty
     file.  Nothing here calls fsync.
     """
-    with open(Path(path), "w", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    data = text.encode()
+    fd = os.open(os.fspath(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _matrix_fields(x) -> dict:
@@ -160,14 +181,6 @@ def _pairs(values: list) -> np.ndarray:
     return raw.view(complex).ravel()
 
 
-def _zero_pairs(data: list) -> np.ndarray:
-    """_pairs for a list whose None entries stand for 0+0j."""
-    keep = [k for k, pair in enumerate(data) if pair is not None]
-    flat = np.zeros(len(data), dtype=complex)
-    flat[keep] = _pairs([data[k] for k in keep])
-    return flat
-
-
 def _integral(value, field: str, doc: str = "matrix") -> int:
     """value as an int when it is an integer or an integral float such as 2.0."""
     if isinstance(value, float) and value.is_integer():
@@ -178,10 +191,15 @@ def _integral(value, field: str, doc: str = "matrix") -> int:
 
 
 def dict_to_element(doc: dict):
-    return _to_element(doc, _pairs)
+    return _to_element(doc)
 
 
-def _to_element(doc: dict, pairs):
+def _to_element(doc: dict, flat: np.ndarray | None = None):
+    """The element of a matrix document.
+
+    flat, when given, is the complex vector of all entries, and doc's
+    `data` the list of only those the scan did not find to be exact zeros.
+    """
     try:
         blocks = tuple(_integral(n, "shape") for n in doc["shape"])
         order = _integral(doc["order"], "order")
@@ -200,12 +218,13 @@ def _to_element(doc: dict, pairs):
     except ValueError as exc:
         raise ExchangeError(str(exc)) from exc
     d = shape.dim**order
-    if rows != d or cols != d or len(data) != d * d:
+    entries = len(data) if flat is None else flat.size
+    if rows != d or cols != d or entries != d * d:
         raise ExchangeError(
             f"dimension mismatch: blocks {blocks} at order {order} need "
-            f"{d}x{d}, document says {rows}x{cols} with {len(data)} entries"
+            f"{d}x{d}, document says {rows}x{cols} with {entries} entries"
         )
-    arr = pairs(data).reshape(d, d)
+    arr = (_pairs(data) if flat is None else flat).reshape(d, d)
     try:
         return element_type(order)(shape, arr)
     except ValueError as exc:
@@ -216,31 +235,83 @@ def save_element(x, path) -> None:
     _write(path, _matrix_text(x))
 
 
+def _text(raw: bytes) -> str:
+    """raw decoded as a text-mode open() decodes a file: in the locale's encoding, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="locale").read()
+
+
+def _entries(raw: bytes, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offset of every `[` in raw from start on, and whether it opens an exact-zero entry.
+
+    An entry is an exact zero when its bytes, up to and including the next
+    `[`, are `[0.0, 0.0], [`: both of its words match, read through a
+    stride-1 "<u8" view.  The view is of raw padded with zero bytes, so
+    every word read lies inside it, and the last `[` never matches.
+    """
+    padded = raw + bytes(len(_ZERO_ENTRY))
+    opens = np.flatnonzero(np.frombuffer(padded, np.uint8, offset=start) == ord("[")) + start
+    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
+    return opens, (words[opens] == _ZERO_HEAD) & (words[opens + 5] == _ZERO_TAIL)
+
+
+def _scan(raw: bytes):
+    """The element of a matrix document's bytes, or None where the reference path must read them.
+
+    Each `[` from the first entry of the `data` list on is taken to open an
+    entry.  The exact-zero entries, each up to the next `[`, are cut out,
+    and what is left, header fields and other entries, goes to json.loads
+    in one call; their values fill a vector of zeros.  That is the
+    reference reading when the parsed `data` is the list scanned and holds
+    one [re, im] pair per `[` left.  A pair holds no bracket, so then every
+    `[` left opens an entry, no entry nests one, nothing after the list
+    holds one, and each cut was a whole `[0.0, 0.0]` entry of the list.
+    The parsed `data` is the list scanned when the document holds one
+    `"data"` and no backslash, which could hide a key in an escape.  The
+    text parsed must be ASCII, which every locale decodes alike.
+    """
+    first = raw.find(_FIRST_ENTRY)
+    if first < 0 or b"\\" in raw:
+        return None
+    opens, zero = _entries(raw, first + len(_FIRST_ENTRY) - 1)
+    # each entry kept runs to the next `[`; the last one, which has no next
+    # `[` to match, is always kept and runs to the end
+    kept = ~zero
+    ends = opens[1:][kept[:-1]].tolist() + [len(raw)]
+    entries = [raw[a:b] for a, b in zip(opens[kept].tolist(), ends)]
+    text = b"".join([raw[: opens[0]], *entries])
+    # a cut holds no `"`, so the text holds every `"data"` the document does
+    if text.count(b'"data"') != 1:
+        return None
+    try:
+        doc = json.loads(text.decode("ascii"))
+        if len(doc["data"]) != len(entries):
+            return None
+        flat = np.zeros(opens.size, dtype=complex)
+        flat[kept] = _pairs(doc["data"])
+        return _to_element(doc, flat)
+    except Exception:  # the reference path raises the fault with its own message
+        return None
+
+
 def _read_element(path, kind: str):
     """The element of the matrix or state document at path.
 
-    Outside strings the text `[0.0, 0.0]` is always one whole array value,
-    so when a document holds no `null` of its own, reading each such pair
-    as `null` parses it in about a tenth of the time; None is then taken as
-    0+0j only where it is a whole entry of `data`.  Inside strings the swap
-    changes only text that no accepted field holds.  A backslash right
-    before the pair would turn the `n` into an escape, so a document holding
-    any backslash goes to the reference path `dict_to_element(json.loads(text))`,
-    as does one holding `null` and whatever the fast path does not accept;
-    that path names the fault.  Both guards start with a one-character
-    scan: no key of a matrix or state document holds a backslash or an `n`.
+    The file's bytes are read once, with no text layer.  `_scan` reads them
+    where it can show that its reading is the reference one.  Everything
+    else, other spacing or encodings and every malformed document, goes to
+    the reference path `dict_to_element(json.loads(text))`, on the bytes
+    decoded as a text-mode open() decodes them, which names the fault.
     """
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
-    if "\\" not in text and ("n" not in text or "null" not in text):
-        try:
-            return _to_element(json.loads(text.replace(_ZERO_PAIR, "null")), _zero_pairs)
-        except Exception:  # the reference path below raises the fault with its own message
-            pass
+    elem = _scan(raw)
+    if elem is not None:
+        return elem
     try:
-        doc = json.loads(text)
+        doc = json.loads(_text(raw))
     except json.JSONDecodeError as exc:
         raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
     return dict_to_element(doc)
@@ -318,7 +389,8 @@ def load_metric_space(path) -> FiniteMetricSpace:
     distances d(k+1, 0..k).
     """
     path = Path(path)
-    text = path.read_text()
+    with open(path, "rb") as f:
+        text = _text(f.read())
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)

@@ -138,13 +138,17 @@ class TestElementRoundTrip:
 
 
 def _assert_reads_like_reference(path, text):
-    """load_element(path) on text gives what dict_to_element(json.loads(text)) gives.
+    """load_element(path) on text gives what dict_to_element(json.loads(path.read_text())) gives.
 
     The element bit for bit, or an error of the same type and message.
+    Text given as bytes is written as it is.
     """
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     try:
-        want = dict_to_element(json.loads(text))
+        want = dict_to_element(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         with pytest.raises(ExchangeError, match="cannot read matrix document") as got:
             load_element(path)
@@ -169,7 +173,7 @@ _SHAPED_ORDERS = [
 
 
 class TestZeroPairReader:
-    """Loading reads each exact-zero pair as one token and agrees with the reference path."""
+    """Loading finds each exact-zero entry by a scan of the bytes and agrees with the reference path."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -252,6 +256,42 @@ class TestZeroPairReader:
             # no valid algebra shape: zero blocks, and no blocks at all
             '{"shape": [0, 0], "order": 1, "rows": 0, "cols": 0, "data": []}',
             '{"shape": [], "order": 1, "rows": 0, "cols": 0, "data": []}',
+            # a UTF-8 BOM, which json.loads(bytes) would strip and json.loads(str) refuses
+            b'\xef\xbb\xbf{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # UTF-16 with and without its BOM, CRLF-indented JSON, a non-ASCII byte in a string field
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}'.encode("utf-16"),
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}'.encode("utf-16-le"),
+            json.dumps(
+                {"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]},
+                indent=2,
+            ).replace("\n", "\r\n").encode(),
+            # a carriage return inside a key, which read_text turns into a newline
+            b'{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "\r": 1}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "\u00e9", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}'.encode(),
+            b'{"shape": [2], "order": 1, "rows": 2, "cols": 2, "note": "\xff", "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # a space before the first entry
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [ [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            # a zero pair opening a nested entry
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [[0.0, 0.0], [5.0, 6.0]], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [1], "order": 1, "rows": 1, "cols": 1, "data": [[[0.0, 0.0], [5.0, 6.0]]]}',
+            # a zero pair with other bytes before the next entry, and a pair that starts like one
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0]x, [0.0, 0.0], [2.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0],[0.0, 0.0], [3.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [2.0, 0.0]]}',
+            # a field after data that holds `]`, one that holds brackets, one that holds a second "data" key
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "note": "]"}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "note": [[0.0, 0.0], [1]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "note": {"data": [[0.0, 0.0], [2.0, 0.0]]}}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "note": "[0.0, 0.0], ["}',
+            # too few entries, with a field after them whose brackets make up the count
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0]], "note": [[0.0, 0.0], [5]]}',
+            # too few entries, and a second "data" list laid out as writers lay it out, in a
+            # field after them or, behind an escaped key, the only one
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data":[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], "note": {"data": [[0.0, 0.0], [6.0, 0.0], [7.0, 0.0], [8.0, 0.0]]}}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "d\\u0061ta": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], "note": {"data": [[0.0, 0.0], [6.0, 0.0], [7.0, 0.0], [8.0, 0.0]]}}',
+            # the data list nested one level down, and a document that ends before its closing brace
+            '{"x": {"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]',
         ],
     )
     def test_hostile_documents_load_like_the_reference(self, tmp_path, text):
@@ -266,22 +306,23 @@ class TestZeroPairReader:
                 read()
 
     def test_written_documents_take_the_fast_path(self, tmp_path, monkeypatch):
-        # a writer whose zeros stop matching the reader's token would lose the gain silently
+        # a writer whose zeros stop matching the scan's pattern would lose the gain silently
         x = random_element((1, 2), 2, np.random.default_rng(3))
         s = State(AlgebraShape((1, 2)), (np.array([[0.5]]), np.diag([0.25, 0.25])))
         save_element(x, tmp_path / "x.json")
         save_state(s, tmp_path / "s.json")
         fast = []
-        zero_pairs = exchange._zero_pairs
+        entries = exchange._entries
 
-        def spy(data):
-            fast.append(data.count(None))
-            return zero_pairs(data)
+        def spy(raw, start):
+            opens, zero = entries(raw, start)
+            fast.append(int(np.count_nonzero(zero)))
+            return opens, zero
 
         def refuse(doc):
             raise AssertionError("the reference path was taken")
 
-        monkeypatch.setattr(exchange, "_zero_pairs", spy)
+        monkeypatch.setattr(exchange, "_entries", spy)
         monkeypatch.setattr(exchange, "dict_to_element", refuse)
         assert np.array_equal(load_element(tmp_path / "x.json").data, x.data)
         assert np.array_equal(load_state(tmp_path / "s.json").densities[1], s.densities[1])
@@ -529,6 +570,24 @@ class TestMetricSpaceLoading:
         assert space.dist[2, 0] == 2.0
         assert space.dist[2, 1] == 1.0
 
+    @pytest.mark.parametrize("raw", [b"1.0\r\n2.0 1.0\r\n", b"1.0\r2.0 1.0\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, raw):
+        (tmp_path / "lf.txt").write_text("1.0\n2.0 1.0\n")
+        (tmp_path / "s.txt").write_bytes(raw)
+        assert np.array_equal(load_metric_space(tmp_path / "s.txt").dist, load_metric_space(tmp_path / "lf.txt").dist)
+
+    def test_bom_and_utf16_fail_as_a_text_mode_read_does(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xef\xbb\xbf{"n": 1, "d": [0]}')
+        with pytest.raises(ExchangeError, match="Unexpected UTF-8 BOM"):
+            load_metric_space(path)
+        path.write_bytes('{"n": 1, "d": [0]}'.encode("utf-16"))
+        with pytest.raises(UnicodeDecodeError) as want:
+            path.read_text()
+        with pytest.raises(UnicodeDecodeError) as got:
+            load_metric_space(path)
+        assert str(got.value) == str(want.value)
+
     def test_bad_triangle_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0 2.0\n")
@@ -697,6 +756,24 @@ def test_pipe_receives_the_whole_document():
         os.close(w)
     with os.fdopen(r) as f:
         assert f.read() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_short_writes_deliver_the_whole_document(tmp_path, monkeypatch):
+    # a failing report, several times the 7 bytes each write takes, and well under a pipe's buffer
+    report = verify(_RANDOM_RHO)
+    want = json.dumps(report.to_dict(), indent=2)
+    os_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, bytes(data)[:7]))
+    save_report(report, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text() == want
+    r, w = os.pipe()
+    try:
+        save_report(report, f"/dev/fd/{w}")
+    finally:
+        os.close(w)
+    with os.fdopen(r) as f:
+        assert f.read() == want
 
 
 class TestCliWriteErrors:
