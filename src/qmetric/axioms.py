@@ -120,17 +120,13 @@ class AxiomRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return self._fields(complex_pairs)
-
-    def _fields(self, pairs) -> dict:
-        """to_dict() with the witness, if any, written as pairs(witness)."""
         out: dict = {
             "axiom": self.axiom,
             "passed": bool(self.passed),
             "margin": None if np.isnan(self.margin) else float(self.margin),
         }
         if self.witness is not None:
-            out["witness"] = pairs(self.witness)
+            out["witness"] = complex_pairs(self.witness)
         if self.indeterminate:
             out["indeterminate"] = True
         if self.note:
@@ -162,15 +158,11 @@ class AxiomReport:
         return tuple(r.axiom for r in self.records if not r.passed)
 
     def to_dict(self) -> dict:
-        return self._document(complex_pairs)
-
-    def _document(self, pairs) -> dict:
-        """to_dict() with each record's witness written as pairs(witness)."""
         return {
             "mode": self.mode,
             "shape": list(self.shape.blocks),
             "passed": self.passed,
-            "records": [r._fields(pairs) for r in self.records],
+            "records": [r.to_dict() for r in self.records],
             "tolerances": self.config.to_dict(),
             "seed": self.config.seed,
         }

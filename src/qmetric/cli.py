@@ -6,6 +6,12 @@ verdict, 1 for a mathematically negative result, 2 for usage or parse
 errors.  All matrix input and output uses the shared JSON exchange format,
 so constructions pipe into verification and search outputs pipe into the
 transport computations.
+
+`main` hands a command's arguments straight to that subcommand's own
+parser, a child of the full parser `build_parser` builds; the full parser
+runs only for help and for errors it reports itself, so every message is
+the one it prints.  `verify` formats its report's fields once and lays
+them out for both the report file and the `--json` payload.
 """
 
 from __future__ import annotations
@@ -97,11 +103,13 @@ def cmd_verify(args) -> int:
     rho = exchange.load_element(args.path, expect_order=2)
     cfg = _tolerance_config(args)
     report = verify(rho, cfg, mode=args.mode)
+    # the report's field texts, formatted once for the file and the payload
+    fields = exchange._report_node(report) if args.report or args.json else None
     if args.report:
-        exchange.save_report(report, args.report)
+        exchange._write(args.report, exchange._layout(fields, 2))
     _say(args, lambda: _report_table(report))
     if args.json:
-        print(exchange._report_text(report, None))
+        print(exchange._layout(fields, None))
     return 0 if report.passed else 1
 
 
@@ -382,13 +390,42 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process and reused by every `main` call.
 
     Building it costs about twenty parses, which is a large share of a
-    small query run in-process.
+    small query run in-process.  `main` parses a command's arguments with
+    that command's own parser, one of this parser's children, and comes
+    here only for help and errors the top level reports.
     """
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser by name: the children `_parser()` hands its arguments to."""
+    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), by the subcommand's parser alone where that gives the same.
+
+    The top-level parser hands every argument after a subcommand's name to
+    that subcommand's parser and adds only `command`; it prints help or
+    errors itself only where no subcommand is named, or where the
+    subcommand's parser leaves arguments over.  Those cases go to it, so
+    they print what they always printed.  Parsing twice changes nothing:
+    a parse has no side effects, and one that exits does so in the same
+    subcommand parser either way.
+    """
+    sub = _commands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (exchange.ExchangeError, ValueError, OSError) as exc:

@@ -16,12 +16,17 @@ spacing or encoding still reads, through the reference path
 `dict_to_element(json.loads(text))` on the file's text as a text-mode
 open() decodes it, and reads to the same element, with the same errors.
 
-A report document is the text json.dumps(report.to_dict(), indent=2)
-gives, byte for byte, and the `verify --json` payload the text
-json.dumps(report.to_dict()) gives.  As a matrix document is json.dumps
-text with its `data` spliced in, both are json.dumps text with each witness
-spliced in, written from its array: exact-zero entries from one template,
-only the others by repr.
+Every document is the text json.dumps gives it, byte for byte, but none
+runs json.dumps with an indent, which always takes json's pure-Python
+encoder.  A writer formats each field's text once: scalars by repr,
+strings by json's C encoder, and each array of [re, im] pairs (a matrix's
+`data`, a witness) from its array, exact-zero entries from one template
+and only the others by repr.  `_layout` then lays those texts out in
+json.dumps's compact or indented layout.  A matrix document is the compact
+text of element_to_dict; a report document the indented text of
+report.to_dict(), and the `verify --json` payload its compact text, both
+from one set of field texts; a search outcome the indented text of
+outcome_to_dict.
 
 Readers check a document's layout; its values meet `algebra.require_finite`
 in the constructors, whose NaN, infinity or 2**1000 bound error a reader
@@ -40,7 +45,9 @@ import math
 import numbers
 import os
 import stat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,21 +60,14 @@ class ExchangeError(ValueError):
     """Malformed or inconsistent exchange document."""
 
 
-# the text json.dumps writes for an [re, im] pair, and for an exact-zero one
-_PAIR = "[{}, {}]"
-_ZERO_PAIR = _PAIR.format("0.0", "0.0")
+# the text json.dumps writes for an exact-zero [re, im] pair between its brackets
+_ZERO_PAIR = "0.0, 0.0"
 # the bytes that open a matrix document's first entry, and those of an
 # exact-zero entry up to the next entry's bracket, as two overlapping
 # little-endian words: its first eight bytes and its last eight
 _FIRST_ENTRY = b'"data": [['
-_ZERO_ENTRY = (_ZERO_PAIR + ", [").encode()
+_ZERO_ENTRY = f"[{_ZERO_PAIR}], [".encode()
 _ZERO_HEAD, _ZERO_TAIL = (int.from_bytes(w, "little") for w in (_ZERO_ENTRY[:8], _ZERO_ENTRY[-8:]))
-# how json.dumps(indent=2) and json.dumps() lay out a report record's witness:
-# one [re, im] pair, then the opening, separator and closing of the pair list
-_WITNESS_LAYOUT = {
-    2: ("[\n          {},\n          {}\n        ]", "[\n        ", ",\n        ", "\n      ]"),
-    None: (_PAIR, "[", ", ", "]"),
-}
 
 
 def _write(path, text: str) -> None:
@@ -102,6 +102,89 @@ def _write(path, text: str) -> None:
         os.close(fd)
 
 
+class _Rows(NamedTuple):
+    """A list of non-empty lists of numbers, each held as its numbers' JSON texts joined by ", "."""
+
+    texts: list[str]
+
+
+def _scalar(value: float) -> str:
+    """json.dumps(value) for a float."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _node(value):
+    """The field texts of a JSON value: containers kept, each scalar as the text json.dumps gives it."""
+    if isinstance(value, dict):
+        return {key: _node(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_node(v) for v in value]
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _scalar(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _layout(node, indent: int | None, depth: int = 0) -> str:
+    """json.dumps(value, indent=indent) of the value whose field texts node holds, placed at depth.
+
+    A str is the final text of a scalar, a dict an object keyed by str, a
+    list an array, and a `_Rows` an array of arrays of numbers.  The
+    compact layout is json.dumps's default one; an indented one puts each
+    item of a non-empty container on its own line, `indent` spaces deeper
+    than the container.  A `_Rows` is laid out by joins over its row texts,
+    whose only ", " are the separators within a row.
+    """
+    if isinstance(node, str):
+        return node
+    if isinstance(node, _Rows):
+        rows = node.texts
+        if not rows:
+            return "[]"
+        if indent is None:
+            return "[[" + "], [".join(rows) + "]]"
+        outer, row, item = ("\n" + " " * (indent * (depth + k)) for k in range(3))
+        text = f"[{row}[{item}" + f"{row}],{row}[{item}".join(rows) + f"{row}]{outer}]"
+        return text.replace(", ", "," + item)
+    # a scalar's text is laid out in place, with no call
+    if isinstance(node, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {v if type(v) is str else _layout(v, indent, depth + 1)}"
+            for key, v in node.items()
+        ]
+        start, end = "{}"
+    else:
+        items = [v if type(v) is str else _layout(v, indent, depth + 1) for v in node]
+        start, end = "[]"
+    if not items:
+        return start + end
+    if indent is None:
+        return start + ", ".join(items) + end
+    pad = "\n" + " " * (indent * (depth + 1))
+    return start + pad + ("," + pad).join(items) + pad[: len(pad) - indent] + end
+
+
+def _pair_texts(arr) -> _Rows:
+    """Each entry of arr, row-major, as an [re, im] pair.
+
+    Every exact +0.0 + 0.0j entry is the one text `_ZERO_PAIR`; only the
+    others are formatted.
+    """
+    flat = np.asarray(arr, dtype=complex).ravel()
+    out = [_ZERO_PAIR] * flat.size
+    keep = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+    for k, z in zip(keep.tolist(), flat[keep].tolist()):
+        out[k] = f"{_scalar(z.real)}, {_scalar(z.imag)}"
+    return _Rows(out)
+
+
 def _matrix_fields(x) -> dict:
     """Every field of the matrix document of x but `data`."""
     d = x.shape.dim**x.order
@@ -112,30 +195,9 @@ def element_to_dict(x) -> dict:
     return {**_matrix_fields(x), "data": complex_pairs(zero_clip(np.asarray(x.data)))}
 
 
-def _scalar(value: float) -> str:
-    """json.dumps(value) for a float."""
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-def _pair_texts(arr, zero: str, pair) -> list[str]:
-    """The JSON text of each entry of arr, row-major, as an [re, im] pair.
-
-    Every exact +0.0 + 0.0j entry is the one text zero; only the others are
-    formatted, by pair(re, im).
-    """
-    flat = np.asarray(arr, dtype=complex).ravel()
-    out = [zero] * flat.size
-    keep = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
-    for k, z in zip(keep.tolist(), flat[keep].tolist()):
-        out[k] = pair(_scalar(z.real), _scalar(z.imag))
-    return out
-
-
-def _matrix_text(x, **after) -> str:
-    """json.dumps({**element_to_dict(x), **after}), byte for byte, from `_pair_texts`."""
-    entries = _pair_texts(zero_clip(np.asarray(x.data)), _ZERO_PAIR, _PAIR.format)
-    text = json.dumps({**_matrix_fields(x), "data": None, **after})
-    return text.replace('"data": null', f'"data": [{", ".join(entries)}]', 1)
+def _matrix_node(x, **after) -> dict:
+    """The field texts of {**element_to_dict(x), **after}."""
+    return {**_node(_matrix_fields(x)), "data": _pair_texts(zero_clip(np.asarray(x.data))), **_node(after)}
 
 
 def _real(value) -> float | None:
@@ -232,7 +294,7 @@ def _to_element(doc: dict, flat: np.ndarray | None = None):
 
 
 def save_element(x, path) -> None:
-    _write(path, _matrix_text(x))
+    _write(path, _layout(_matrix_node(x), None))
 
 
 def _text(raw: bytes) -> str:
@@ -348,32 +410,45 @@ def _element_to_state(elem):
 
 
 def save_state(state, path) -> None:
-    _write(path, _matrix_text(state.as_element(), trace=_trace(state)))
+    _write(path, _layout(_matrix_node(state.as_element(), trace=_trace(state)), None))
 
 
 def load_state(path):
     return _element_to_state(_read_element(path, "state"))
 
 
-def _report_text(report, indent: int | None) -> str:
-    """json.dumps(report.to_dict(), indent=indent), byte for byte, for indent 2 or None.
+def _record_node(rec) -> dict:
+    """The field texts of rec.to_dict(), its witness's [re, im] lists never built."""
+    margin = float(rec.margin)
+    node = {
+        "axiom": encode_basestring_ascii(rec.axiom),
+        "passed": "true" if rec.passed else "false",
+        "margin": "null" if math.isnan(margin) else _scalar(margin),
+    }
+    if rec.witness is not None:
+        node["witness"] = _pair_texts(rec.witness)
+    if rec.indeterminate:
+        node["indeterminate"] = "true"
+    if rec.note:
+        node["note"] = encode_basestring_ascii(rec.note)
+    return node
 
-    json.dumps with an indent always runs the pure-Python encoder, whose
-    cost grows with the D^2- or D^3-long witnesses of failing reports, and
-    either layout would first need their [re, im] lists.  So each record
-    with a witness is laid out with `"witness": null`, and that text, which
-    cannot occur inside a JSON string, is replaced in record order by the
-    witness written from its array in the same layout.  The witnesses'
-    [re, im] lists are never built.
-    """
-    pair, start, sep, end = _WITNESS_LAYOUT[indent]
-    text = json.dumps(report._document(lambda witness: None), indent=indent)
-    for rec in report.records:
-        if rec.witness is not None:
-            pairs = _pair_texts(rec.witness, pair.format("0.0", "0.0"), pair.format)
-            witness = start + sep.join(pairs) + end if pairs else "[]"
-            text = text.replace('"witness": null', f'"witness": {witness}', 1)
-    return text
+
+def _report_node(report) -> dict:
+    """The field texts of report.to_dict(), which both of its layouts share."""
+    return {
+        "mode": encode_basestring_ascii(report.mode),
+        "shape": _node(list(report.shape.blocks)),
+        "passed": _node(report.passed),
+        "records": [_record_node(r) for r in report.records],
+        "tolerances": _node(report.config.to_dict()),
+        "seed": _node(report.config.seed),
+    }
+
+
+def _report_text(report, indent: int | None) -> str:
+    """json.dumps(report.to_dict(), indent=indent), byte for byte, for indent 2 or None."""
+    return _layout(_report_node(report), indent)
 
 
 def save_report(report, path) -> None:
@@ -390,7 +465,9 @@ def load_metric_space(path) -> FiniteMetricSpace:
     """
     path = Path(path)
     with open(path, "rb") as f:
-        text = _text(f.read())
+        raw = f.read()
+    # ASCII with no carriage return reads alike in every locale and newline mode
+    text = raw.decode("ascii") if raw.isascii() and b"\r" not in raw else _text(raw)
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -434,13 +511,18 @@ def save_metric_space(space: FiniteMetricSpace, path) -> None:
     _write(path, json.dumps(doc))
 
 
-def outcome_to_dict(outcome) -> dict:
-    """Serialize a search outcome, downsampling the residual history."""
+def _history(outcome) -> np.ndarray:
+    """The residual history of outcome, downsampled to at most 1000 rows."""
     hist = np.asarray(outcome.residual_history, dtype=float)
     if hist.size and hist.shape[0] > 1000:
         idx = np.linspace(0, hist.shape[0] - 1, 1000).round().astype(int)
         hist = hist[idx]
-    doc = {
+    return hist
+
+
+def _outcome_head(outcome) -> dict:
+    """The fields of outcome_to_dict(outcome) before `residual_history`."""
+    return {
         "status": outcome.status,
         "best_residual": float(outcome.best_residual),
         "seed_used": int(outcome.seed_used),
@@ -448,7 +530,14 @@ def outcome_to_dict(outcome) -> dict:
         "restarts_run": int(outcome.restarts_run),
         "mode": outcome.mode,
         "config": outcome.config.to_dict(),
-        "residual_history": [[float(v) for v in row] for row in hist],
+    }
+
+
+def outcome_to_dict(outcome) -> dict:
+    """Serialize a search outcome, downsampling the residual history."""
+    doc = {
+        **_outcome_head(outcome),
+        "residual_history": [[float(v) for v in row] for row in _history(outcome)],
         "candidate": None,
         "report": None,
     }
@@ -459,5 +548,19 @@ def outcome_to_dict(outcome) -> dict:
     return doc
 
 
+def _outcome_node(outcome) -> dict:
+    """The field texts of outcome_to_dict(outcome)."""
+    rows = _history(outcome).tolist()
+    # a `_Rows` holds no empty row
+    history = _Rows([", ".join(map(_scalar, row)) for row in rows]) if all(rows) else _node(rows)
+    node = {**_node(_outcome_head(outcome)), "residual_history": history, "candidate": "null", "report": "null"}
+    if outcome.candidate is not None:
+        node["candidate"] = _matrix_node(outcome.candidate.rho)
+        if outcome.candidate.report is not None:
+            node["report"] = _report_node(outcome.candidate.report)
+    return node
+
+
 def save_outcome(outcome, path) -> None:
-    _write(path, json.dumps(outcome_to_dict(outcome), indent=2))
+    """Write outcome_to_dict(outcome) to path as json.dumps(indent=2) lays it out."""
+    _write(path, _layout(_outcome_node(outcome), 2))

@@ -677,3 +677,136 @@ def test_import_leaves_scipy_out():
     code = "import sys, qmetric, qmetric.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _reference_main(argv=None) -> int:
+    """main as it was: every argv through the full parser, then the command."""
+    args = qmetric.cli._parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (exchange.ExchangeError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome_of(entry, argv, capsys):
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# argv with {path3}, {m2}, {rho}, {elem}, {phi}, {psi} and {out} for the documents
+_ARGV_CORPUS = [
+    # every subcommand with its options
+    "pdelta --shape 2 --json",
+    "pdelta --shape 1,1 --out {out} --quiet",
+    "verify {m2}",
+    "verify {m2} --mode algebraic --report {out} --json --eq-tol 1e-9 --psd-tol 1e-8 --floor 1e-6 --samples 4 --seed 3",
+    "verify {rho} --report={out} --quiet",
+    "construct from-metric {path3} --out {out} --mode algebraic --eq-tol 1e-9 --json",
+    "construct conic {rho} {rho} --r 0.5 --quiet",
+    "construct direct-sum {rho} {m2} --r 2",
+    "construct tensor {rho} {rho} --seed 1 --json",
+    "search --shape 1,1 --mode algebraic --eps 1e-3 --trace-target 4 --restarts 1 --max-iter 40 "
+    "--residual-tol 1e-8 --seed 2 --out {out} --json",
+    "search --shape 1,1 --max-iter 40 --restarts 1 --drop-triangle",
+    "lipschitz --rho {rho} --element {elem} --json",
+    "distance --classical {path3} --phi 0 --psi 2 --method auto --max-iter 10 --json",
+    "distance --rho {rho} --phi {phi} --psi {psi}",
+    "distance --phi 0 --psi -1 --classical {path3}",
+    "nogo-m2 --lambdas 1 --samples 10 --seed 1 --json",
+    # --help of each subcommand and of the top level
+    "pdelta --help", "verify --help", "construct --help", "search --help",
+    "lipschitz --help", "distance --help", "nogo-m2 --help", "verify {m2} -h",
+    "--help", "-h",
+    # no argv, an unknown subcommand, an option before the subcommand
+    "", "bogus", "verif {m2}", "--quiet verify {m2}",
+    # unknown flags and extra arguments after a subcommand
+    "verify {m2} --bogus", "verify {m2} extra", "pdelta --shape 2 --seed 1", "verify {m2} -- extra",
+    "verify -- {m2}",
+    # abbreviations, an ambiguous one, missing arguments and invalid choices or values
+    "verify {m2} --qui", "verify {m2} --rep {out} --js", "search --shape 1,1 --re 1",
+    "verify", "search", "distance --phi 0", "construct conic",
+    "verify {m2} --mode bogus", "construct bogus {m2}", "nogo-m2 --samples x",
+    # errors the commands themselves report
+    "verify {path3}/missing.json", "pdelta --shape 0",
+]
+
+
+class TestDispatch:
+    @pytest.fixture
+    def docs(self, path3, m2_file, tmp_path):
+        rho, elem = tmp_path / "rho.json", tmp_path / "elem.json"
+        save_element(from_finite_metric(FiniteMetricSpace(np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float))).rho, rho)
+        save_element(AlgebraElement((1, 1, 1), np.diag([0.0, 1.0, 3.0])), elem)
+        save_state(State.classical([1.0, 0.0, 0.0]), tmp_path / "phi.json")
+        save_state(State.classical([0.0, 0.5, 0.5]), tmp_path / "psi.json")
+        return {"path3": path3, "m2": m2_file, "rho": str(rho), "elem": str(elem),
+                "phi": str(tmp_path / "phi.json"), "psi": str(tmp_path / "psi.json"), "out": str(tmp_path / "out.json")}
+
+    @pytest.mark.parametrize("line", _ARGV_CORPUS)
+    def test_main_acts_as_the_full_parser(self, docs, capsys, line):
+        argv = line.format(**docs).split()
+        want = _outcome_of(_reference_main, argv, capsys)
+        assert _outcome_of(main, argv, capsys) == want
+        try:
+            ref = qmetric.cli._parser().parse_args(argv)
+        except SystemExit:
+            return
+        assert qmetric.cli._parse(argv) == ref
+
+    @pytest.mark.parametrize("line", ["verify {m2} --json", "verify {m2} --bogus", ""])
+    def test_argv_none_reads_sys_argv(self, docs, capsys, monkeypatch, line):
+        monkeypatch.setattr(sys, "argv", ["qmetric", *line.format(**docs).split()])
+        want = _outcome_of(_reference_main, None, capsys)
+        assert _outcome_of(main, None, capsys) == want
+
+    def test_top_level_parser_reports_unrecognized_arguments(self, m2_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", m2_file, "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qmetric [-h]")
+        assert err.endswith("qmetric: error: unrecognized arguments: --bogus\n")
+
+
+class TestNoPurePythonEncoder:
+    def test_outputs_are_written_without_it(self, path3, m2_file, tmp_path, monkeypatch, capsys):
+        """No command's output path reaches json's pure-Python encoder, and its bytes are json.dumps's."""
+        anti = tmp_path / "anti.json"
+        save_element(BiElement((2,), (np.eye(4) - SWAP2) / 2.0), anti)
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        runs = [
+            (["verify", str(rho), "--report", "{out}", "--json"], 0),
+            (["verify", str(rho), "--mode", "algebraic", "--report", "{out}", "--json"], 0),
+            (["verify", m2_file, "--report", "{out}", "--json"], 1),
+            (["verify", str(anti), "--mode", "algebraic", "--report", "{out}", "--json"], 1),
+            (["search", "--shape", "1,1", "--max-iter", "300", "--restarts", "1", "--out", "{out}", "--quiet"], 0),
+            (["search", "--shape", "2", "--max-iter", "50", "--restarts", "1", "--out", "{out}", "--quiet"], 1),
+            (["construct", "from-metric", path3, "--json"], 0),
+        ]
+        written = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "_make_iterencode", refuse)
+            with pytest.raises(AssertionError, match="pure-Python encoder"):
+                json.dumps({}, indent=2)
+            for k, (argv, code) in enumerate(runs):
+                out = tmp_path / f"out{k}.json"
+                assert main([a.format(out=out) for a in argv]) == code
+                written.append((out, capsys.readouterr().out))
+        for out, stdout in written:
+            if out.exists():
+                text = out.read_text()
+                assert text == json.dumps(json.loads(text), indent=2)
+            if stdout:
+                assert stdout == json.dumps(json.loads(stdout)) + "\n"
+        assert sum(out.exists() for out, _ in written) == 6
+        assert sum(bool(stdout) for _, stdout in written) == 5
