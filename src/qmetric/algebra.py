@@ -1,45 +1,52 @@
 """Block matrix algebras A = M_{n1} (+) ... (+) M_{nK} and their tensor powers.
 
-Elements are dense complex matrices with an enforced block-support pattern:
-order-1 elements are block diagonal in M_D with D = sum(n_k), order-2
-elements live in M_{D^2} supported on pairs of blocks, order-3 elements in
-M_{D^3} on triples.  The structure maps used by the rest of the package are
-defined here: the leg swap (flip), the embedding that inserts an identity
-tensor leg in the middle, the multiplication map a (x) b -> ab, and the
-projector onto the quantum diagonal.
+An order-1 element is a block diagonal matrix in M_D with D = sum(n_k), an
+order-2 element lives in M_{D^2} supported on pairs of blocks, an order-3
+element in M_{D^3} on triples.  The structure maps used by the rest of the
+package are defined here: the leg swap (flip), the embedding that inserts
+an identity tensor leg in the middle, the multiplication map a (x) b -> ab,
+and the projector onto the quantum diagonal.
 
 A supported element of order m is block diagonal once its coordinates are
 grouped by block-label tuple: it is the direct sum of its K^m cells, the
 cell of (k1, ..., km) having size n_k1 ... n_km.  `cells` gives those index
-groups, one group per cell size.  The spectral functions (`op_norm` and
-`min_eig` on elements, `cellwise_eigh`, `cellwise_norm` and
-`cellwise_min_eig`) work one stacked LAPACK call per group instead of one
-call on the dense D^m x D^m matrix.
+groups, one group per cell size.  An element is stored as its flat cell
+vector, the cells one after another in `cells` order, each row-major; its
+`cells` are read-only views of that vector, and its dense `data` is built
+from them only when something asks for it.  Arithmetic, the adjoint, the
+flip and the multiplication map work on the cells: flip cell (k, l) is a
+reordering of cell (l, k), and block k of m(r) comes from the (k, k) cell
+of r alone.  The spectral functions (`op_norm` and `min_eig` on elements,
+`cellwise_eigh`, `cellwise_norm` and `cellwise_min_eig`) work one stacked
+LAPACK call per group instead of one call on the dense D^m x D^m matrix.
 Cells of size one, and stacks that are exactly zero, need no LAPACK call
-at all.  The dense maps stay as the reference the tests compare against.
+at all.  The dense maps (`mid_embed`, `tensor2`, `_multiply`,
+`permute_legs`) stay as the reference the tests compare against.
 
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
-a block's coordinates sit; no dense support mask exists.  Element
-validation, random draws, the diagonal projector, the search's structure
-basis and flat cell vectors, the direct sum and the tensor-product
-regrouping are built from them.
-Validation gathers an element's cells to count the nonzeros inside the
-support, and the element keeps them, read-only, as `cells`: each element
-is gathered once in its lifetime.
+a block's coordinates sit; no dense support mask exists.  `_places` derives
+from `cells` where each entry sits in the flat cell vector, in tables of at
+most D^m entries.  Element validation, random draws, the diagonal
+projector, the search's structure basis, the direct sum and the
+tensor-product regrouping are built from them.  An element built from a
+dense matrix gathers its cells once, to count the nonzeros inside the
+support, and keeps the validated copy as its `data`; a document reader
+puts its entries straight into the flat cell vector.
 
 `require_finite`, the one numeric guard, refuses NaN, infinities and finite
 parts beyond ENTRY_BOUND in every element, state, metric space and
 configuration as it is made, in code or from a document alike.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.
+function, so everything here is safe to share between threads; two threads
+that ask for an element's `data` at once build equal arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence
 
@@ -190,6 +197,67 @@ def cells(blocks: tuple[int, ...], order: int) -> tuple[CellGroup, ...]:
 CellStacks = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
+class _Places(NamedTuple):
+    """Where the entries of order-fold elements sit in their flat cell vector.
+
+    The flat cell vector holds the cells one after another, in `cells`
+    order, each row-major.  Coordinate u of C^N, N = D^order, lies in cell
+    cell[u], at position row[u] of that cell's index row, and row u of its
+    cell starts at entry base[u]; so entry (u, v) of a cell sits at
+    base[u] + row[v].  `views` gives each group's (index, first entry, last
+    entry + 1, stack shape).  Every table has N entries or fewer.
+    """
+
+    cell: np.ndarray
+    row: np.ndarray
+    base: np.ndarray
+    views: tuple[tuple[np.ndarray, int, int, tuple[int, int, int]], ...]
+    total: int
+
+
+@lru_cache(maxsize=None)
+def _places(blocks: tuple[int, ...], order: int) -> _Places:
+    coords = sum(blocks) ** order
+    cell, row, base = (np.empty(coords, dtype=np.intp) for _ in range(3))
+    views, at, k = [], 0, 0
+    for g in cells(blocks, order):
+        c, n = g.index.shape
+        cell[g.index] = (k + np.arange(c))[:, None]
+        row[g.index] = np.arange(n)
+        base[g.index] = at + n * np.arange(c * n).reshape(c, n)
+        views.append((g.index, at, at + c * n * n, (c, n, n)))
+        at, k = at + c * n * n, k + c
+    for arr in (cell, row, base):
+        arr.setflags(write=False)
+    return _Places(cell, row, base, tuple(views), at)
+
+
+def storage_size(blocks: tuple[int, ...], order: int) -> int:
+    """The number of entries in the flat cell vector of order-fold elements."""
+    return _places(blocks, order).total
+
+
+def storage_position(blocks: tuple[int, ...], order: int, rows, cols) -> np.ndarray:
+    """The flat cell vector position of each dense entry (rows, cols); each must lie in a cell."""
+    places = _places(blocks, order)
+    return places.base[rows] + places.row[cols]
+
+
+def cell_views(flat: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
+    """The cells of a flat cell vector as views of it, one (index, mats) pair per cell size.
+
+    Leading axes of flat carry over: a stack of shape (k, size) gives views
+    of shape (k, cells, n, n).
+    """
+    lead = flat.shape[:-1]
+    return tuple((index, flat[..., a:b].reshape(lead + shape)) for index, a, b, shape in _places(blocks, order).views)
+
+
+def flatten_cells(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat cell vector of one cell stack per cell size; leading axes carry over."""
+    return np.concatenate([m.reshape(m.shape[:-3] + (math.prod(m.shape[-3:]),)) for m in mats], axis=-1, dtype=complex)
+
+
 def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
     """Cells of a supported order-fold matrix, one stack per cell size.
 
@@ -203,10 +271,14 @@ def cell_stacks(arr: np.ndarray, blocks: tuple[int, ...], order: int) -> CellSta
 
 
 def assemble(stacks: CellStacks, dim: int) -> np.ndarray:
-    """The dense dim x dim matrix of a direct sum, zero outside its cells."""
-    out = np.zeros((dim, dim), dtype=complex)
+    """The dense dim x dim matrix of a direct sum, zero outside its cells.
+
+    Leading axes of the stacks carry over.
+    """
+    lead = stacks[0][1].shape[:-3] if stacks else ()
+    out = np.zeros(lead + (dim, dim), dtype=complex)
     for index, mats in stacks:
-        out[index[:, :, None], index[:, None, :]] = mats
+        out[..., index[:, :, None], index[:, None, :]] = mats
     return out
 
 
@@ -282,11 +354,22 @@ def cellwise_min_eig(stacks: CellStacks, tol: float = HERM_TOL) -> tuple[float, 
     return lowest_eigenpair(cellwise_eigh(stacks))
 
 
-def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, CellStacks]:
-    """A read-only copy of data, and its cells, read-only too.
+def _require_finite_cells(flat: np.ndarray, blocks: tuple[int, ...], order: int) -> None:
+    """`require_finite` on a flat cell vector, an entry named by its dense index as on the dense matrix."""
+    try:
+        require_finite(flat, "matrix data")
+    except NonFiniteError:
+        n = sum(blocks) ** order
+        at = np.concatenate([(i[:, :, None] * n + i[:, None, :]).ravel() for i, *_ in _places(blocks, order).views])
+        ranked = np.argsort(at)
+        require_finite(flat[ranked], "matrix data", lambda k: f"entry {at[ranked[k]]}")
+        raise
 
-    The cells are gathered once, to count the nonzeros inside the support,
-    and kept, so no element gathers its cells twice.
+
+def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only copy of data, and its flat cell vector, read-only too.
+
+    The cells are gathered once, to count the nonzeros inside the support.
     """
     d = shape.dim**order
     arr = np.array(data, dtype=complex, order="C")
@@ -296,40 +379,108 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, C
             f"{shape.blocks}, got {arr.shape}"
         )
     require_finite(arr, "matrix data")
-    stacks = tuple(cell_stacks(arr, shape.blocks, order))
-    if np.count_nonzero(arr) != sum(np.count_nonzero(mats) for _, mats in stacks):
-        worst = np.max(np.abs(arr - assemble(stacks, d)))
+    flat = flatten_cells([mats for _, mats in cell_stacks(arr, shape.blocks, order)])
+    if np.count_nonzero(arr) != np.count_nonzero(flat):
+        worst = np.max(np.abs(arr - assemble(cell_views(flat, shape.blocks, order), d)))
         raise SupportError(
             f"entries outside the order-{order} block pattern must be exactly "
             f"zero (largest offender {worst:.3e})"
         )
-    for out in (arr, *(mats for _, mats in stacks)):
-        out.setflags(write=False)
-    return arr, stacks
+    arr.setflags(write=False)
+    return arr, flat
 
 
-@dataclass(frozen=True, eq=False)
 class _Element:
-    shape: AlgebraShape
-    data: np.ndarray
-    _cells: CellStacks = field(init=False, repr=False)
+    """An element of the order-fold tensor power of A, stored as its flat cell vector.
 
+    The flat cell vector (see `_places`) is the only storage; `cells` are
+    read-only views of it, and `data`, the dense matrix, is built from them
+    the first time something asks for it.  An element built from a dense
+    matrix keeps the validated copy of it as `data`, signed zeros included.
+    Elements are immutable.
+    """
+
+    __slots__ = ("shape", "_flat", "_cells", "_data")
     order: ClassVar[int] = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", as_shape(self.shape))
-        data, stacks = _validate_data(self.shape, self.order, self.data)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_cells", stacks)
+    def __init__(self, shape: AlgebraShape | Sequence[int], data) -> None:
+        shape = as_shape(shape)
+        arr, flat = _validate_data(shape, self.order, data)
+        self._set(shape, flat, arr)
+
+    def _set(self, shape: AlgebraShape, flat: np.ndarray, data: np.ndarray | None) -> None:
+        flat.setflags(write=False)
+        for name, value in (("shape", shape), ("_flat", flat), ("_cells", None), ("_data", data)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _from_flat(cls, shape: AlgebraShape | Sequence[int], flat: np.ndarray):
+        """The element whose flat cell vector is flat, which it takes over: no one else may write it."""
+        shape = as_shape(shape)
+        if flat.shape != (storage_size(shape.blocks, cls.order),):
+            raise ShapeMismatchError(f"a flat cell vector of {flat.shape} does not fit blocks {shape.blocks}")
+        _require_finite_cells(flat, shape.blocks, cls.order)
+        out = cls.__new__(cls)
+        out._set(shape, flat, None)
+        return out
+
+    @classmethod
+    def _from_cells(cls, shape: AlgebraShape | Sequence[int], mats: Sequence[np.ndarray]):
+        """The element with the given cells, one stack per cell size in `cells` order."""
+        return cls._from_flat(shape, flatten_cells(mats))
+
+    @classmethod
+    def _from_entries(cls, shape: AlgebraShape, at: np.ndarray, values: np.ndarray):
+        """The element whose dense matrix holds values at the ascending row-major indices at, zero elsewhere.
+
+        Refuses what the dense constructor refuses, with its messages: a
+        value that `require_finite` refuses, named by its dense index, then
+        a nonzero value outside the cells.
+        """
+        blocks, n = shape.blocks, shape.dim**cls.order
+        require_finite(values, "matrix data", lambda k: f"entry {at[k]}")
+        places = _places(blocks, cls.order)
+        rows, cols = np.divmod(at, n)
+        inside = places.cell[rows] == places.cell[cols]
+        if not inside.all():
+            worst = np.max(np.abs(values[~inside]))
+            if worst > 0:
+                raise SupportError(
+                    f"entries outside the order-{cls.order} block pattern must be exactly "
+                    f"zero (largest offender {worst:.3e})"
+                )
+            rows, cols, values = rows[inside], cols[inside], values[inside]
+        flat = np.zeros(places.total, dtype=complex)
+        flat[places.base[rows] + places.row[cols]] = values
+        out = cls.__new__(cls)
+        out._set(shape, flat, None)
+        return out
 
     @classmethod
     def zeros(cls, shape: AlgebraShape | Sequence[int]):
         shape = as_shape(shape)
-        d = shape.dim**cls.order
-        return cls(shape, np.zeros((d, d), dtype=complex))
+        return cls._from_flat(shape, np.zeros(storage_size(shape.blocks, cls.order), dtype=complex))
 
-    def _like(self, data: np.ndarray):
-        return type(self)(self.shape, data)
+    @property
+    def data(self) -> np.ndarray:
+        """The dense D^m x D^m matrix, read-only, built from the cells on first use."""
+        if self._data is None:
+            data = assemble(self.cells, self.shape.dim**self.order)
+            data.setflags(write=False)
+            object.__setattr__(self, "_data", data)
+        return self._data
+
+    @property
+    def cells(self) -> CellStacks:
+        """The cells of this element, see `cell_stacks`: read-only views of its flat cell vector."""
+        if self._cells is None:
+            object.__setattr__(self, "_cells", cell_views(self._flat, self.shape.blocks, self.order))
+        return self._cells
 
     def _check_same(self, other) -> None:
         if type(other) is not type(self) or other.shape != self.shape:
@@ -340,50 +491,50 @@ class _Element:
 
     @property
     def adjoint(self):
-        return self._like(self.data.conj().T)
-
-    @property
-    def cells(self) -> CellStacks:
-        """The cells of this element, see `cell_stacks`: kept, read-only, from its validation."""
-        return self._cells
+        return self._from_cells(self.shape, [adjoints(mats) for _, mats in self.cells])
 
     def is_selfadjoint(self, tol: float = HERM_TOL) -> bool:
         stacks = self.cells
         return hermitian_defect(stacks) <= tol * max(1.0, cellwise_norm(stacks))
 
-    def _result(self, op, operand):
-        """The element op(self.data, operand).
+    def _result(self, op, *operands):
+        """The element with the flat cell vector op(*operands).
 
         An overflow gives inf or NaN silently, so the new element refuses it
         with a NonFiniteError rather than numpy warning first.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            data = op(self.data, operand)
-        return self._like(data)
+            flat = op(*operands)
+        return self._from_flat(self.shape, flat)
 
     def __add__(self, other):
         self._check_same(other)
-        return self._result(np.add, other.data)
+        return self._result(np.add, self._flat, other._flat)
 
     def __sub__(self, other):
         self._check_same(other)
-        return self._result(np.subtract, other.data)
+        return self._result(np.subtract, self._flat, other._flat)
 
     def __mul__(self, scalar):
-        return self._result(np.multiply, complex(scalar))
+        return self._result(np.multiply, self._flat, complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._like(-self.data)
+        return self._from_flat(self.shape, -self._flat)
 
     def __matmul__(self, other):
+        """The product, cell by cell: the cells of a direct sum multiply apart."""
         self._check_same(other)
-        return self._result(np.matmul, other.data)
+        pairs = zip(self.cells, other.cells)
+        return self._result(lambda: flatten_cells([a @ b for (_, a), (_, b) in pairs]))
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         self._check_same(other)
-        return bool(np.all(np.abs(self.data - other.data) <= tol))
+        return bool(np.all(np.abs(self._flat - other._flat) <= tol))
+
+    def __reduce__(self):
+        return type(self)._from_flat, (self.shape, self._flat.copy())
 
     def __repr__(self) -> str:
         return (
@@ -395,18 +546,21 @@ class _Element:
 class AlgebraElement(_Element):
     """Element of A, a block diagonal D x D complex matrix."""
 
+    __slots__ = ()
     order = 1
 
 
 class BiElement(_Element):
     """Element of A (x) A, a D^2 x D^2 complex matrix on the pair-block pattern."""
 
+    __slots__ = ()
     order = 2
 
 
 class TriElement(_Element):
     """Element of A (x) A (x) A, a D^3 x D^3 complex matrix on the triple-block pattern."""
 
+    __slots__ = ()
     order = 3
 
 
@@ -447,10 +601,38 @@ def tensor2(x: AlgebraElement, y: AlgebraElement) -> BiElement:
     return BiElement(x.shape, np.kron(x.data, y.data))
 
 
+@lru_cache(maxsize=None)
+def _flip_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Where the flip of an order-2 element reads its cells, one (partner, perm) pair per cell size.
+
+    Coordinate i D + j of C^D (x) C^D swaps to j D + i, so cell (k, l) of
+    flip(r) is cell (l, k) of r, of the same size, with its coordinates
+    reordered: cell c of flip(r) is mats[partner[c]][perm[c]][:, perm[c]],
+    with mats the stack of r's cells of that size.
+    """
+    d, places = sum(blocks), _places(blocks, 2)
+    out, first = [], 0
+    for g in cells(blocks, 2):
+        swapped = g.index % d * d + g.index // d
+        out.append((places.cell[swapped[:, 0]] - first, places.row[swapped]))
+        first += len(g.index)
+    return tuple(out)
+
+
+def flip_cells(stacks: CellStacks, blocks: tuple[int, ...]) -> list[np.ndarray]:
+    """The cells of the flip of an order-2 direct sum, one stack per cell size, gathered from its cells.
+
+    Leading axes of the stacks carry over.
+    """
+    return [
+        mats[..., partner[:, None, None], perm[:, :, None], perm[:, None, :]]
+        for (_, mats), (partner, perm) in zip(stacks, _flip_gathers(blocks))
+    ]
+
+
 def flip(r: BiElement) -> BiElement:
     """The leg swap a (x) b -> b (x) a, extended linearly."""
-    d = r.shape.dim
-    return BiElement(r.shape, permute_legs(r.data, (1, 0), (d, d)))
+    return BiElement._from_cells(r.shape, flip_cells(r.cells, r.shape.blocks))
 
 
 def mid_embed(r: BiElement) -> TriElement:
@@ -468,9 +650,25 @@ def _multiply(arr: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("...pqqt->...pt", arr.reshape(arr.shape[:-2] + (dim,) * 4))
 
 
+def mult_cells(r: BiElement) -> list[np.ndarray]:
+    """The cells of mult_map(r), one stack per block size.
+
+    An entry ((p, q), (q, t)) lies in a cell only when p, q and t share a
+    block k, so block k of m(r) comes from the (k, k) cell of r alone: the
+    multiplication map of that n_k^2 x n_k^2 cell.  The (k, k) cells of one
+    size n^2 come in the order of k, as the blocks of size n do.
+    """
+    diagonal = {}
+    for g, (_, mats) in zip(cells(r.shape.blocks, 2), r.cells):
+        on_diag = g.labels[:, 0] == g.labels[:, 1]
+        if on_diag.any():
+            diagonal[math.isqrt(g.index.shape[1])] = mats[on_diag]
+    return [_multiply(diagonal[g.index.shape[1]], g.index.shape[1]) for g in cells(r.shape.blocks, 1)]
+
+
 def mult_map(r: BiElement) -> AlgebraElement:
     """The multiplication map a (x) b -> ab, extended linearly."""
-    return AlgebraElement(r.shape, _multiply(r.data, r.shape.dim))
+    return AlgebraElement._from_cells(r.shape, mult_cells(r))
 
 
 def swap_matrix(n: int) -> np.ndarray:
@@ -482,12 +680,14 @@ def swap_matrix(n: int) -> np.ndarray:
 def _diag_projector_cached(blocks: tuple[int, ...]) -> BiElement:
     stacks = []
     for g in cells(blocks, 2):
-        on_diag = g.index[g.labels[:, 0] == g.labels[:, 1]]
-        if len(on_diag):
-            n = math.isqrt(g.index.shape[1])  # a diagonal cell (k, k) has size n_k^2
-            sym = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
-            stacks.append((on_diag, np.broadcast_to(sym, (len(on_diag),) + sym.shape)))
-    return BiElement(blocks, assemble(stacks, sum(blocks) ** 2))
+        c, size = g.index.shape
+        mats = np.zeros((c, size, size), dtype=complex)
+        on_diag = g.labels[:, 0] == g.labels[:, 1]
+        if on_diag.any():
+            n = math.isqrt(size)  # a diagonal cell (k, k) has size n_k^2
+            mats[on_diag] = (np.eye(n * n, dtype=complex) + swap_matrix(n)) / 2.0
+        stacks.append(mats)
+    return BiElement._from_cells(blocks, stacks)
 
 
 def diag_projector(shape: AlgebraShape | Sequence[int]) -> BiElement:
@@ -537,22 +737,23 @@ def random_element(
     rng: np.random.Generator,
     hermitian: bool = False,
 ) -> _Element:
-    """Random supported element with independent standard complex entries."""
+    """Random supported element with independent standard complex entries.
+
+    The draw is of the whole dense matrix, and the element keeps its cells.
+    """
     shape = as_shape(shape)
     d = shape.dim**order
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    raw = assemble(cell_stacks(raw, shape.blocks, order), d)
+    mats = [mats for _, mats in cell_stacks(raw, shape.blocks, order)]
     if hermitian:
-        raw = (raw + raw.conj().T) / 2.0
-    return element_type(order)(shape, raw)
+        mats = [(m + adjoints(m)) / 2.0 for m in mats]
+    return element_type(order)._from_cells(shape, mats)
 
 
 def zero_clip(arr: np.ndarray) -> np.ndarray:
     """Copy of arr with real and imaginary parts below 1e-14 in magnitude set to exact zero."""
-    out = arr.copy()
-    out.real[np.abs(out.real) < 1e-14] = 0.0
-    out.imag[np.abs(out.imag) < 1e-14] = 0.0
-    return out
+    parts = np.ascontiguousarray(arr, dtype=complex).view(float)
+    return np.where(np.abs(parts) < 1e-14, 0.0, parts).view(complex)
 
 
 def complex_pairs(arr) -> list:

@@ -17,12 +17,14 @@ diagnostic profile.
 The spectral work runs on the cells of rho (see `algebra.cells`): rho is
 the direct sum of its K^2 pair cells and the triangle slack of its K^3
 triple cells, so the cost grows with the sum of the cell sizes cubed, not
-with D^9.  The checks read the cells rho keeps from its validation and
-build no intermediate element.  The triangle check builds each slack cell straight from the
-cells of rho and never forms the D^3 x D^3 slack; `triangle_defect` keeps
-the dense slack as the reference the tests compare against.  The
-feasibility search lifts its whole structure basis through
-`triangle_slack_cells` in one call.
+with D^9.  The checks read the cells of rho, views of its flat cell
+vector, and build no intermediate element and no dense matrix: check iv
+gathers the cells of flip(rho) from those of rho, ii_alg reads the (k, k)
+cells only, and the triangle check builds each slack cell straight from
+the flat cell vector and never forms the D^3 x D^3 slack.
+`triangle_defect` keeps the dense slack as the reference the tests compare
+against.  The feasibility search lifts its whole structure basis, held in
+flat cell vectors, through `triangle_slack_cells` in one call.
 
 Checks iii and iii_alg share one kernel, lambda_min(rho + shift) minus the
 floor over the cells: the shift is the diagonal projector for iii, and for
@@ -44,19 +46,21 @@ from .algebra import (
     CellStacks,
     ShapeMismatchError,
     TriElement,
-    _multiply,
     as_shape,
-    cell_stacks,
     cells,
     cellwise_eigh,
     cellwise_norm,
     complex_pairs,
     diag_projector,
+    flip_cells,
     hermitian_defect,
     lowest_eigenpair,
+    mult_cells,
     op_norm,
     permute_legs,
     require_finite,
+    storage_position,
+    storage_size,
 )
 
 REPRESENTATION = "representation"
@@ -207,9 +211,7 @@ def check_positive(rho: BiElement, cfg: ToleranceConfig | None = None, scale: fl
 def check_flip_symmetric(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Flip symmetry: swapping the two tensor legs leaves rho unchanged."""
     cfg = _cfg(cfg)
-    d = rho.shape.dim
-    swapped = permute_legs(rho.data, (1, 0), (d, d))
-    defect = cellwise_norm(cell_stacks(swapped - rho.data, rho.shape.blocks, 2))
+    defect = cellwise_norm([(i, f - r) for (i, r), f in zip(rho.cells, flip_cells(rho.cells, rho.shape.blocks))])
     return AxiomRecord("iv", defect <= cfg.eq_tol * scale, -defect)
 
 
@@ -282,14 +284,16 @@ def _slack_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...
     For row (r1 r2 r3) and column (c1 c2 c3) of one triple cell the slack
     entry is rho[r1 r2, c1 c2] [r3 = c3] + [r1 = c1] rho[r2 r3, c2 c3]
     - [r2 = c2] rho[r1 r3, c1 c3].  Per cell size this returns the cell
-    coordinates and three flat indices into rho's entries, one per term,
-    pointing one past the last entry (a zero) where the bracket is 0.
+    coordinates and three positions in rho's flat cell vector, one per
+    term, pointing one past its last entry (a zero) where the bracket is 0.
+    Each entry read lies in a cell of rho, as the legs of a triple cell lie
+    in the blocks of a cell.
     """
     d = sum(blocks)
-    zero = d**4
+    zero = storage_size(blocks, 2)
 
     def at(a, b, c, e, keep):
-        return np.where(keep, (a * d + b) * d * d + c * d + e, zero)
+        return np.where(keep, storage_position(blocks, 2, a * d + b, c * d + e), zero)
 
     out = []
     for g in cells(blocks, 3):
@@ -305,22 +309,22 @@ def _slack_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...
     return tuple(out)
 
 
-def triangle_slack_cells(arr: np.ndarray, blocks: tuple[int, ...]) -> CellStacks:
-    """The cells of the triangle slack of a supported D^2 x D^2 array.
+def triangle_slack_cells(flat: np.ndarray, blocks: tuple[int, ...]) -> CellStacks:
+    """The cells of the triangle slack of an order-2 element with the flat cell vector flat.
 
     Entry for entry equal to `triangle_defect`, whose dense slack is never
-    formed.  Leading axes carry over as in `cell_stacks`: a stack of shape
-    (k, D^2, D^2) gives cell stacks of shape (k, cells, n, n).
+    formed.  Leading axes of flat carry over: a stack of shape (k, size)
+    gives cell stacks of shape (k, cells, n, n).
     """
-    lead = arr.shape[:-2]
-    flat = np.concatenate([arr.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+    lead = flat.shape[:-1]
+    flat = np.concatenate([flat, np.zeros(lead + (1,))], axis=-1)
     return [(index, flat[..., a] + flat[..., b] - flat[..., c]) for index, a, b, c in _slack_gathers(blocks)]
 
 
 def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Triangle inequality: the triangle slack operator is positive."""
     cfg = _cfg(cfg)
-    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho.data, rho.shape.blocks)))
+    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho._flat, rho.shape.blocks)))
     passed = lam >= -cfg.psd_tol * scale
     return AxiomRecord("v", passed, lam, witness=None if passed else vec)
 
@@ -328,7 +332,7 @@ def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: fl
 def check_alg_diag(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Algebraic diagonal vanishing: the multiplication map sends rho to zero."""
     cfg = _cfg(cfg)
-    defect = cellwise_norm(cell_stacks(_multiply(rho.data, rho.shape.dim), rho.shape.blocks, 1))
+    defect = cellwise_norm([(None, mats) for mats in mult_cells(rho)])
     return AxiomRecord("ii_alg", defect <= cfg.eq_tol * scale, -defect)
 
 

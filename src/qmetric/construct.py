@@ -16,9 +16,11 @@ from .algebra import (
     AlgebraShape,
     BiElement,
     ShapeMismatchError,
+    cells,
     op_norm,
     permute_legs,
     require_finite,
+    storage_position,
 )
 from .axioms import ALGEBRAIC, REPRESENTATION, MetricCandidate
 
@@ -69,9 +71,11 @@ class FiniteMetricSpace:
 def from_finite_metric(space: FiniteMetricSpace) -> MetricCandidate:
     """Embed a classical metric as a diagonal candidate on the all-ones shape.
 
-    The entry at diagonal position (x, y) is the distance d(x, y).
+    The entry at diagonal position (x, y) is the distance d(x, y): the 1x1
+    cell of coordinate x D + y.
     """
-    return MetricCandidate(BiElement(space.shape, np.diag(space.dist.ravel().astype(complex))))
+    shape, dist = space.shape, space.dist.ravel()
+    return MetricCandidate(BiElement._from_cells(shape, [dist[g.index][:, :, None] for g in cells(shape.blocks, 2)]))
 
 
 def conic_combine(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCandidate:
@@ -104,23 +108,25 @@ def direct_sum(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCand
             f"cross-distance {r} is below the admissible bound {bound}"
         )
     s1, s2 = m1.shape, m2.shape
-    d1, d2 = s1.dim, s2.dim
-    d = d1 + d2
+    d, k1 = s1.dim + s2.dim, s1.num_blocks
     shape = AlgebraShape(s1.blocks + s2.blocks)
-    data = np.zeros((d * d, d * d), dtype=complex)
-    # rho_i sits on rows and columns (p, q) with p and q in A_i, r * 1 on
-    # those with p in one summand and q in the other
-    legs = data.reshape(d, d, d, d)
-    one, two = slice(0, d1), slice(d1, d)
-    for (p, q), block in (
-        ((one, one), m1.rho.data),
-        ((two, two), m2.rho.data),
-        ((one, two), r * np.eye(d1 * d2, dtype=complex)),
-        ((two, one), r * np.eye(d2 * d1, dtype=complex)),
-    ):
-        view = legs[p, q, p, q]
-        view += block.reshape(view.shape)
-    return MetricCandidate(BiElement(shape, data))
+    # a cell (k, l) with both blocks in summand i is that cell of rho_i, with its
+    # coordinates in the same order, and a cross cell is r * 1
+    stacks = []
+    for g in cells(shape.blocks, 2):
+        c, n = g.index.shape
+        mats = np.zeros((c, n, n), dtype=complex)
+        second = g.labels >= k1
+        mats[second[:, 0] != second[:, 1]] += r * np.eye(n, dtype=complex)
+        for rho, offset, legs in ((m1.rho, 0, ~second), (m2.rho, s1.dim, second)):
+            sel = legs.all(axis=1)
+            if sel.any():
+                p, q = np.divmod(g.index[sel, 0], d)
+                first = (p - offset) * rho.shape.dim + q - offset
+                start = storage_position(rho.shape.blocks, 2, first, first)
+                mats[sel] += rho._flat[start[:, None] + np.arange(n * n)].reshape(-1, n, n)
+        stacks.append(mats)
+    return MetricCandidate(BiElement._from_cells(shape, stacks))
 
 
 def _grouping_permutation(s1: AlgebraShape, s2: AlgebraShape) -> np.ndarray:

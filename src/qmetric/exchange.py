@@ -11,17 +11,21 @@ plain-text lower triangle.
 Most entries of a dense matrix document are exact zeros, which writers
 emit as the text `[0.0, 0.0]` from one template.  Readers take a file's
 bytes once and find its entries by a numpy scan of them; only the header
-fields and the other entries reach json.loads.  Any other valid JSON
-spacing or encoding still reads, through the reference path
-`dict_to_element(json.loads(text))` on the file's text as a text-mode
-open() decodes it, and reads to the same element, with the same errors.
+fields and the other entries reach json.loads, and their values go
+straight into the element's flat cell vector (`algebra.cells`), with no
+dense matrix.  Any other valid JSON spacing or encoding still reads,
+through the reference path `dict_to_element(json.loads(text))` on the
+file's text as a text-mode open() decodes it, and reads to the same
+element, with the same errors.
 
 Every document is the text json.dumps gives it, byte for byte, but none
 runs json.dumps with an indent, which always takes json's pure-Python
 encoder.  A writer formats each field's text once: scalars by repr,
-strings by json's C encoder, and each array of [re, im] pairs (a matrix's
-`data`, a witness) from its array, exact-zero entries from one template
-and only the others by repr.  `_layout` then lays those texts out in
+strings by json's C encoder, and each array of [re, im] pairs as a
+`_Pairs`: a witness from its array, a matrix's `data` from the nonzero
+entries of its cells, with no dense matrix.  Only the nonzero entries are
+formatted, by repr; a run of exact zeros between them is one repeat of the
+`[0.0, 0.0]` template.  `_layout` then lays those texts out in
 json.dumps's compact or indented layout.  A matrix document is the compact
 text of element_to_dict; a report document the indented text of
 report.to_dict(), and the `verify --json` payload its compact text, both
@@ -108,6 +112,34 @@ class _Rows(NamedTuple):
     texts: list[str]
 
 
+class _Pairs(NamedTuple):
+    """An array of `size` [re, im] pairs: texts[j] between the brackets of entry at[j], `_ZERO_PAIR` in every other.
+
+    `at` ascends.
+    """
+
+    size: int
+    at: list[int]
+    texts: list[str]
+
+    def rows(self) -> _Rows:
+        out = [_ZERO_PAIR] * self.size
+        for k, text in zip(self.at, self.texts):
+            out[k] = text
+        return _Rows(out)
+
+    def compact(self) -> str:
+        """json.dumps's compact text of the array: each run of zero entries is one repeat of a template."""
+        if not self.size:
+            return "[]"
+        zero, parts, done = f"[{_ZERO_PAIR}], ", [], 0
+        for k, text in zip(self.at, self.texts):
+            parts += (zero * (k - done), "[", text, "], ")
+            done = k + 1
+        parts.append(zero * (self.size - done))
+        return "[" + "".join(parts)[:-2] + "]"
+
+
 def _scalar(value: float) -> str:
     """json.dumps(value) for a float."""
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
@@ -136,7 +168,8 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     """json.dumps(value, indent=indent) of the value whose field texts node holds, placed at depth.
 
     A str is the final text of a scalar, a dict an object keyed by str, a
-    list an array, and a `_Rows` an array of arrays of numbers.  The
+    list an array, a `_Rows` an array of arrays of numbers, and a `_Pairs`
+    an array of [re, im] pairs, most of them zero.  The
     compact layout is json.dumps's default one; an indented one puts each
     item of a non-empty container on its own line, `indent` spaces deeper
     than the container.  A `_Rows` is laid out by joins over its row texts,
@@ -144,6 +177,10 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     """
     if isinstance(node, str):
         return node
+    if isinstance(node, _Pairs):
+        if indent is None:
+            return node.compact()
+        node = node.rows()
     if isinstance(node, _Rows):
         rows = node.texts
         if not rows:
@@ -171,18 +208,16 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     return start + pad + ("," + pad).join(items) + pad[: len(pad) - indent] + end
 
 
-def _pair_texts(arr) -> _Rows:
-    """Each entry of arr, row-major, as an [re, im] pair.
+def _texts(values: np.ndarray) -> list[str]:
+    """The text between the brackets of each entry's [re, im] pair."""
+    return [f"{_scalar(z.real)}, {_scalar(z.imag)}" for z in values.tolist()]
 
-    Every exact +0.0 + 0.0j entry is the one text `_ZERO_PAIR`; only the
-    others are formatted.
-    """
+
+def _vector_texts(arr) -> _Pairs:
+    """Each entry of arr, row-major, as an [re, im] pair; only those that are not exact +0.0 + 0.0j are formatted."""
     flat = np.asarray(arr, dtype=complex).ravel()
-    out = [_ZERO_PAIR] * flat.size
     keep = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
-    for k, z in zip(keep.tolist(), flat[keep].tolist()):
-        out[k] = f"{_scalar(z.real)}, {_scalar(z.imag)}"
-    return _Rows(out)
+    return _Pairs(flat.size, keep.tolist(), _texts(flat[keep]))
 
 
 def _matrix_fields(x) -> dict:
@@ -196,8 +231,22 @@ def element_to_dict(x) -> dict:
 
 
 def _matrix_node(x, **after) -> dict:
-    """The field texts of {**element_to_dict(x), **after}."""
-    return {**_node(_matrix_fields(x)), "data": _pair_texts(zero_clip(np.asarray(x.data))), **_node(after)}
+    """The field texts of {**element_to_dict(x), **after}, from the cells of x.
+
+    Every entry outside the cells is zero, and zero_clip leaves no signed
+    zero, so only the cells' entries that stay nonzero are formatted.
+    """
+    n = x.shape.dim**x.order
+    at, values = [], []
+    for index, mats in x.cells:
+        mats = zero_clip(mats)
+        c, r, q = np.nonzero(mats)
+        at.append(index[c, r] * n + index[c, q])
+        values.append(mats[c, r, q])
+    at, values = np.concatenate(at), np.concatenate(values)
+    ranked = np.argsort(at)
+    data = _Pairs(n * n, at[ranked].tolist(), _texts(values[ranked]))
+    return {**_node(_matrix_fields(x)), "data": data, **_node(after)}
 
 
 def _real(value) -> float | None:
@@ -256,11 +305,12 @@ def dict_to_element(doc: dict):
     return _to_element(doc)
 
 
-def _to_element(doc: dict, flat: np.ndarray | None = None):
-    """The element of a matrix document.
+def _to_element(doc: dict, kept: np.ndarray | None = None):
+    """The element of a matrix document, its entries put straight into its cells.
 
-    flat, when given, is the complex vector of all entries, and doc's
-    `data` the list of only those the scan did not find to be exact zeros.
+    kept, when given, is a mask over all entries, and doc's `data` the list
+    of only the entries it marks, those the scan did not find to be exact
+    zeros.
     """
     try:
         blocks = tuple(_integral(n, "shape") for n in doc["shape"])
@@ -280,15 +330,16 @@ def _to_element(doc: dict, flat: np.ndarray | None = None):
     except ValueError as exc:
         raise ExchangeError(str(exc)) from exc
     d = shape.dim**order
-    entries = len(data) if flat is None else flat.size
+    entries = len(data) if kept is None else kept.size
     if rows != d or cols != d or entries != d * d:
         raise ExchangeError(
             f"dimension mismatch: blocks {blocks} at order {order} need "
             f"{d}x{d}, document says {rows}x{cols} with {entries} entries"
         )
-    arr = (_pairs(data) if flat is None else flat).reshape(d, d)
+    values = _pairs(data)
+    at = np.arange(values.size) if kept is None else np.flatnonzero(kept)
     try:
-        return element_type(order)(shape, arr)
+        return element_type(order)._from_entries(shape, at, values)
     except ValueError as exc:
         raise ExchangeError(str(exc)) from exc
 
@@ -322,7 +373,7 @@ def _scan(raw: bytes):
     Each `[` from the first entry of the `data` list on is taken to open an
     entry.  The exact-zero entries, each up to the next `[`, are cut out,
     and what is left, header fields and other entries, goes to json.loads
-    in one call; their values fill a vector of zeros.  That is the
+    in one call; their values go straight into the element's cells.  That is the
     reference reading when the parsed `data` is the list scanned and holds
     one [re, im] pair per `[` left.  A pair holds no bracket, so then every
     `[` left opens an entry, no entry nests one, nothing after the list
@@ -348,9 +399,7 @@ def _scan(raw: bytes):
         doc = json.loads(text.decode("ascii"))
         if len(doc["data"]) != len(entries):
             return None
-        flat = np.zeros(opens.size, dtype=complex)
-        flat[kept] = _pairs(doc["data"])
-        return _to_element(doc, flat)
+        return _to_element(doc, kept)
     except Exception:  # the reference path raises the fault with its own message
         return None
 
@@ -426,7 +475,7 @@ def _record_node(rec) -> dict:
         "margin": "null" if math.isnan(margin) else _scalar(margin),
     }
     if rec.witness is not None:
-        node["witness"] = _pair_texts(rec.witness)
+        node["witness"] = _vector_texts(rec.witness)
     if rec.indeterminate:
         node["indeterminate"] = "true"
     if rec.note:

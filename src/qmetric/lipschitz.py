@@ -126,7 +126,7 @@ class State:
     its element and validated on that element's cells (`_check_densities`),
     and its densities are read-only views of those cells.  Built from
     densities, it first tests every block's shape, then every block's
-    finiteness, then assembles the element.
+    finiteness, then builds the element from them.
     """
 
     shape: AlgebraShape
@@ -147,8 +147,8 @@ class State:
             dens.append(arr)
         for arr in dens:
             require_finite(arr, "block densities")
-        stacks = [(g.index, np.stack([dens[k] for k in g.labels[:, 0]])) for g in cells(shape.blocks, 1)]
-        self._adopt(AlgebraElement(shape, assemble(stacks, shape.dim)))
+        stacks = [np.stack([dens[k] for k in g.labels[:, 0]]) for g in cells(shape.blocks, 1)]
+        self._adopt(AlgebraElement._from_cells(shape, stacks))
 
     def _adopt(self, elem: AlgebraElement) -> None:
         """Validate elem, an order-1 element, and keep it; the densities are views of its cells."""
@@ -180,7 +180,8 @@ class State:
             require_finite(w[[finite.argmin()]], "block densities")
         # an over-bound weight is named by its index in the vector
         require_finite(w, "block densities")
-        return cls._from_element(AlgebraElement(AlgebraShape((1,) * w.size), np.diag(w)))
+        shape = AlgebraShape((1,) * w.size)
+        return cls._from_element(AlgebraElement._from_cells(shape, [w[g.index][:, :, None] for g in cells(shape.blocks, 1)]))
 
     def as_element(self) -> AlgebraElement:
         """The block diagonal element with the densities as its blocks."""
@@ -219,9 +220,15 @@ class PureState:
 
     def to_state(self) -> State:
         """The state of the vector: its projector as the one cell of its block, +0.0 elsewhere."""
-        index = np.flatnonzero(self.shape.block_labels() == self.block)
-        data = assemble([(index[None], np.outer(self.vector, self.vector.conj())[None])], self.shape.dim)
-        return State._from_element(AlgebraElement(self.shape, data))
+        stacks = []
+        for g in cells(self.shape.blocks, 1):
+            c, n = g.index.shape
+            mats = np.zeros((c, n, n), dtype=complex)
+            here = g.labels[:, 0] == self.block
+            if here.any():
+                mats[here] = np.outer(self.vector, self.vector.conj())
+            stacks.append(mats)
+        return State._from_element(AlgebraElement._from_cells(self.shape, stacks))
 
 
 def _rho_of(candidate) -> BiElement:
@@ -257,10 +264,10 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
         )
     cutoff = cfg.resolved_floor(scale) / 2.0
     parts = []
-    for index, vals, vecs in cellwise_eigh(rho.cells):
+    for _, vals, vecs in cellwise_eigh(rho.cells):
         inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-        parts.append((index, (vecs * inv[:, None, :]) @ adjoints(vecs)))
-    return BiElement(rho.shape, assemble(parts, rho.shape.dim**2))
+        parts.append((vecs * inv[:, None, :]) @ adjoints(vecs))
+    return BiElement._from_cells(rho.shape, parts)
 
 
 def _tensor_cells(x: np.ndarray, y: np.ndarray, blocks: tuple[int, ...]) -> CellStacks:
@@ -589,6 +596,14 @@ def _mk_lower(phi: State, psi: State, pinv: BiElement) -> float:
     return abs(float(np.trace(delta @ a).real)) / lip if lip > 0 else 0.0
 
 
+def _diagonal(x) -> np.ndarray:
+    """The real parts of the diagonal of an element on an all-ones shape, read from its 1x1 cells."""
+    out = np.empty(x.shape.dim**x.order)
+    for index, mats in x.cells:
+        out[index[:, 0]] = mats[:, 0, 0].real
+    return out
+
+
 def mk_distance(
     phi: State,
     psi: State,
@@ -616,8 +631,8 @@ def mk_distance(
         raise ValueError("method must be one of auto, ascent")
     if method == "auto" and rho.shape.is_classical:
         n = rho.shape.dim
-        p, q = (np.diagonal(x.as_element().data).real for x in (phi, psi))
-        value = exact_distance(np.diagonal(rho.data).real.reshape(n, n), p, q)
+        p, q = (_diagonal(x.as_element()) for x in (phi, psi))
+        value = exact_distance(_diagonal(rho).reshape(n, n), p, q)
         return MKDistance(value, value, True, 0)
     lower = _mk_lower(phi, psi, metric_pseudo_inverse(candidate, cfg))
     upper = _mk_upper_bound(phi, psi, rho)

@@ -22,6 +22,10 @@ proof.
 Every projection keeps rho and S block diagonal by cells (see
 `algebra.cells`), so the search holds only their cells and never forms
 the dense D^3 x D^3 slack; (b) and (c) are stacked clips per cell group.
+An iterate's first entries are the flat cell vector of its rho, the
+storage of an element, so certification builds its candidate from them
+with no dense D^2 x D^2 matrix; the structure basis is held in the same
+coordinates.
 The structural subspace is built per cell pair {(k, l), (l, k)}: in closed
 form on a cross pair, by one small cached solve on a diagonal cell.
 """
@@ -40,10 +44,17 @@ from .algebra import (
     _multiply,
     adjoints,
     as_shape,
+    assemble,
+    cell_stacks,
+    cell_views,
     cells,
     diag_projector,
+    flatten_cells,
+    flip_cells,
     random_element,
     require_finite,
+    storage_position,
+    storage_size,
     swap_matrix,
     zero_clip,
 )
@@ -156,31 +167,36 @@ def _diagonal_cell_basis(n: int, mode: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _structure_basis_cached(blocks: tuple[int, ...], mode: str) -> np.ndarray:
-    """The structural subspace as a direct sum over the cell pairs {(k, l), (l, k)}.
+    """The structural subspace as a direct sum over the cell pairs {(k, l), (l, k)}, in flat cell vectors.
 
     Only a diagonal cell carries the mode's condition.  A cross pair k < l takes
     every hermitian matrix on cell (k, l), mirrored onto (l, k) by the flip
-    (coordinate i D + j to j D + i) and scaled by 1/sqrt(2).
+    and scaled by 1/sqrt(2).  A diagonal cell is its own mirror, and its
+    elements are flip symmetric; it holds the flip of each.
     """
-    d, parts = sum(blocks), []
-    pairs = [(k, l, i) for g in cells(blocks, 2) for (k, l), i in zip(g.labels.tolist(), g.index) if k <= l]
-    for k, l, index in pairs:
-        mats = _diagonal_cell_basis(blocks[k], mode) if k == l else _hermitian_basis(len(index)) / np.sqrt(2.0)
-        part = np.zeros((len(mats), d * d, d * d), dtype=complex)
-        # a diagonal cell is its own mirror, and its elements are flip symmetric
-        for at in (index, index % d * d + index // d):
-            part[:, at[:, None], at[None, :]] = mats
-        parts.append(part)
+    size, parts = storage_size(blocks, 2), []
+    for g, (_, slots) in zip(cells(blocks, 2), cell_views(np.arange(size), blocks, 2)):
+        for (k, l), at in zip(g.labels.tolist(), slots):
+            if k > l:
+                continue
+            mats = _diagonal_cell_basis(blocks[k], mode) if k == l else _hermitian_basis(len(at)) / np.sqrt(2.0)
+            part = np.zeros((len(mats), size), dtype=complex)
+            part[:, at.ravel()] = mats.reshape(len(mats), at.size)
+            mirrored = flatten_cells(flip_cells(cell_views(part, blocks, 2), blocks))
+            if k < l:
+                mirrored[:, at.ravel()] = part[:, at.ravel()]
+            parts.append(mirrored)
     basis = np.concatenate(parts)
     basis.setflags(write=False)
     return basis
 
 
 def structure_basis(shape: AlgebraShape | Sequence[int], mode: str = REPRESENTATION) -> np.ndarray:
-    """Orthonormal basis (stacked) of the structural subspace for a mode."""
+    """Orthonormal basis (stacked) of the structural subspace for a mode, as dense D^2 x D^2 matrices."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    return _structure_basis_cached(as_shape(shape).blocks, mode)
+    blocks = as_shape(shape).blocks
+    return assemble(cell_views(_structure_basis_cached(blocks, mode), blocks, 2), sum(blocks) ** 2)
 
 
 def project_structure(
@@ -192,20 +208,11 @@ def project_structure(
     enforces the mode's diagonal condition, all in one orthogonal
     projection, so the map is idempotent by construction.
     """
-    basis = structure_basis(rho.shape, mode)
-    coeffs = np.einsum("nij,ij->n", basis.conj(), rho.data).real
-    return BiElement(rho.shape, np.einsum("n,nij->ij", coeffs, basis))
-
-
-def _layout(blocks: tuple[int, ...], order: int) -> np.ndarray:
-    """The flat cell vector of order-fold elements: the cell groups one after another.
-
-    Returns the flat position (row * N + col) in the dense N x N matrix
-    of every entry.
-    """
-    dim = sum(blocks) ** order
-    at = [g.index[:, :, None] * dim + g.index[:, None, :] for g in cells(blocks, order)]
-    return np.concatenate([a.ravel() for a in at])
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    basis = _structure_basis_cached(rho.shape.blocks, mode)
+    coeffs = (basis.conj() @ rho._flat).real
+    return BiElement._from_flat(rho.shape, coeffs @ basis)
 
 
 def _clip(z: np.ndarray, groups: list) -> np.ndarray:
@@ -245,8 +252,9 @@ def _cone_groups(blocks: tuple[int, ...], floor: float) -> list:
 class _SearchContext:
     """Projection data for one (shape, mode, config), held on cells.
 
-    An iterate is one flat complex vector z: the cells of rho (see
-    `_layout`), then those of the slack S unless the triangle is dropped.
+    An iterate is one flat complex vector z: the flat cell vector of rho
+    (its first n_rho entries, see `algebra.cells`), then that of the slack
+    S unless the triangle is dropped.
     The rows of `span` are the structure basis and its triangle lift in
     the same coordinates.  A cell of S is clipped at 0, a cell of rho as
     `_cone_groups` says.
@@ -257,16 +265,15 @@ class _SearchContext:
         self.mode = mode
         self.shape = cfg.shape
         blocks = self.shape.blocks
-        basis = structure_basis(self.shape, mode)
-        m = basis.shape[0]
+        basis = _structure_basis_cached(blocks, mode)
+        m, self.n_rho = basis.shape
         if m == 0:
             raise ValueError(
                 f"the structural subspace over blocks {blocks} is trivial"
             )
-        self.traces = np.einsum("nii->n", basis).real
-        self.pos = _layout(blocks, 2)
-        self.n_rho = len(self.pos)
-        parts = [basis.reshape(m, -1)[:, self.pos]]
+        diagonal = np.arange(self.shape.dim**2)
+        self.traces = np.einsum("ni->n", basis[:, storage_position(blocks, 2, diagonal, diagonal)]).real
+        parts = [basis]
         if cfg.include_triangle:
             parts += [mats.reshape(m, -1) for _, mats in triangle_slack_cells(basis, blocks)]
         # real view: Re <w, z> = w.real . z.real + w.imag . z.imag is one real product
@@ -321,13 +328,6 @@ class _SearchContext:
         db = np.linalg.norm(rho - _clip(rho, self.cone))
         return float(db), float(np.sqrt(sum(np.vdot(v, v) for v in neg)))
 
-    def rho(self, z: np.ndarray) -> np.ndarray:
-        """The dense D^2 x D^2 matrix of rho's cells in z."""
-        d2 = self.shape.dim**2
-        out = np.zeros(d2 * d2, dtype=complex)
-        out[self.pos] = z[: self.n_rho]
-        return out.reshape(d2, d2)
-
 
 def _certification_config(cfg: SearchConfig) -> ToleranceConfig:
     tol = max(1e-9, 100.0 * cfg.residual_tol)
@@ -351,8 +351,10 @@ def certify(
 
 def _start_point(ctx: _SearchContext, rng: np.random.Generator) -> np.ndarray:
     for _ in range(64):
+        # the dense product, whose rounding the seeded outcomes were pinned with
         g = random_element(ctx.shape, 2, rng).data
-        coeffs = ctx.coefficients((g @ g.conj().T).ravel()[ctx.pos])
+        gram = cell_stacks(g @ g.conj().T, ctx.shape.blocks, 2)
+        coeffs = ctx.coefficients(flatten_cells([mats for _, mats in gram]))
         tr = float(ctx.traces @ coeffs)
         if abs(tr) < 1e-10:
             continue
@@ -395,7 +397,7 @@ def _run_restart(ctx: _SearchContext, rng: np.random.Generator) -> _RestartResul
         best = min(best, residual)
         if residual < cfg.residual_tol and it - last_certify >= 200:
             last_certify = it
-            candidate_rho = BiElement(ctx.shape, zero_clip(ctx.rho(z)))
+            candidate_rho = BiElement._from_flat(ctx.shape, zero_clip(z[: ctx.n_rho]))
             report = certify(candidate_rho, cfg, ctx.mode)
             # with the triangle constraint dropped (diagnostic runs), gate
             # on the remaining axioms but attach the full report
@@ -435,7 +437,7 @@ def feasibility_search(cfg: SearchConfig, mode: str = REPRESENTATION) -> SearchO
     if candidate is not None and cfg.normalization == "opnorm":
         scale = candidate.diameter
         if scale > 0:
-            rescaled = BiElement(cfg.shape, zero_clip(candidate.rho.data / scale))
+            rescaled = BiElement._from_flat(cfg.shape, zero_clip(candidate.rho._flat / scale))
             report = certify(rescaled, _rescaled_cfg(cfg, 1.0 / scale), mode)
             candidate = MetricCandidate(rescaled, report)
     return SearchOutcome(

@@ -40,6 +40,7 @@ from qmetric import (
 )
 from qmetric.algebra import (
     _diag_projector_cached,
+    _multiply,
     assemble,
     cell_stacks,
     cells,
@@ -47,13 +48,14 @@ from qmetric.algebra import (
     element_type,
     matrix_norms,
     op_norm_array,
+    permute_legs,
     random_element,
     swap_matrix,
 )
 from qmetric.axioms import check_alg_nondegenerate_sampled, m2_admissible, triangle_slack_cells
 from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
 from qmetric.lipschitz import _seminorm_cells
-from qmetric.search import _cone_groups, _layout
+from qmetric.search import _cone_groups
 
 import oracles
 
@@ -295,6 +297,75 @@ class TestKeptCells:
                     assert got.witness.tobytes() == want.witness.tobytes()
 
 
+class TestCellStorage:
+    """The flat cell vector is an element's only storage; the dense matrix is made from it."""
+
+    @staticmethod
+    def _pair(blocks, order, rng):
+        """The same element built from the dense matrix and from its cells."""
+        dense = random_element(blocks, order, rng).data.copy()
+        kind = element_type(order)
+        return kind(blocks, dense), kind._from_cells(blocks, [mats for _, mats in cell_stacks(dense, blocks, order)])
+
+    @staticmethod
+    def _same(x, y):
+        assert type(x) is type(y) and x.shape == y.shape
+        assert len(x.cells) == len(y.cells)
+        for (i, a), (j, b) in zip(x.cells, y.cells):
+            assert np.array_equal(i, j) and a.tobytes() == b.tobytes()
+        assert np.array_equal(x.data, y.data)
+
+    @pytest.mark.parametrize("blocks", ALL_SHAPES)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_cells_and_dense_make_equal_elements(self, blocks, order):
+        rng = np.random.default_rng(order + 10 * len(blocks) + sum(blocks))
+        (x, y), (u, v) = self._pair(blocks, order, rng), self._pair(blocks, order, rng)
+        self._same(x, y)
+        assert x.data is x.data and not y.data.flags.writeable
+        results = [
+            (x + u, y + v), (x - u, y - v), (x * (0.5 - 2j), y * (0.5 - 2j)), (3.0 * x, 3.0 * y),
+            (-x, -y), (x @ u, y @ v), (x.adjoint, y.adjoint),
+        ]
+        if order == 2:
+            results += [(flip(x), flip(y)), (mult_map(x), mult_map(y))]
+        for got, want in results:
+            self._same(got, want)
+        # the cell maps against the dense ones
+        d = sum(blocks)
+        tol = 1e-12 * max(1.0, np.abs(x.data).max() * np.abs(u.data).max() * d**order)
+        assert np.abs((x @ u).data - x.data @ u.data).max() <= tol
+        assert np.array_equal(x.adjoint.data, x.data.conj().T)
+        if order == 2:
+            assert np.array_equal(flip(x).data, permute_legs(x.data, (1, 0), (d, d)))
+            assert np.abs(mult_map(x).data - _multiply(x.data, d)).max() <= tol
+
+    @pytest.mark.parametrize("blocks", [(1,), (2, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_storage_is_read_only_and_dense_is_made_once(self, blocks, order):
+        x = random_element(blocks, order, np.random.default_rng(order))
+        with pytest.raises(ValueError, match="read-only"):
+            x._flat[0] = 1.0
+        with pytest.raises(AttributeError):
+            x.shape = AlgebraShape(blocks)
+        assert x._data is None
+        dense = x.data
+        assert x.data is dense and not dense.flags.writeable
+        assert np.array_equal(dense, assemble(x.cells, sum(blocks) ** order))
+
+    def test_dense_input_is_not_copied_twice(self):
+        # a 24-point classical candidate: the dense input takes 5.3 MB, its cells 9 kB
+        d = 24**2
+        data = np.diag(np.arange(d, dtype=complex))
+        tracemalloc.start()
+        try:
+            x = BiElement((1,) * 24, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.nbytes
+        assert x._flat.nbytes == d * 16
+
+
 class TestLayoutOracles:
     """Structures built from the cells equal their index-loop forms exactly."""
 
@@ -328,8 +399,7 @@ class TestLayoutOracles:
     def test_offdiag_columns_complement_the_diagonal(self, blocks):
         # the search's per-cell isometries u have orthonormal columns, and
         # their u u* are the cells of 1 - P (the identity where u is None)
-        pos = _layout(blocks, 2)
-        complement = (np.eye(sum(blocks) ** 2) - diag_projector(blocks).data).ravel()[pos]
+        complement = BiElement(blocks, np.eye(sum(blocks) ** 2) - diag_projector(blocks).data)._flat
         spanned = np.zeros_like(complement)
         for cols, shape, u, uh, _ in _cone_groups(blocks, 1.0):
             if u is None:
@@ -499,14 +569,14 @@ def test_cell_stacks_of_dense_slack_are_the_slack_cells():
     for blocks in [(1, 1, 1), (2, 1), (2, 2, 2)]:
         rho = random_element(blocks, 2, rng, hermitian=True)
         dense = cell_stacks(triangle_defect(rho).data, blocks, 3)
-        for (i, a), (j, b) in zip(triangle_slack_cells(rho.data, blocks), dense):
+        for (i, a), (j, b) in zip(triangle_slack_cells(rho._flat, blocks), dense):
             assert np.array_equal(i, j) and np.array_equal(a, b)
 
 
 def test_slack_cells_carry_leading_axes():
     rng = np.random.default_rng(9)
     for blocks in [(1, 1, 1), (2, 1), (2, 2)]:
-        stack = np.stack([random_element(blocks, 2, rng, hermitian=True).data for _ in range(3)])
+        stack = np.stack([random_element(blocks, 2, rng, hermitian=True)._flat for _ in range(3)])
         together = triangle_slack_cells(stack, blocks)
         for k in range(3):
             for (i, a), (j, b) in zip(together, triangle_slack_cells(stack[k], blocks)):

@@ -42,6 +42,56 @@ def m2_file(tmp_path):
     return str(p)
 
 
+class TestNoDenseMatrix:
+    """On written documents the commands read the cells and never form a D^2 x D^2 matrix."""
+
+    @pytest.fixture
+    def dense_builds(self, monkeypatch):
+        """The orders of the elements whose dense `data` gets built."""
+        from qmetric import algebra
+
+        built, data = [], algebra._Element.data
+
+        def spy(self):
+            if self._data is None:
+                built.append(self.order)
+            return data.fget(self)
+
+        monkeypatch.setattr(algebra._Element, "data", property(spy))
+        return built
+
+    def test_commands_read_cells(self, tmp_path, capsys, dense_builds):
+        f = lambda name: str(tmp_path / name)  # noqa: E731
+        save_metric_space(FiniteMetricSpace(random_metric(np.random.default_rng(6), 5)), f("s.json"))
+        save_state(State.classical([0.5, 0.0, 0.25, 0.0, 0.25]), f("p.json"))
+        save_state(State.classical([0.0, 1.0, 0.0, 0.0, 0.0]), f("q.json"))
+        save_element(AlgebraElement((1,) * 5, np.diag([1.0, -2.0, 0.5, 3.0, 0.0])), f("a.json"))
+        m2 = qmetric.MetricCandidate(m2_admissible(1.0))
+        two = qmetric.direct_sum(m2, qmetric.MetricCandidate(BiElement.zeros((1,))), 1.0).rho
+        save_element(two, f("two.json"))
+        save_state(qmetric.PureState(two.shape, 0, [0.6, 0.8]).to_state(), f("u.json"))
+        save_state(qmetric.PureState(two.shape, 1, [1.0]).to_state(), f("v.json"))
+        dense_builds.clear()
+        runs = [
+            (["construct", "from-metric", f("s.json"), "--out", f("r.json")], 0),
+            (["construct", "conic", f("r.json"), f("r.json"), "--r", "0.5", "--out", f("c.json")], 0),
+            (["construct", "direct-sum", f("r.json"), f("c.json"), "--r", "9", "--out", f("d.json")], 0),
+            (["verify", f("d.json"), "--report", f("rep.json"), "--json"], 0),
+            (["verify", f("d.json"), "--mode", "algebraic"], 0),
+            (["verify", f("two.json"), "--report", f("rep.json"), "--json"], 1),
+            (["lipschitz", "--rho", f("r.json"), "--element", f("a.json")], 0),
+            (["distance", "--rho", f("r.json"), "--phi", f("p.json"), "--psi", f("q.json")], 0),
+            (["distance", "--rho", f("r.json"), "--phi", f("p.json"), "--psi", f("q.json"), "--method", "ascent"], 0),
+            (["distance", "--rho", f("two.json"), "--phi", f("u.json"), "--psi", f("v.json")], 0),
+        ]
+        for argv, code in runs:
+            assert main(argv + ["--quiet"] * (argv[0] != "verify" or "--json" not in argv)) == code, argv
+        capsys.readouterr()
+        # only order-1 elements, D x D, are ever made dense (the seminorm's a and the states' difference)
+        assert set(dense_builds) <= {1}
+        assert load_element(f("d.json")).shape.blocks == (1,) * 10
+
+
 class TestPdelta:
     def test_two_level_exact(self, tmp_path, capsys):
         out = tmp_path / "p.json"

@@ -161,6 +161,7 @@ def _assert_reads_like_reference(path, text):
         return
     got = load_element(path)
     assert type(got) is type(want) and got.shape == want.shape
+    assert got._flat.tobytes() == want._flat.tobytes()
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
@@ -170,6 +171,48 @@ _SHAPED_ORDERS = [
     ((2,), 2), ((1, 1), 2), ((1, 2), 2), ((1, 1, 1), 2), ((2, 2), 2),
     ((1,), 3), ((2,), 3), ((1, 1), 3), ((1, 2), 3),
 ]
+
+
+class TestReaderErrors:
+    """A document's faults are named by their dense entry, whichever reader meets them."""
+
+    @staticmethod
+    def _document(tmp_path, edits: dict):
+        # a (2, 1) candidate: its 9 x 9 matrix has 41 entries inside the cells
+        doc = element_to_dict(random_element((2, 1), 2, np.random.default_rng(4)))
+        off = np.flatnonzero(~oracles.support_mask((2, 1), 2))
+        for k, pair in edits.items():
+            doc["data"][int(off[k]) if k >= 0 else -k] = pair
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        return path, doc
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # three entries outside the cells; the largest is named
+            ({0: [1e-3, 0.0], 7: [0.0, -2.5e-2], 20: [3e-4, 4e-4]}, "entries outside the order-2 block pattern must be exactly zero (largest offender 2.500e-02)"),
+            # a signed zero outside the cells is a zero
+            ({3: [-0.0, -0.0], 9: [0.0, 5e-3]}, "entries outside the order-2 block pattern must be exactly zero (largest offender 5.000e-03)"),
+            # a NaN outside the cells and one inside count alike
+            ({5: [float("nan"), 0.0], -4: [1.0, float("nan")]}, "matrix data must be finite; found 2 NaN or infinite entries"),
+            # the first part above the bound in row-major order is named, inside the cells (entry 1) or not (entry 2)
+            ({-30: [0.0, 3e301], -1: [2e301, 0.0]}, "entry 1 has magnitude 2e+301; finite values above 2**1000 (about 1.07e301) are rejected"),
+            ({0: [0.0, 4e301], -30: [2e301, 0.0]}, "entry 2 has magnitude 4e+301; finite values above 2**1000 (about 1.07e301) are rejected"),
+        ],
+    )
+    def test_faults_are_named_as_on_the_dense_matrix(self, tmp_path, edits, message):
+        path, doc = self._document(tmp_path, edits)
+        for read in (lambda: load_element(path), lambda: dict_to_element(doc)):
+            with pytest.raises(ExchangeError) as err:
+                read()
+            assert str(err.value) == message
+
+    def test_signed_zeros_outside_the_cells_are_dropped(self, tmp_path):
+        path, doc = self._document(tmp_path, {k: [-0.0, -0.0] for k in range(40)})
+        got, want = load_element(path), dict_to_element(doc)
+        assert got._flat.tobytes() == want._flat.tobytes()
+        assert not np.signbit(got.data.real[~oracles.support_mask((2, 1), 2)]).any()
 
 
 class TestZeroPairReader:

@@ -22,11 +22,10 @@ from qmetric import (
     project_structure,
     verify,
 )
-from qmetric.algebra import adjoints, random_element
+from qmetric.algebra import TriElement, adjoints, assemble, cell_views, random_element
 from qmetric.exchange import load_element, outcome_to_dict, save_element
 from qmetric.search import (
     _hermitian_basis,
-    _layout,
     _SearchContext,
     _structure_basis_cached,
     structure_basis,
@@ -422,21 +421,20 @@ def test_structure_basis_matches_oracle(blocks, mode):
 
 
 def cell_vector(ctx, rho, s):
-    """The search's flat cell vector of a dense rho and slack S."""
-    parts = [rho.ravel()[ctx.pos]]
+    """The search's flat cell vector of a dense rho and slack S: their elements' flat cell vectors."""
+    parts = [BiElement(ctx.shape, rho)._flat]
     if s is not None:
-        parts.append(s.ravel()[_layout(ctx.shape.blocks, 3)])
+        parts.append(TriElement(ctx.shape, s)._flat)
     return np.concatenate(parts)
 
 
 def dense_pair(ctx, z):
     """The dense rho and slack S (None without the triangle) of a cell vector."""
+    blocks, d = ctx.shape.blocks, ctx.shape.dim
+    rho = assemble(cell_views(z[: ctx.n_rho], blocks, 2), d**2)
     if not ctx.cfg.include_triangle:
-        return ctx.rho(z), None
-    d3 = ctx.shape.dim**3
-    s = np.zeros(d3 * d3, dtype=complex)
-    s[_layout(ctx.shape.blocks, 3)] = z[ctx.n_rho :]
-    return ctx.rho(z), s.reshape(d3, d3)
+        return rho, None
+    return rho, assemble(cell_views(z[ctx.n_rho :], blocks, 3), d**3)
 
 
 class TestCellContext:
