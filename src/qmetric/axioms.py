@@ -28,7 +28,8 @@ flat cell vectors, through `triangle_slack_cells` in one call.
 
 Checks iii and iii_alg share one kernel, lambda_min(rho + shift) minus the
 floor over the cells: the shift is the diagonal projector for iii, and for
-iii_alg its part on the 1x1 diagonal cells, scaled by the candidate norm.
+iii_alg its part on the 1x1 diagonal cells, both scaled by the candidate
+norm, as the floor is, so the verdicts are scale-correct.
 The iii_alg decision is exact, not sampled.
 """
 
@@ -231,12 +232,14 @@ def check_nondegenerate(
 ) -> AxiomRecord:
     """Nondegeneracy: rho bounded below by the floor off the diagonal.
 
-    Operationalized as lambda_min(rho + P) >= floor, with P the diagonal
-    projector; equivalent to invertibility of the compression of rho to the
-    complement of the diagonal once positivity and diagonal vanishing hold.
-    When those prerequisites fail the restriction is ill-defined and the
-    record is flagged indeterminate.  The floor resolves against scale, the
-    candidate norm (1 for a zero candidate) unless given.
+    Operationalized as lambda_min(rho + scale P) >= floor, with P the
+    diagonal projector and scale the candidate norm (1 for a zero
+    candidate) unless given; equivalent to invertibility of the compression
+    of rho to the complement of the diagonal once positivity and diagonal
+    vanishing hold.  The shift and the floor both follow scale, so the
+    verdict does not change when rho is rescaled.  When the prerequisites
+    fail the restriction is ill-defined and the record is flagged
+    indeterminate.
     """
     cfg = _cfg(cfg)
     if scale is None:
@@ -246,7 +249,7 @@ def check_nondegenerate(
             check_positive(rho, cfg, scale).passed and check_diag_vanish(rho, cfg, scale).passed
         )
     floor = cfg.resolved_floor(scale)
-    shift = diag_projector(rho.shape).cells
+    shift = [(i, scale * q) for i, q in diag_projector(rho.shape).cells]
     note = "positivity or diagonal vanishing failed; restriction ill-defined"
     return _nondegenerate("iii", rho, shift, floor, prerequisites_ok, note)
 
@@ -376,11 +379,11 @@ def verify(
     """Run the five checks of the selected mode and collect all margins.
 
     Tolerances are applied as if rho were normalized to unit operator norm,
-    and margins are reported in the original scale.  Representation-mode
-    check iii is the exception so far: it shifts rho by the unscaled
-    diagonal projector, so it fails a valid rho scaled by 1e20 (ROADMAP
-    item 5).  No short-circuiting: every axiom is evaluated so a failing
-    candidate is fully diagnosed.
+    and margins are reported in the original scale; checks iii and iii_alg
+    shift rho by the diagonal projector, or its exempt part, times the
+    candidate norm, so every verdict is the same for rho and s rho, s > 0.
+    No short-circuiting: every axiom is evaluated so a failing candidate is
+    fully diagnosed.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

@@ -562,9 +562,10 @@ def flip_symmetric_record(rho: BiElement, cfg, scale: float) -> AxiomRecord:
 
 
 def nondegenerate_record(rho: BiElement, cfg) -> AxiomRecord:
-    """Check iii with its prerequisites taken as met; P is the index-loop projector below."""
-    lam, vec = min_eig(rho + BiElement(rho.shape, diag_projector(rho.shape.blocks)))
-    margin = lam - cfg.resolved_floor(op_norm(rho))
+    """Check iii with its prerequisites taken as met; P is the index-loop projector below, times the norm."""
+    scale = op_norm(rho) or 1.0
+    lam, vec = min_eig(rho + scale * BiElement(rho.shape, diag_projector(rho.shape.blocks)))
+    margin = lam - cfg.resolved_floor(scale)
     return AxiomRecord("iii", margin >= 0, margin, witness=None if margin >= 0 else vec)
 
 

@@ -90,13 +90,13 @@ class TestDiagVanish:
 
 class TestNondegenerate:
     def test_admissible_eigenvalues(self):
-        # spectrum of rho(1) + projector is {1, 1, 1, 2}
+        # ||rho(1)|| = 2, and the spectrum of rho(1) + 2 projector is {2, 2, 2, 2}
         rho = m2_admissible(1.0)
-        vals = np.linalg.eigvalsh(rho.data + diag_projector((2,)).data)
-        assert np.allclose(sorted(vals), [1.0, 1.0, 1.0, 2.0], atol=1e-12)
+        vals = np.linalg.eigvalsh(rho.data + 2.0 * diag_projector((2,)).data)
+        assert np.allclose(sorted(vals), [2.0, 2.0, 2.0, 2.0], atol=1e-12)
         rec = check_nondegenerate(rho)
         assert rec.passed
-        assert rec.margin == pytest.approx(1.0, abs=1e-6)
+        assert rec.margin == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_candidate_fails_off_one_point(self):
         rec = check_nondegenerate(BiElement.zeros((1, 1)))
@@ -291,6 +291,15 @@ class TestExactAlgebraicCheck:
         rec = verify(s * embed_distance_matrix(d), mode="algebraic").record("iii_alg")
         assert rec.passed
         assert rec.margin == pytest.approx(s * (d[d > 0].min() - 1e-8 * d.max()), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-30, 1e-20, 1.0, 1e10, 1e20, 1e30, 1e150])
+    def test_scaled_classical_metric_passes_in_representation_mode(self, s):
+        # the shift of check iii scales with the candidate, as the floor does
+        d = oracles.random_metric(np.random.default_rng(5), 5)
+        report = verify(s * embed_distance_matrix(d))
+        assert report.passed
+        want = s * (d[d > 0].min() - 1e-8 * d.max())
+        assert report.record("iii").margin == pytest.approx(want, rel=1e-12)
 
     def test_classical_verdicts_match_the_oracle(self):
         rng = np.random.default_rng(300)

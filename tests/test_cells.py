@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetric import (
@@ -96,7 +96,7 @@ def dense_records(rho: BiElement, cfg: ToleranceConfig, mode: str) -> dict:
         vanish = dense_norm(arr @ p)
         out["ii"] = (vanish <= eq, -vanish)
         if out["i"][0] and out["ii"][0]:
-            margin = dense_min_eig(arr + p) - cfg.resolved_floor(norm)
+            margin = dense_min_eig(arr + scale * p) - cfg.resolved_floor(norm)
             out["iii"] = (margin >= 0, margin)
         else:
             out["iii"] = (False, float("nan"))
@@ -609,6 +609,35 @@ def test_margins_invariant_under_conjugation_and_flip(blocks, seed, messy):
             assert abs(a.margin - b.margin) <= tol, tag
     alg = verify(rho, mode="algebraic").record("ii_alg").margin
     assert abs(verify(moved, mode="algebraic").record("ii_alg").margin - alg) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["metric", "violated", "negative", "metric-like", "messy", "m2"]),
+    seed=st.integers(0, 2**31 - 1),
+    exponent=st.floats(-150.0, 150.0),
+)
+@example(family="metric", seed=5, exponent=10.0)
+@example(family="metric", seed=5, exponent=20.0)
+def test_representation_verdicts_invariant_under_scale(family, seed, exponent):
+    rng = np.random.default_rng(seed)
+    if family in ("metric", "violated", "negative"):
+        d = random_metric(rng, 5 if seed == 5 else int(rng.integers(2, 7)))
+        if family == "violated" and len(d) > 2:
+            d = plant_triangle_violation(rng, d)
+        elif family == "negative":
+            d = plant_negativity(rng, d)
+        rho = embed_distance_matrix(d)
+    elif family == "m2":
+        rho = m2_admissible(float(rng.uniform(0.1, 10.0)))
+    else:
+        blocks = [(2,), (3,), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1)][int(rng.integers(6))]
+        rho = metric_like(blocks, rng) if family == "metric-like" else random_element(blocks, 2, rng, hermitian=True)
+
+    def verdicts(x):
+        return [(r.axiom, r.passed, r.indeterminate) for r in verify(x).records]
+
+    assert verdicts(10.0**exponent * rho) == verdicts(rho)
 
 
 @settings(max_examples=40, deadline=None)
