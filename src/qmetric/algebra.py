@@ -243,6 +243,14 @@ def storage_position(blocks: tuple[int, ...], order: int, rows, cols) -> np.ndar
     return places.base[rows] + places.row[cols]
 
 
+def storage_coordinates(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense row and column of each entry of the flat cell vector."""
+    views = _places(blocks, order).views
+    rows = [np.repeat(index, shape[1], axis=1).ravel() for index, _, _, shape in views]
+    cols = [np.tile(index, (1, shape[1])).ravel() for index, _, _, shape in views]
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def cell_views(flat: np.ndarray, blocks: tuple[int, ...], order: int) -> CellStacks:
     """The cells of a flat cell vector as views of it, one (index, mats) pair per cell size.
 
@@ -359,11 +367,19 @@ def _require_finite_cells(flat: np.ndarray, blocks: tuple[int, ...], order: int)
     try:
         require_finite(flat, "matrix data")
     except NonFiniteError:
-        n = sum(blocks) ** order
-        at = np.concatenate([(i[:, :, None] * n + i[:, None, :]).ravel() for i, *_ in _places(blocks, order).views])
+        rows, cols = storage_coordinates(blocks, order)
+        at = rows * sum(blocks) ** order + cols
         ranked = np.argsort(at)
         require_finite(flat[ranked], "matrix data", lambda k: f"entry {at[ranked[k]]}")
         raise
+
+
+def _support_error(order: int, outside: np.ndarray) -> SupportError:
+    """The error for nonzero entries outside the cells, naming the largest of their magnitudes."""
+    return SupportError(
+        f"entries outside the order-{order} block pattern must be exactly "
+        f"zero (largest offender {np.max(outside):.3e})"
+    )
 
 
 def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, np.ndarray]:
@@ -381,11 +397,7 @@ def _validate_data(shape: AlgebraShape, order: int, data) -> tuple[np.ndarray, n
     require_finite(arr, "matrix data")
     flat = flatten_cells([mats for _, mats in cell_stacks(arr, shape.blocks, order)])
     if np.count_nonzero(arr) != np.count_nonzero(flat):
-        worst = np.max(np.abs(arr - assemble(cell_views(flat, shape.blocks, order), d)))
-        raise SupportError(
-            f"entries outside the order-{order} block pattern must be exactly "
-            f"zero (largest offender {worst:.3e})"
-        )
+        raise _support_error(order, np.abs(arr - assemble(cell_views(flat, shape.blocks, order), d)))
     arr.setflags(write=False)
     return arr, flat
 
@@ -448,12 +460,8 @@ class _Element:
         rows, cols = np.divmod(at, n)
         inside = places.cell[rows] == places.cell[cols]
         if not inside.all():
-            worst = np.max(np.abs(values[~inside]))
-            if worst > 0:
-                raise SupportError(
-                    f"entries outside the order-{cls.order} block pattern must be exactly "
-                    f"zero (largest offender {worst:.3e})"
-                )
+            if values[~inside].any():
+                raise _support_error(cls.order, np.abs(values[~inside]))
             rows, cols, values = rows[inside], cols[inside], values[inside]
         flat = np.zeros(places.total, dtype=complex)
         flat[places.base[rows] + places.row[cols]] = values
@@ -650,20 +658,36 @@ def _multiply(arr: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("...pqqt->...pt", arr.reshape(arr.shape[:-2] + (dim,) * 4))
 
 
+@lru_cache(maxsize=None)
+def _mult_gathers(blocks: tuple[int, ...]) -> tuple[tuple[int, np.ndarray, int], ...]:
+    """Per block size n, in `cells(blocks, 1)` order: the order-2 group of size n^2 and its (k, k) cells.
+
+    The (k, k) cells of one size n^2 come in the order of k, as the blocks
+    of size n do.
+    """
+    groups = cells(blocks, 2)
+    sizes = [g.index.shape[1] for g in groups]
+    out = []
+    for g in cells(blocks, 1):
+        n = g.index.shape[1]
+        labels = groups[sizes.index(n * n)].labels
+        out.append((sizes.index(n * n), np.flatnonzero(labels[:, 0] == labels[:, 1]), n))
+    return tuple(out)
+
+
 def mult_cells(r: BiElement) -> list[np.ndarray]:
     """The cells of mult_map(r), one stack per block size.
 
     An entry ((p, q), (q, t)) lies in a cell only when p, q and t share a
     block k, so block k of m(r) comes from the (k, k) cell of r alone: the
-    multiplication map of that n_k^2 x n_k^2 cell.  The (k, k) cells of one
-    size n^2 come in the order of k, as the blocks of size n do.
+    multiplication map of that n_k^2 x n_k^2 cell, which is the cell itself
+    when n_k = 1.
     """
-    diagonal = {}
-    for g, (_, mats) in zip(cells(r.shape.blocks, 2), r.cells):
-        on_diag = g.labels[:, 0] == g.labels[:, 1]
-        if on_diag.any():
-            diagonal[math.isqrt(g.index.shape[1])] = mats[on_diag]
-    return [_multiply(diagonal[g.index.shape[1]], g.index.shape[1]) for g in cells(r.shape.blocks, 1)]
+    stacks = r.cells
+    return [
+        stacks[at][1][on_diag] if n == 1 else _multiply(stacks[at][1][on_diag], n)
+        for at, on_diag, n in _mult_gathers(r.shape.blocks)
+    ]
 
 
 def mult_map(r: BiElement) -> AlgebraElement:

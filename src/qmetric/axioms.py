@@ -248,24 +248,23 @@ def check_nondegenerate(
         prerequisites_ok = (
             check_positive(rho, cfg, scale).passed and check_diag_vanish(rho, cfg, scale).passed
         )
-    floor = cfg.resolved_floor(scale)
-    shift = [(i, scale * q) for i, q in diag_projector(rho.shape).cells]
     note = "positivity or diagonal vanishing failed; restriction ill-defined"
-    return _nondegenerate("iii", rho, shift, floor, prerequisites_ok, note)
+    shift = diag_projector(rho.shape).cells
+    return _nondegenerate("iii", rho, shift, scale, cfg.resolved_floor(scale), prerequisites_ok, note)
 
 
 def _nondegenerate(
-    axiom: str, rho: BiElement, shift: CellStacks, floor: float, prerequisites_ok: bool, note: str
+    axiom: str, rho: BiElement, shift: CellStacks, scale: float, floor: float, prerequisites_ok: bool, note: str
 ) -> AxiomRecord:
-    """The nondegeneracy kernel of both modes: lambda_min(rho + shift) - floor, cell by cell.
+    """The nondegeneracy kernel of both modes: lambda_min(rho + scale shift) - floor, cell by cell.
 
-    shift lists one cell stack per cell size of rho, or a scalar for a size
-    it leaves alone.  When the prerequisites fail the record is
-    indeterminate, with a NaN margin and the note.
+    shift lists one cell stack per cell size of rho, or 0.0 for a size it
+    leaves alone.  When the prerequisites fail the record is indeterminate,
+    with a NaN margin and the note.
     """
     if not prerequisites_ok:
         return AxiomRecord(axiom, False, float("nan"), indeterminate=True, note=note)
-    shifted = [(i, r + q) for (i, r), (_, q) in zip(rho.cells, shift)]
+    shifted = [(i, r + scale * q) for (i, r), (_, q) in zip(rho.cells, shift)]
     lam, vec = lowest_eigenpair(cellwise_eigh(shifted))
     margin = lam - floor
     witness = None if margin >= 0 else vec
@@ -365,9 +364,9 @@ def check_alg_nondegenerate_sampled(
         prerequisites_ok = check_positive(rho, cfg, scale).passed
     # the cells of size 1 are the exempt cells, where the projector is 1, and
     # the cross cells of two 1x1 blocks, where it is 0
-    shift = [(i, scale * q if q.shape[-1] == 1 else 0.0) for i, q in diag_projector(rho.shape).cells]
+    shift = [(i, q if q.shape[-1] == 1 else 0.0) for i, q in diag_projector(rho.shape).cells]
     note = "positivity failed; the exact decision needs positive rho"
-    return _nondegenerate("iii_alg", rho, shift, cfg.resolved_floor(scale), prerequisites_ok, note)
+    return _nondegenerate("iii_alg", rho, shift, scale, cfg.resolved_floor(scale), prerequisites_ok, note)
 
 
 def verify(

@@ -9,6 +9,7 @@ unverified candidates; callers certify them with axioms.verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .algebra import (
     op_norm,
     permute_legs,
     require_finite,
+    storage_coordinates,
     storage_position,
+    storage_size,
 )
 from .axioms import ALGEBRAIC, REPRESENTATION, MetricCandidate
 
@@ -108,25 +111,30 @@ def direct_sum(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCand
             f"cross-distance {r} is below the admissible bound {bound}"
         )
     s1, s2 = m1.shape, m2.shape
-    d, k1 = s1.dim + s2.dim, s1.num_blocks
     shape = AlgebraShape(s1.blocks + s2.blocks)
-    # a cell (k, l) with both blocks in summand i is that cell of rho_i, with its
-    # coordinates in the same order, and a cross cell is r * 1
-    stacks = []
-    for g in cells(shape.blocks, 2):
-        c, n = g.index.shape
-        mats = np.zeros((c, n, n), dtype=complex)
-        second = g.labels >= k1
-        mats[second[:, 0] != second[:, 1]] += r * np.eye(n, dtype=complex)
-        for rho, offset, legs in ((m1.rho, 0, ~second), (m2.rho, s1.dim, second)):
-            sel = legs.all(axis=1)
-            if sel.any():
-                p, q = np.divmod(g.index[sel, 0], d)
-                first = (p - offset) * rho.shape.dim + q - offset
-                start = storage_position(rho.shape.blocks, 2, first, first)
-                mats[sel] += rho._flat[start[:, None] + np.arange(n * n)].reshape(-1, n, n)
-        stacks.append(mats)
-    return MetricCandidate(BiElement._from_cells(shape, stacks))
+    values = np.concatenate([m1.rho._flat, m2.rho._flat, [0.0, r]])
+    # 0.0 + x, as when the summands were added into a zero matrix
+    return MetricCandidate(BiElement._from_flat(shape, 0.0 + values[_direct_sum_gather(s1.blocks, s2.blocks)]))
+
+
+@lru_cache(maxsize=None)
+def _direct_sum_gather(first: tuple[int, ...], second: tuple[int, ...]) -> np.ndarray:
+    """Where each entry of a direct sum's flat cell vector reads the vector [rho1, rho2, 0, r].
+
+    A cell (k, l) with both blocks in summand i is that cell of rho_i, its
+    coordinates in the same order, and a cross cell is r times the identity.
+    """
+    d1, d2 = sum(first), sum(second)
+    d, size1, size2 = d1 + d2, storage_size(first, 2), storage_size(second, 2)
+    rows, cols = storage_coordinates(first + second, 2)
+    (p1, q1), (p2, q2) = np.divmod(rows, d), np.divmod(cols, d)
+    out = np.where(rows == cols, size1 + size2 + 1, size1 + size2)
+    one, two = (p1 < d1) & (q1 < d1), (p1 >= d1) & (q1 >= d1)
+    out[one] = storage_position(first, 2, p1[one] * d1 + q1[one], p2[one] * d1 + q2[one])
+    at = [x[two] - d1 for x in (p1, q1, p2, q2)]
+    out[two] = size1 + storage_position(second, 2, at[0] * d2 + at[1], at[2] * d2 + at[3])
+    out.setflags(write=False)
+    return out
 
 
 def _grouping_permutation(s1: AlgebraShape, s2: AlgebraShape) -> np.ndarray:
