@@ -324,7 +324,7 @@ def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.n
     out = []
     for index, mats in stacks:
         if mats.shape[1] == 1:
-            vals, vecs = mats[:, :, 0].real.copy(), np.ones_like(mats)
+            vals, vecs = mats[:, :, 0].real.copy(), np.ones(mats.shape, mats.dtype)
         else:
             vals, vecs = np.linalg.eigh((mats + adjoints(mats)) / 2.0)
         out.append((index, vals, vecs))
@@ -341,7 +341,7 @@ def lowest_eigenpair(eighs) -> tuple[float, np.ndarray]:
     dim = 0
     for index, vals, vecs in eighs:
         dim += index.size
-        c = int(np.argmin(vals[:, 0]))
+        c = int(vals[:, 0].argmin())
         if where is None or vals[c, 0] < best:
             best, where, vec = float(vals[c, 0]), index[c], vecs[c, :, 0]
     out = np.zeros(dim, dtype=complex)
@@ -434,8 +434,6 @@ class _Element:
     def _from_flat(cls, shape: AlgebraShape | Sequence[int], flat: np.ndarray):
         """The element whose flat cell vector is flat, which it takes over: no one else may write it."""
         shape = as_shape(shape)
-        if flat.shape != (storage_size(shape.blocks, cls.order),):
-            raise ShapeMismatchError(f"a flat cell vector of {flat.shape} does not fit blocks {shape.blocks}")
         _require_finite_cells(flat, shape.blocks, cls.order)
         out = cls.__new__(cls)
         out._set(shape, flat, None)
@@ -610,19 +608,21 @@ def tensor2(x: AlgebraElement, y: AlgebraElement) -> BiElement:
 
 
 @lru_cache(maxsize=None)
-def _flip_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Where the flip of an order-2 element reads its cells, one (partner, perm) pair per cell size.
+def _flip_gathers(blocks: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Where the flip of an order-2 element reads its cells, per cell size the index arrays of one gather.
 
     Coordinate i D + j of C^D (x) C^D swaps to j D + i, so cell (k, l) of
     flip(r) is cell (l, k) of r, of the same size, with its coordinates
     reordered: cell c of flip(r) is mats[partner[c]][perm[c]][:, perm[c]],
-    with mats the stack of r's cells of that size.
+    with mats the stack of r's cells of that size.  Returns partner, and
+    perm as rows and as columns, broadcast against each other.
     """
     d, places = sum(blocks), _places(blocks, 2)
     out, first = [], 0
     for g in cells(blocks, 2):
         swapped = g.index % d * d + g.index // d
-        out.append((places.cell[swapped[:, 0]] - first, places.row[swapped]))
+        perm = places.row[swapped]
+        out.append(((places.cell[swapped[:, 0]] - first)[:, None, None], perm[:, :, None], perm[:, None, :]))
         first += len(g.index)
     return tuple(out)
 
@@ -632,10 +632,7 @@ def flip_cells(stacks: CellStacks, blocks: tuple[int, ...]) -> list[np.ndarray]:
 
     Leading axes of the stacks carry over.
     """
-    return [
-        mats[..., partner[:, None, None], perm[:, :, None], perm[:, None, :]]
-        for (_, mats), (partner, perm) in zip(stacks, _flip_gathers(blocks))
-    ]
+    return [mats[..., partner, rows, cols] for (_, mats), (partner, rows, cols) in zip(stacks, _flip_gathers(blocks))]
 
 
 def flip(r: BiElement) -> BiElement:

@@ -19,7 +19,6 @@ from .algebra import (
     ShapeMismatchError,
     cells,
     op_norm,
-    permute_legs,
     require_finite,
     storage_coordinates,
     storage_position,
@@ -113,7 +112,7 @@ def direct_sum(m1: MetricCandidate, m2: MetricCandidate, r: float) -> MetricCand
     s1, s2 = m1.shape, m2.shape
     shape = AlgebraShape(s1.blocks + s2.blocks)
     values = np.concatenate([m1.rho._flat, m2.rho._flat, [0.0, r]])
-    # 0.0 + x, as when the summands were added into a zero matrix
+    # adding 0.0 makes every zero entry +0.0, as adding into a zero matrix does
     return MetricCandidate(BiElement._from_flat(shape, 0.0 + values[_direct_sum_gather(s1.blocks, s2.blocks)]))
 
 
@@ -164,17 +163,30 @@ def tensor_product(
         raise ValueError(
             "algebraic-mode tensor products require a commutative first factor"
         )
+    one, only_one, two, only_two = _tensor_gather(s1.blocks, s2.blocks)
+    flat = m1.rho._flat[one] * only_one + only_two * m2.rho._flat[two]
+    return MetricCandidate(BiElement._from_flat(tuple(n * m for n in s1.blocks for m in s2.blocks), flat))
+
+
+@lru_cache(maxsize=None)
+def _tensor_gather(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Where each entry of a tensor product's flat cell vector reads rho1 and rho2, with the factor of each.
+
+    Coordinate w of the product's C^{D1 D2} is the pair (a, c), a in C^{D1}
+    and c in C^{D2}, with a D2 + c = order[w] (`_grouping_permutation`).  The
+    entry at ((a1, c1) (a2, c2), (b1, e1) (b2, e2)) is
+    rho1[a1 a2, b1 b2] [c1 c2 = e1 e2] + [a1 a2 = b1 b2] rho2[c1 c2, e1 e2],
+    each bracket a complex 1 or 0, as the dense rho1 (x) 1 + 1 (x) rho2 has it.
+    """
+    s1, s2 = AlgebraShape(first), AlgebraShape(second)
     d1, d2 = s1.dim, s2.dim
-    blocks = tuple(n * m for n in s1.blocks for m in s2.blocks)
-    shape = AlgebraShape(blocks)
-    raw = np.kron(m1.rho.data, np.eye(d2 * d2, dtype=complex)) + np.kron(
-        np.eye(d1 * d1, dtype=complex), m2.rho.data
-    )
-    # regroup legs (H1, H1, H2, H2) -> (H1, H2, H1, H2)
-    mixed = permute_legs(raw, (0, 2, 1, 3), (d1, d1, d2, d2))
-    # reorder each composite leg so product blocks are contiguous
     order = _grouping_permutation(s1, s2)
-    dd = d1 * d2
-    full = (order[:, None] * dd + order[None, :]).ravel()
-    data = mixed[full[:, None], full]
-    return MetricCandidate(BiElement(shape, data))
+    rows, cols = storage_coordinates(tuple(n * m for n in first for m in second), 2)
+    (a1, c1), (a2, c2) = (np.divmod(order[w], d2) for w in np.divmod(rows, d1 * d2))
+    (b1, e1), (b2, e2) = (np.divmod(order[w], d2) for w in np.divmod(cols, d1 * d2))
+    one = storage_position(first, 2, a1 * d1 + a2, b1 * d1 + b2)
+    two = storage_position(second, 2, c1 * d2 + c2, e1 * d2 + e2)
+    out = (one, ((c1 == e1) & (c2 == e2)).astype(complex), two, ((a1 == b1) & (a2 == b2)).astype(complex))
+    for arr in out:
+        arr.setflags(write=False)
+    return out

@@ -405,6 +405,17 @@ def grouping_permutation(blocks1, blocks2) -> np.ndarray:
     return np.asarray(sorted(range(d1 * d2), key=lambda k: keys[k]), dtype=np.intp)
 
 
+def tensor_product(rho1: np.ndarray, blocks1, rho2: np.ndarray, blocks2) -> np.ndarray:
+    """rho1 (x) 1 + 1 (x) rho2, its composite coordinates (p, q) regrouped by grouping_permutation."""
+    d1, d2 = sum(blocks1), sum(blocks2)
+    raw = np.kron(rho1, np.eye(d2 * d2, dtype=complex)) + np.kron(np.eye(d1 * d1, dtype=complex), rho2)
+    # legs (p1, p2, q1, q2) -> (p1, q1, p2, q2)
+    mixed = raw.reshape((d1, d1, d2, d2) * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(raw.shape)
+    order = grouping_permutation(blocks1, blocks2)
+    full = (order[:, None] * d1 * d2 + order[None, :]).ravel()
+    return mixed[np.ix_(full, full)]
+
+
 def complex_pairs(arr) -> list:
     """[re, im] pairs of an array's entries, one entry at a time."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]

@@ -389,6 +389,15 @@ class TestLayoutOracles:
         expected = oracles.direct_sum(m1.rho.data, m1.shape.dim, m2.rho.data, m2.shape.dim, r)
         assert np.array_equal(direct_sum(m1, m2, r).rho.data, expected)
 
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1), (2, 1), (1, 2, 1), (1, 1, 1)])
+    def test_tensor_product(self, blocks):
+        rng = np.random.default_rng(len(blocks) + 3 * sum(blocks))
+        for other in [(1,), (2,), (1, 1), (2, 1), (1, 2)]:
+            m1, m2 = (MetricCandidate(random_element(b, 2, rng, hermitian=True)) for b in (blocks, other))
+            want = oracles.tensor_product(m1.rho.data, blocks, m2.rho.data, other)
+            got = tensor_product(m1, m2).rho
+            assert got.data.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("blocks", ALL_SHAPES)
     def test_grouping_permutation(self, blocks):
         for other in [(1,), (2,), (2, 1), (1, 2, 1), blocks]:
