@@ -76,6 +76,7 @@ class TestNoDenseMatrix:
             (["construct", "from-metric", f("s.json"), "--out", f("r.json")], 0),
             (["construct", "conic", f("r.json"), f("r.json"), "--r", "0.5", "--out", f("c.json")], 0),
             (["construct", "direct-sum", f("r.json"), f("c.json"), "--r", "9", "--out", f("d.json")], 0),
+            (["construct", "tensor", f("r.json"), f("two.json"), "--out", f("t.json")], 1),
             (["verify", f("d.json"), "--report", f("rep.json"), "--json"], 0),
             (["verify", f("d.json"), "--mode", "algebraic"], 0),
             (["verify", f("two.json"), "--report", f("rep.json"), "--json"], 1),
