@@ -373,11 +373,11 @@ def _scan(raw: bytes):
     Each `[` from the first entry of the `data` list on is taken to open an
     entry.  The exact-zero entries, each up to the next `[`, are cut out,
     and what is left, header fields and other entries, goes to json.loads
-    in one call; their values go straight into the element's cells.  That is the
-    reference reading when the parsed `data` is the list scanned and holds
-    one [re, im] pair per `[` left.  A pair holds no bracket, so then every
-    `[` left opens an entry, no entry nests one, nothing after the list
-    holds one, and each cut was a whole `[0.0, 0.0]` entry of the list.
+    in one call; their values go straight into the element's cells.  That
+    is the reference reading when the parsed `data` is the list scanned and
+    holds one [re, im] pair per `[` left.  A pair holds no bracket, so then
+    every `[` left opens an entry, no entry nests one, nothing after the
+    list holds one, and each cut was a whole `[0.0, 0.0]` entry of the list.
     The parsed `data` is the list scanned when the document holds one
     `"data"` and no backslash, which could hide a key in an escape.  The
     text parsed must be ASCII, which every locale decodes alike.

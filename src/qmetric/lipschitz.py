@@ -597,11 +597,13 @@ def _mk_lower(phi: State, psi: State, pinv: BiElement) -> float:
 
 
 def _diagonal(x) -> np.ndarray:
-    """The real parts of the diagonal of an element on an all-ones shape, read from its 1x1 cells."""
-    out = np.empty(x.shape.dim**x.order)
-    for index, mats in x.cells:
-        out[index[:, 0]] = mats[:, 0, 0].real
-    return out
+    """The real parts of the diagonal of an element on an all-ones shape.
+
+    Every cell is 1x1 there, and the cells come in the order of their
+    labels, which is that of their coordinates: the flat cell vector is the
+    diagonal.
+    """
+    return x._flat.real
 
 
 def mk_distance(
