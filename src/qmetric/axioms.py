@@ -198,15 +198,21 @@ def _cfg(cfg: ToleranceConfig | None) -> ToleranceConfig:
 
 def check_positive(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Positivity: rho self-adjoint and with nonnegative spectrum."""
+    return _positive(rho, cfg, scale)[0]
+
+
+def _positive(rho: BiElement, cfg: ToleranceConfig | None, scale: float):
+    """`check_positive`'s record together with the `cellwise_eigh` of rho's cells it read."""
     cfg = _cfg(cfg)
     stacks = rho.cells
     herm_defect = hermitian_defect(stacks)
-    margin, vec = lowest_eigenpair(cellwise_eigh(stacks))
+    eighs = cellwise_eigh(stacks)
+    margin, vec = lowest_eigenpair(eighs)
     selfadj = herm_defect <= cfg.eq_tol * scale
     passed = selfadj and margin >= -cfg.psd_tol * scale
     witness = None if passed else vec
     note = "" if selfadj else f"self-adjointness defect {herm_defect:.3e}"
-    return AxiomRecord("i", passed, margin, witness=witness, note=note)
+    return AxiomRecord("i", passed, margin, witness=witness, note=note), eighs
 
 
 def check_flip_symmetric(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:

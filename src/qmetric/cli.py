@@ -7,11 +7,18 @@ errors.  All matrix input and output uses the shared JSON exchange format,
 so constructions pipe into verification and search outputs pipe into the
 transport computations.
 
-`main` hands a command's arguments straight to that subcommand's own
-parser, a child of the full parser `build_parser` builds; the full parser
-runs only for help and for errors it reports itself, so every message is
-the one it prints.  `verify` formats its report's fields once and lays
-them out for both the report file and the `--json` payload.
+`main` reads a well-formed command from a table compiled, on the
+subcommand's first call, from that subcommand's own parser, a child of the
+full parser `build_parser` builds; the table holds the parser's actions,
+so every option keeps one definition.  It reads exact option strings,
+values and positionals in one run, and declines everything else: a
+`--opt=value` form, an abbreviation, `--`, `-h`, an argument or value
+starting with "-", a value its type or choices refuse, a missing argument,
+positionals split by options.  A declined command goes to the subcommand's
+parser, and the full parser runs only for help and for errors it reports
+itself, so every message is the one it prints.  `verify` formats its
+report's fields once and lays them out for both the report file and the
+`--json` payload.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Callable
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,9 +399,11 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process and reused by every `main` call.
 
     Building it costs about twenty parses, which is a large share of a
-    small query run in-process.  `main` parses a command's arguments with
-    that command's own parser, one of this parser's children, and comes
-    here only for help and errors the top level reports.
+    small query run in-process.  `main` reads a well-formed command from
+    `_table`, compiled from this parser's children and read in a few
+    microseconds, where argparse takes 50-80; it parses with the
+    subcommand's own parser where the table declines, and comes here only
+    for help and errors the top level reports.
     """
     return build_parser()
 
@@ -404,19 +415,164 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """_parser().parse_args(argv), by the subcommand's parser alone where that gives the same.
+class _Table(NamedTuple):
+    """A subcommand's parser compiled for `_match`; see `_table`."""
 
-    The top-level parser hands every argument after a subcommand's name to
-    that subcommand's parser and adds only `command`; it prints help or
-    errors itself only where no subcommand is named, or where the
-    subcommand's parser leaves arguments over.  Those cases go to it, so
-    they print what they always printed.  Parsing twice changes nothing:
-    a parse has no side effects, and one that exits does so in the same
-    subcommand parser either way.
+    options: dict[str, argparse.Action]
+    positionals: tuple[argparse.Action, ...]
+    required: tuple[argparse.Action, ...]
+    str_defaults: tuple[argparse.Action, ...]
+    types: dict[argparse.Action, Callable[[str], object]]
+    defaults: dict[str, object]
+
+
+@lru_cache(maxsize=None)
+def _table(command: str) -> _Table | None:
+    """The subcommand's parser compiled to a table; None where it holds what the table cannot read.
+
+    The table keeps the parser's own actions: each `store` (`nargs=None`)
+    and `store_true` action under each of its exact option strings, the
+    positionals in order (`nargs=None`, or "+" for the last), the required
+    options, the actions with a str default, each action's type function
+    as `_get_value` looks it up in the parser's registry, and the namespace
+    before any argument is read, laid out from the action defaults and
+    `set_defaults` as `parse_known_args` lays it out.  Help actions stay
+    out of the table, so `-h` and `--help` decline.  Any other action
+    class, a mutually exclusive group or `fromfile_prefix_chars` leaves no
+    table at all.
+    """
+    parser = _commands()[command]
+    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars or parser._mutually_exclusive_groups:
+        return None
+    options, positionals, defaults = {}, [], {}
+    actions = [a for a in parser._actions if type(a) is not argparse._HelpAction]
+    for action in actions:
+        kind = type(action)
+        if kind is argparse._StoreAction:
+            if not (action.nargs is None or action.nargs == "+" and not action.option_strings):
+                return None
+        elif kind is not argparse._StoreTrueAction:
+            return None
+        if action.dest == argparse.SUPPRESS:
+            return None
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    if any(a.nargs == "+" for a in positionals[:-1]):
+        return None
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return _Table(
+        options,
+        tuple(positionals),
+        tuple(a for a in actions if a.required and a.option_strings),
+        tuple(a for a in actions if isinstance(a.default, str)),
+        {a: parser._registry_get("type", a.type, a.type) for a in actions},
+        defaults,
+    )
+
+
+class _Declined(Exception):
+    """Raised where `_match` leaves a command to argparse."""
+
+
+def _value(table: _Table, action: argparse.Action, text: str, check: bool = True):
+    """text through the action's type as `_get_value` converts it, then checked as `_check_value` checks it.
+
+    Where argparse would report an error, this declines instead.
+    """
+    try:
+        value = table.types[action](text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise _Declined from None
+    if check and action.choices is not None and value not in action.choices:
+        raise _Declined
+    return value
+
+
+def _match(command: str, args: list[str]) -> argparse.Namespace | None:
+    """The namespace `_parser().parse_args([command, *args])` gives, read from `_table`; None to decline.
+
+    It declines wherever it cannot decide exactly as argparse would, and
+    argparse then runs unchanged, so help, usage and error text stay its
+    own: on an argument starting with "-" that is not an exact option
+    string of the table (a `--opt=value` form, an abbreviation, `--`,
+    `-h`, a negative number), on an option value starting with "-", on a
+    type that refuses a value or a value outside the choices, on a missing
+    positional or required option, and on positionals that options split.
+    Types are called as argparse calls them; the parsers here use only int
+    and float, which have no side effects.
+    """
+    table = _table(command)
+    if table is None:
+        return None
+    options, positionals = table.options, table.positionals
+    values = dict(table.defaults)
+    seen = set()
+    run, end = [], 0
+    i, n = 0, len(args)
+    try:
+        while i < n:
+            text = args[i]
+            action = options.get(text)
+            if action is None:
+                if text[:1] == "-" or run and end != i:
+                    return None
+                run.append(text)
+                i = end = i + 1
+            elif action.nargs == 0:
+                seen.add(action)
+                values[action.dest] = action.const
+                i += 1
+            elif i + 1 < n and args[i + 1][:1] != "-":
+                seen.add(action)
+                values[action.dest] = _value(table, action, args[i + 1])
+                i += 2
+            else:
+                return None
+        if len(run) < len(positionals) or len(run) > len(positionals) and not (
+            positionals and positionals[-1].nargs == "+"
+        ):
+            return None
+        for k, action in enumerate(positionals):
+            if action.nargs:
+                values[action.dest] = [_value(table, action, t) for t in run[k:]]
+            else:
+                values[action.dest] = _value(table, action, run[k])
+        if not seen.issuperset(table.required):
+            return None
+        # an unread action's str default goes through its type, unchecked against its choices
+        for action in table.str_defaults:
+            if action not in seen and action.dest in values and values[action.dest] is action.default:
+                values[action.dest] = _value(table, action, action.default, check=False)
+    except _Declined:
+        return None
+    # the top-level parser sets `command`, then copies in the subcommand's namespace
+    parsed = argparse.Namespace(command=command)
+    vars(parsed).update(values)
+    return parsed
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), from `_match` or the subcommand's parser alone where that gives the same.
+
+    `_match` reads a well-formed command from the subcommand's table and
+    declines everything else.  The top-level parser hands every argument
+    after a subcommand's name to that subcommand's parser and adds only
+    `command`; it prints help or errors itself only where no subcommand is
+    named, or where the subcommand's parser leaves arguments over.  Those
+    cases go to it, so they print what they always printed.  Parsing twice
+    changes nothing: a parse has no side effects, and one that exits does
+    so in the same subcommand parser either way.
     """
     sub = _commands().get(argv[0]) if argv else None
     if sub is not None:
+        args = _match(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = sub.parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]

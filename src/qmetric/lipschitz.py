@@ -59,9 +59,9 @@ from .algebra import (
 from .axioms import (
     MetricCandidate,
     ToleranceConfig,
+    _positive,
     check_diag_vanish,
     check_nondegenerate,
-    check_positive,
 )
 
 STATE_TOL = 1e-9
@@ -251,7 +251,8 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
     cfg = cfg if cfg is not None else ToleranceConfig()
     scale = op_norm(rho) or 1.0
     failures = []
-    if not check_positive(rho, cfg, scale).passed:
+    positive, eighs = _positive(rho, cfg, scale)
+    if not positive.passed:
         failures.append("positivity")
     if not check_diag_vanish(rho, cfg, scale).passed:
         failures.append("diagonal vanishing")
@@ -264,7 +265,7 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
         )
     cutoff = cfg.resolved_floor(scale) / 2.0
     parts = []
-    for _, vals, vecs in cellwise_eigh(rho.cells):
+    for _, vals, vecs in eighs:
         inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
         parts.append((vecs * inv[:, None, :]) @ adjoints(vecs))
     return BiElement._from_cells(rho.shape, parts)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -822,6 +823,163 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("usage: qmetric [-h]")
         assert err.endswith("qmetric: error: unrecognized arguments: --bogus\n")
+
+
+def _texts(action):
+    """Argument texts for an action: good values for its type and choices, and bad or "-"-prefixed ones."""
+    if action.choices is not None:
+        good = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        good = st.integers(-3, 40).map(str)
+    elif action.type is float:
+        good = st.floats().map(repr)
+    else:
+        good = st.text("ab1.,", min_size=1, max_size=4)
+    bad = st.sampled_from(["x", "", "-", "-1", "-1.5", "-x", "--", "-h", "nan", "1e3", " 2", "1_0", "2.5", "bogus"])
+    return st.one_of(good, good, good, good, bad)
+
+
+def _mostly(n: int):
+    """True n times in n + 1; hypothesis leans to a strategy's first choice, so True is listed first."""
+    return st.sampled_from([True] * n + [False])
+
+
+@st.composite
+def _option_tokens(draw, action):
+    """One occurrence of an option: exact, as `--opt=value`, or abbreviated."""
+    spelling = draw(st.sampled_from(action.option_strings))
+    form = draw(st.sampled_from(["exact"] * 10 + ["equals", "abbreviation"]))
+    if form == "abbreviation":
+        spelling = spelling[: draw(st.integers(2, max(2, len(spelling) - 1)))]
+    if action.nargs == 0:
+        return [f"{spelling}=1"] if form == "equals" else [spelling]
+    value = draw(_texts(action))
+    return [f"{spelling}={value}"] if form == "equals" else [spelling, value]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one subcommand, drawn from that parser's own actions, well-formed or not."""
+    command = draw(st.sampled_from(sorted(qmetric.cli._commands())))
+    parser = qmetric.cli._commands()[command]
+    options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=6))
+    if draw(_mostly(4)):
+        chosen += [a for a in options if a.required]
+    groups = [draw(_option_tokens(a)) for a in chosen]
+    positionals = []
+    for action in (a for a in parser._actions if not a.option_strings):
+        if not draw(_mostly(9)):
+            break
+        positionals += [draw(_texts(action)) for _ in range(draw(st.integers(1, 3)) if action.nargs else 1)]
+    if not draw(_mostly(9)):
+        positionals.append("extra")
+    # positionals split by options, or in one run
+    groups += [positionals] if draw(_mostly(3)) else [[t] for t in positionals]
+    if not draw(_mostly(5)):
+        groups.append([draw(st.sampled_from(["--", "-h", "--help", "--bogus", "-1"]))])
+    return [command, *(t for group in draw(st.permutations(groups)) for t in group)]
+
+
+def _same(a, b) -> bool:
+    """a == b, with NaN matching NaN and types compared."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and isinstance(b, float) and a != a:
+        return b != b
+    return type(a) is type(b) and a == b
+
+
+def _same_namespace(a, b) -> bool:
+    return vars(a).keys() == vars(b).keys() and all(_same(value, getattr(b, key)) for key, value in vars(a).items())
+
+
+class TestArgumentTable:
+    """`cli._match` gives the namespace argparse gives, or declines and leaves the argv to argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_argvs())
+    def test_declines_or_agrees_with_argparse(self, argv):
+        fast = qmetric.cli._match(argv[0], argv[1:])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                want = qmetric.cli._parser().parse_args(argv)
+        except SystemExit:
+            assert fast is None, argv
+            return
+        assert fast is None or _same_namespace(fast, want), argv
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "construct conic a b --r 1e-3 --json",
+            "construct --r 2 tensor a b c",
+            "distance --phi 0 --psi 2 --classical s --phi 1",
+            "search --max-iter 7 --shape 2 --drop-triangle --eps nan --trace-target inf",
+            "nogo-m2",
+            "verify '' --seed 3",
+        ],
+    )
+    def test_reads_what_argparse_reads(self, line):
+        argv = [t.strip("'") for t in line.split()]
+        fast = qmetric.cli._match(argv[0], argv[1:])
+        want = qmetric.cli._parser().parse_args(argv)
+        assert fast is not None and _same_namespace(fast, want)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "verify a --report=r", "verify a --rep r", "verify a --", "verify -- a", "verify a -h",
+            "distance --phi 0 --psi -1 --classical s", "construct conic a --r 1 b", "construct conic",
+            "search --seed 1", "search --shape 2 --seed x", "verify a --mode bogus", "verify a --report",
+        ],
+    )
+    def test_declines(self, line):
+        argv = line.split()
+        assert qmetric.cli._match(argv[0], argv[1:]) is None
+
+
+# every line of _ARGV_CORPUS that spells each option exactly, with no value starting with "-"
+_EXACT_LINES = [
+    line
+    for line in _ARGV_CORPUS[: _ARGV_CORPUS.index("pdelta --help")]
+    if line not in ("verify {rho} --report={out} --quiet", "distance --phi 0 --psi -1 --classical {path3}")
+]
+# one argv of each form the benchmark's workloads run
+_WORKLOAD_LINES = [
+    "verify {rho} --mode algebraic --report {out} --json",
+    "construct from-metric {path3} --mode representation --out {out} --quiet",
+    "construct conic {rho} {rho} --mode algebraic --out {out} --quiet --r 0.5",
+    "distance --classical {path3} --phi 0 --psi 2 --json",
+    "distance --classical {path3} --phi 2 --psi 0 --method ascent --json",
+    "distance --rho {rho} --phi {phi} --psi {psi} --json",
+    "lipschitz --rho {rho} --element {elem} --json",
+    "search --shape 1,1 --mode representation --restarts 1 --max-iter 40 --seed 2 --out {out} --quiet",
+]
+
+
+class TestTablePath:
+    """Well-formed commands are read from the table and never reach argparse.
+
+    A silent decline keeps every output byte but loses the table's speed,
+    which no output comparison would notice.
+    """
+
+    docs = TestDispatch.docs
+
+    def test_exact_lines_are_the_corpus_first_group(self):
+        assert len(_EXACT_LINES) == 14
+
+    @pytest.mark.parametrize("line", _EXACT_LINES + _WORKLOAD_LINES)
+    def test_argparse_is_not_called(self, docs, capsys, monkeypatch, line):
+        argv = line.format(**docs).split()
+        want = _outcome_of(_reference_main, argv, capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed command")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert _outcome_of(main, argv, capsys) == want
 
 
 class TestNoPurePythonEncoder:
