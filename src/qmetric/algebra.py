@@ -84,7 +84,9 @@ def require_finite(arr: np.ndarray, what: str, entry=lambda k: f"entry {k}") -> 
     arr = np.asarray(arr)
     pairs = arr.dtype.kind == "c"
     parts = np.ascontiguousarray(arr).view(float) if pairs else arr
-    if -ENTRY_BOUND <= parts.min(initial=0.0) and parts.max(initial=0.0) <= ENTRY_BOUND:
+    # parts.min(initial=0.0) and parts.max(initial=0.0), as the ufunc reductions they call
+    low, high = np.minimum.reduce(parts, None, initial=0.0), np.maximum.reduce(parts, None, initial=0.0)
+    if -ENTRY_BOUND <= low and high <= ENTRY_BOUND:
         return
     size = np.abs(parts).ravel()
     over = np.flatnonzero((size > ENTRY_BOUND) & (size < np.inf))
@@ -140,9 +142,24 @@ class AlgebraShape:
 
 
 def as_shape(shape: AlgebraShape | Sequence[int]) -> AlgebraShape:
+    """shape as an AlgebraShape, one instance per blocks tuple and the types of its items.
+
+    Blocks that do not hash are made into a new shape each time, so they
+    are refused as AlgebraShape refuses them.
+    """
     if isinstance(shape, AlgebraShape):
         return shape
-    return AlgebraShape(tuple(shape))
+    blocks = tuple(shape)
+    try:
+        return _shape(blocks, tuple(map(type, blocks)))
+    except TypeError:
+        return AlgebraShape(blocks)
+
+
+@lru_cache(maxsize=None)
+def _shape(blocks: tuple, types: tuple) -> AlgebraShape:
+    # keyed on the types too: 2 + 0j equals 2 but is no block dimension
+    return AlgebraShape(blocks)
 
 
 class CellGroup(NamedTuple):

@@ -46,10 +46,12 @@ class FiniteMetricSpace:
         # np.allclose(d, d.T, atol=1e-12) without its handling of infinities, which d cannot hold
         if not (np.abs(d - d.T) <= 1e-12 + 1e-5 * np.abs(d.T)).all():
             raise MetricInputError("distance matrix must be symmetric")
-        if np.any(np.abs(np.diag(d)) > 1e-12):
+        if (np.abs(d.diagonal()) > 1e-12).any():
             raise MetricInputError("self-distances must be zero")
-        off = d[~np.eye(n, dtype=bool)]
-        if off.size and np.any(off <= 0):
+        # d <= 0 off the diagonal: the diagonal of this mask is cleared, whatever d's memory order
+        nonpositive = d <= 0
+        nonpositive.flat[:: n + 1] = False
+        if nonpositive.any():
             raise MetricInputError("distances between distinct points must be positive")
         # fails[i, j, k]: d(i, j) > d(i, k) + d(k, j); the first in (i, j, k)
         # order names the error

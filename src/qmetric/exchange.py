@@ -10,20 +10,26 @@ plain-text lower triangle.
 
 Most entries of a dense matrix document are exact zeros, which writers
 emit as the text `[0.0, 0.0]` from one template.  Readers take a file's
-bytes once and find its entries by a numpy scan of them; only the header
-fields and the other entries reach json.loads, and their values go
-straight into the element's flat cell vector (`algebra.cells`), with no
-dense matrix.  Any other valid JSON spacing or encoding still reads,
-through the reference path `dict_to_element(json.loads(text))` on the
-file's text as a text-mode open() decodes it, and reads to the same
-element, with the same errors.
+bytes once, in os.read calls with no file object, and find its entries by
+a numpy scan of them: the offset of every `[` from the first entry on,
+and whether the 13 bytes from it are `[0.0, 0.0], [`, read as two words
+through a view of the bytes themselves, with no copy.  The indices of the
+entries kept are found once and serve both to cut the text and as the
+entries' row-major indices.  Only the header fields and the kept entries
+reach json.loads, in one call, and their values go straight into the
+element's flat cell vector (`algebra.cells`), with no dense matrix.  Any
+other valid JSON spacing or encoding still reads, through the reference
+path `dict_to_element(json.loads(text))` on the file's text as a
+text-mode open() decodes it, and reads to the same element, with the same
+errors.
 
 Every document is the text json.dumps gives it, byte for byte, but none
 runs json.dumps with an indent, which always takes json's pure-Python
 encoder.  A writer formats each field's text once: scalars by repr,
 strings by json's C encoder, and each array of [re, im] pairs as a
 `_Pairs`: a witness from its array, a matrix's `data` from the nonzero
-entries of its cells, with no dense matrix.  Only the nonzero entries are
+entries of its flat cell vector, taken in row-major order through one
+table per shape, with no dense matrix.  Only the nonzero entries are
 formatted, by repr; a run of exact zeros between them is one repeat of the
 `[0.0, 0.0]` template.  `_layout` then lays those texts out in
 json.dumps's compact or indented layout.  A matrix document is the compact
@@ -43,19 +49,21 @@ to zero first.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
 import numbers
 import os
 import stat
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import as_shape, complex_pairs, element_type, zero_clip
+from .algebra import as_shape, complex_pairs, element_type, storage_coordinates, zero_clip
 from .construct import FiniteMetricSpace
 from .lipschitz import State
 
@@ -72,6 +80,8 @@ _ZERO_PAIR = "0.0, 0.0"
 _FIRST_ENTRY = b'"data": [['
 _ZERO_ENTRY = f"[{_ZERO_PAIR}], [".encode()
 _ZERO_HEAD, _ZERO_TAIL = (int.from_bytes(w, "little") for w in (_ZERO_ENTRY[:8], _ZERO_ENTRY[-8:]))
+# the bytes asked of each os.read after the first, which asks for a file's size and one more
+_READ_SIZE = 1 << 16
 
 
 def _write(path, text: str) -> None:
@@ -102,6 +112,27 @@ def _write(path, text: str) -> None:
             rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at path, as open(path, "rb").read() gives them, with no file object.
+
+    os.read calls go until one returns nothing, as FileIO.readall's do.  A
+    directory is refused with the IsADirectoryError open() raises, since
+    os.open opens one.  path is a str, bytes or os.PathLike: unlike
+    open(), this takes no file number.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        parts = [os.read(fd, info.st_size + 1)]
+        while parts[-1]:
+            parts.append(os.read(fd, _READ_SIZE))
+        return b"".join(parts)
     finally:
         os.close(fd)
 
@@ -208,15 +239,19 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     return start + pad + ("," + pad).join(items) + pad[: len(pad) - indent] + end
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """The text between the brackets of each entry's [re, im] pair."""
-    return [f"{_scalar(z.real)}, {_scalar(z.imag)}" for z in values.tolist()]
+def _texts(values: np.ndarray, scalar=_scalar) -> list[str]:
+    """The text between the brackets of each entry's [re, im] pair, scalar(part) for each part.
+
+    values is a contiguous complex vector.
+    """
+    parts = map(scalar, values.view(float).tolist())
+    return list(map(", ".join, zip(parts, parts)))
 
 
 def _vector_texts(arr) -> _Pairs:
     """Each entry of arr, row-major, as an [re, im] pair; only those that are not exact +0.0 + 0.0j are formatted."""
     flat = np.asarray(arr, dtype=complex).ravel()
-    keep = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+    keep = ((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag)).nonzero()[0]
     return _Pairs(flat.size, keep.tolist(), _texts(flat[keep]))
 
 
@@ -230,22 +265,30 @@ def element_to_dict(x) -> dict:
     return {**_matrix_fields(x), "data": complex_pairs(zero_clip(np.asarray(x.data)))}
 
 
+@lru_cache(maxsize=None)
+def _row_major(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cell vector's positions in row-major order of their dense entries, and those entries' dense indices."""
+    rows, cols = storage_coordinates(blocks, order)
+    at = rows * sum(blocks) ** order + cols
+    ranked = np.argsort(at)
+    out = (ranked, at[ranked])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _matrix_node(x, **after) -> dict:
-    """The field texts of {**element_to_dict(x), **after}, from the cells of x.
+    """The field texts of {**element_to_dict(x), **after}, from the flat cell vector of x.
 
     Every entry outside the cells is zero, and zero_clip leaves no signed
-    zero, so only the cells' entries that stay nonzero are formatted.
+    zero, so only the cells' entries that stay nonzero are formatted, each
+    by repr: an element's entries are finite.
     """
     n = x.shape.dim**x.order
-    at, values = [], []
-    for index, mats in x.cells:
-        mats = zero_clip(mats)
-        c, r, q = np.nonzero(mats)
-        at.append(index[c, r] * n + index[c, q])
-        values.append(mats[c, r, q])
-    at, values = np.concatenate(at), np.concatenate(values)
-    ranked = np.argsort(at)
-    data = _Pairs(n * n, at[ranked].tolist(), _texts(values[ranked]))
+    ranked, at = _row_major(x.shape.blocks, x.order)
+    values = zero_clip(x._flat[ranked])
+    keep = values.nonzero()[0]
+    data = _Pairs(n * n, at[keep].tolist(), _texts(values[keep], float.__repr__))
     return {**_node(_matrix_fields(x)), "data": data, **_node(after)}
 
 
@@ -272,7 +315,7 @@ def _floats(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
     # an integer beyond the float range makes an object array
     if raw.shape != shape or raw.dtype.kind not in "biuf":
         return None
-    return raw.astype(float)
+    return raw.astype(float, copy=False)
 
 
 def _pairs(values: list) -> np.ndarray:
@@ -294,6 +337,8 @@ def _pairs(values: list) -> np.ndarray:
 
 def _integral(value, field: str, doc: str = "matrix") -> int:
     """value as an int when it is an integer or an integral float such as 2.0."""
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -301,19 +346,27 @@ def _integral(value, field: str, doc: str = "matrix") -> int:
     raise ExchangeError(f"{doc} field {field!r} must be an integer, got {value!r}")
 
 
+def _integers(values, field: str) -> tuple[int, ...]:
+    """The items of values as ints, each read by `_integral`, which names the first that is not one."""
+    values = tuple(values)
+    if {*map(type, values)} <= {int}:
+        return tuple(values)
+    return tuple(_integral(v, field) for v in values)
+
+
 def dict_to_element(doc: dict):
     return _to_element(doc)
 
 
-def _to_element(doc: dict, kept: np.ndarray | None = None):
+def _to_element(doc: dict, at: np.ndarray | None = None, entries: int | None = None):
     """The element of a matrix document, its entries put straight into its cells.
 
-    kept, when given, is a mask over all entries, and doc's `data` the list
-    of only the entries it marks, those the scan did not find to be exact
-    zeros.
+    at and entries, when given, are the row-major index of each entry in
+    doc's `data` and the count of all entries: the scan cut the others out
+    as exact zeros.
     """
     try:
-        blocks = tuple(_integral(n, "shape") for n in doc["shape"])
+        blocks = _integers(doc["shape"], "shape")
         order = _integral(doc["order"], "order")
         rows, cols = _integral(doc["rows"], "rows"), _integral(doc["cols"], "cols")
         data = doc["data"]
@@ -330,14 +383,16 @@ def _to_element(doc: dict, kept: np.ndarray | None = None):
     except ValueError as exc:
         raise ExchangeError(str(exc)) from exc
     d = shape.dim**order
-    entries = len(data) if kept is None else kept.size
+    if entries is None:
+        entries = len(data)
     if rows != d or cols != d or entries != d * d:
         raise ExchangeError(
             f"dimension mismatch: blocks {blocks} at order {order} need "
             f"{d}x{d}, document says {rows}x{cols} with {entries} entries"
         )
     values = _pairs(data)
-    at = np.arange(values.size) if kept is None else np.flatnonzero(kept)
+    if at is None:
+        at = np.arange(values.size)
     try:
         return element_type(order)._from_entries(shape, at, values)
     except ValueError as exc:
@@ -357,14 +412,19 @@ def _entries(raw: bytes, start: int) -> tuple[np.ndarray, np.ndarray]:
     """The offset of every `[` in raw from start on, and whether it opens an exact-zero entry.
 
     An entry is an exact zero when its bytes, up to and including the next
-    `[`, are `[0.0, 0.0], [`: both of its words match, read through a
-    stride-1 "<u8" view.  The view is of raw padded with zero bytes, so
-    every word read lies inside it, and the last `[` never matches.
+    `[`, are `[0.0, 0.0], [`: its first word and its last match, read
+    through a stride-1 "<u8" view of raw itself, with no copy.  A `[`
+    fewer than 13 bytes from the end has no room for those bytes and is
+    never read: it counts as kept, as the last `[` always does.  raw holds
+    the 10 bytes of `"data": [[`, so the view has a word.
     """
-    padded = raw + bytes(len(_ZERO_ENTRY))
-    opens = np.flatnonzero(np.frombuffer(padded, np.uint8, offset=start) == ord("[")) + start
-    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
-    return opens, (words[opens] == _ZERO_HEAD) & (words[opens + 5] == _ZERO_TAIL)
+    opens = (np.frombuffer(raw, np.uint8, offset=start) == ord("[")).nonzero()[0]
+    opens += start
+    room = opens[: opens.searchsorted(len(raw) - len(_ZERO_ENTRY), "right")]
+    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))
+    zero = np.zeros(opens.size, dtype=bool)
+    zero[: room.size] = (words[room] == _ZERO_HEAD) & (words[5:][room] == _ZERO_TAIL)
+    return opens, zero
 
 
 def _scan(raw: bytes):
@@ -373,11 +433,13 @@ def _scan(raw: bytes):
     Each `[` from the first entry of the `data` list on is taken to open an
     entry.  The exact-zero entries, each up to the next `[`, are cut out,
     and what is left, header fields and other entries, goes to json.loads
-    in one call; their values go straight into the element's cells.  That
-    is the reference reading when the parsed `data` is the list scanned and
-    holds one [re, im] pair per `[` left.  A pair holds no bracket, so then
-    every `[` left opens an entry, no entry nests one, nothing after the
-    list holds one, and each cut was a whole `[0.0, 0.0]` entry of the list.
+    in one call; their values go straight into the element's cells, the
+    index of each kept entry among all of them being its row-major index.
+    That is the reference reading when the parsed `data` is the list
+    scanned and holds one [re, im] pair per `[` left.  A pair holds no
+    bracket, so then every `[` left opens an entry, no entry nests one,
+    nothing after the list holds one, and each cut was a whole `[0.0, 0.0]`
+    entry of the list.
     The parsed `data` is the list scanned when the document holds one
     `"data"` and no backslash, which could hide a key in an escape.  The
     text parsed must be ASCII, which every locale decodes alike.
@@ -388,9 +450,10 @@ def _scan(raw: bytes):
     opens, zero = _entries(raw, first + len(_FIRST_ENTRY) - 1)
     # each entry kept runs to the next `[`; the last one, which has no next
     # `[` to match, is always kept and runs to the end
-    kept = ~zero
-    ends = opens[1:][kept[:-1]].tolist() + [len(raw)]
-    entries = [raw[a:b] for a, b in zip(opens[kept].tolist(), ends)]
+    at = (~zero).nonzero()[0]
+    ends = opens[at[:-1] + 1].tolist()
+    ends.append(len(raw))
+    entries = [raw[a:b] for a, b in zip(opens[at].tolist(), ends)]
     text = b"".join([raw[: opens[0]], *entries])
     # a cut holds no `"`, so the text holds every `"data"` the document does
     if text.count(b'"data"') != 1:
@@ -399,7 +462,7 @@ def _scan(raw: bytes):
         doc = json.loads(text.decode("ascii"))
         if len(doc["data"]) != len(entries):
             return None
-        return _to_element(doc, kept)
+        return _to_element(doc, at, opens.size)
     except Exception:  # the reference path raises the fault with its own message
         return None
 
@@ -407,15 +470,15 @@ def _scan(raw: bytes):
 def _read_element(path, kind: str):
     """The element of the matrix or state document at path.
 
-    The file's bytes are read once, with no text layer.  `_scan` reads them
-    where it can show that its reading is the reference one.  Everything
-    else, other spacing or encodings and every malformed document, goes to
-    the reference path `dict_to_element(json.loads(text))`, on the bytes
-    decoded as a text-mode open() decodes them, which names the fault.
+    The file's bytes are read once, by `_read`, with no file object or
+    text layer.  `_scan` reads them where it can show that its reading is
+    the reference one.  Everything else, other spacing or encodings and
+    every malformed document, goes to the reference path
+    `dict_to_element(json.loads(text))`, on the bytes decoded as a
+    text-mode open() decodes them, which names the fault.
     """
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        raw = _read(path)
     except OSError as exc:
         raise ExchangeError(f"cannot read {kind} document {path}: {exc}") from exc
     elem = _scan(raw)
@@ -510,14 +573,16 @@ def load_metric_space(path) -> FiniteMetricSpace:
 
     JSON documents carry {"n": points, "d": row-major distances}.  Text
     files give one row per line below the diagonal: line k holds the k+1
-    distances d(k+1, 0..k).
+    distances d(k+1, 0..k).  A file is read as JSON when its text starts
+    with `{` after white space, or else when its name ends in a `.json`
+    suffix.
     """
-    path = Path(path)
-    with open(path, "rb") as f:
-        raw = f.read()
+    if not isinstance(path, str):
+        path = Path(path)  # which refuses a bytes path, as before
+    raw = _read(path)
     # ASCII with no carriage return reads alike in every locale and newline mode
     text = raw.decode("ascii") if raw.isascii() and b"\r" not in raw else _text(raw)
-    if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
+    if text.lstrip().startswith("{") or Path(path).suffix.lower() == ".json":
         try:
             doc = json.loads(text)
             n = _integral(doc["n"], "n", "metric-space")

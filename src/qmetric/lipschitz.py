@@ -84,37 +84,50 @@ class NegativeCycleError(PreconditionError, RuntimeError):
     """
 
 
-def _check_densities(elem: AlgebraElement) -> None:
-    """Validate the block densities of a state, the cells of elem, one stacked pass per cell size.
+_DENSITY_FAULTS = ("block densities must be self-adjoint", "block densities must be positive semidefinite")
+
+
+def _densities(elem: AlgebraElement) -> tuple[np.ndarray, ...]:
+    """The block densities of a state, views of the cells of elem, validated one stacked pass per cell size.
 
     elem is a finite order-1 element, so its cells are the densities of its
     blocks stacked by size.  They must be self-adjoint and PSD within
     STATE_TOL, with total trace one.  Of several failing blocks the first in
     block order names the error.
+
+    A 1x1 density z is checked by arithmetic on its entry, which gives what
+    the stacked checks give: its defect ||z - z*|| is |2i Im z| = 2 |Im z|,
+    and its hermitian part, its eigenvalue and its trace are Re z.
     """
     num_blocks = elem.shape.num_blocks
-    not_herm = np.zeros(num_blocks, dtype=bool)
-    not_psd = np.zeros(num_blocks, dtype=bool)
+    dens = [None] * num_blocks
+    # fails[k]: whether block k is not self-adjoint, and whether it is not PSD
+    fails = np.zeros((num_blocks, 2), dtype=bool)
     traces = np.zeros(num_blocks)
     for g, (_, stack) in zip(cells(elem.shape.blocks, 1), elem.cells):
         where = g.labels[:, 0]
-        adj = adjoints(stack)
-        scale = np.maximum(1.0, matrix_norms(stack))
-        not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * scale
-        herm = (stack + adj) / 2.0
-        lowest = herm[:, 0, 0].real if herm.shape[-1] == 1 else np.linalg.eigvalsh(herm)[:, 0]
-        not_psd[where] = lowest < -STATE_TOL
-        traces[where] = np.trace(stack, axis1=1, axis2=2).real
+        if stack.shape[-1] == 1:
+            z = stack.ravel()
+            defect, norm, lowest, trace = 2.0 * np.abs(z.imag), np.abs(z), z.real, z.real
+        else:
+            adj = adjoints(stack)
+            defect, norm = matrix_norms(stack - adj), matrix_norms(stack)
+            lowest = np.linalg.eigvalsh((stack + adj) / 2.0)[:, 0]
+            trace = np.trace(stack, axis1=1, axis2=2).real
+        fails[where, 0] = defect > STATE_TOL * np.maximum(1.0, norm)
+        fails[where, 1] = lowest < -STATE_TOL
+        traces[where] = trace
+        for k, mat in zip(where.tolist(), stack):
+            dens[k] = mat
     # the first failing block names the error, self-adjointness before positivity
-    fails = np.flatnonzero(not_herm | not_psd)
-    if fails.size:
-        if not_herm[fails[0]]:
-            raise ValueError("block densities must be self-adjoint")
-        raise ValueError("block densities must be positive semidefinite")
+    _, fault = fails.nonzero()
+    if fault.size:
+        raise ValueError(_DENSITY_FAULTS[fault[0]])
     # added up in block order, whatever the grouping by size
     total = sum(traces.tolist(), 0.0)
     if abs(total - 1.0) > STATE_TOL:
         raise ValueError(f"total trace must be 1, got {total}")
+    return tuple(dens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +136,7 @@ class State:
 
     A state is the block diagonal element of its densities, held from
     construction and returned by `as_element`.  Every state is made from
-    its element and validated on that element's cells (`_check_densities`),
+    its element and validated on that element's cells (`_densities`),
     and its densities are read-only views of those cells.  Built from
     densities, it first tests every block's shape, then every block's
     finiteness, then builds the element from them.
@@ -152,13 +165,9 @@ class State:
 
     def _adopt(self, elem: AlgebraElement) -> None:
         """Validate elem, an order-1 element, and keep it; the densities are views of its cells."""
-        _check_densities(elem)
-        dens = [None] * elem.shape.num_blocks
-        for g, (_, mats) in zip(cells(elem.shape.blocks, 1), elem.cells):
-            for k, mat in zip(g.labels[:, 0].tolist(), mats):
-                dens[k] = mat
+        dens = _densities(elem)
         object.__setattr__(self, "shape", elem.shape)
-        object.__setattr__(self, "densities", tuple(dens))
+        object.__setattr__(self, "densities", dens)
         object.__setattr__(self, "_element", elem)
 
     @classmethod

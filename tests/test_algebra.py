@@ -24,6 +24,7 @@ from qmetric import (
 )
 from qmetric.algebra import (
     ENTRY_BOUND,
+    as_shape,
     cells,
     permute_legs,
     random_element,
@@ -59,6 +60,34 @@ class TestShape:
             AlgebraShape(())
         with pytest.raises(ValueError):
             AlgebraShape((2, 0))
+
+
+class TestAsShape:
+    """as_shape keeps one shape per blocks tuple, and refuses bad blocks as AlgebraShape does."""
+
+    def test_one_shape_per_blocks(self):
+        assert as_shape([2, 1]) is as_shape((2, 1))
+        assert as_shape(as_shape((2, 1))) is as_shape((2, 1))
+        for blocks in (np.array([2, 1]), (2.0, 1.0), (True, 1), ("2", "1")):
+            shape = as_shape(blocks)
+            assert shape == AlgebraShape((2, 1) if blocks[0] is not True else (1, 1))
+            assert all(type(n) is int for n in shape.blocks)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[], [2, 0], [2, -1], [[1]], [None], ["x"], [2 + 0j], [1 + 0j, 1], [float("nan")]],
+        ids=repr,
+    )
+    def test_bad_blocks_raise_as_algebra_shape_does(self, blocks):
+        # shapes equal to these under == are made first, so a lookup by value alone would return them
+        as_shape((2,))
+        as_shape((1, 1))
+        with pytest.raises((TypeError, ValueError)) as want:
+            AlgebraShape(tuple(blocks))
+        for _ in range(2):
+            with pytest.raises(type(want.value)) as got:
+                as_shape(blocks)
+            assert str(got.value) == str(want.value)
 
 
 class TestElements:

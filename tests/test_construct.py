@@ -82,6 +82,56 @@ class TestFiniteMetricSpace:
         )
 
 
+# (distance matrix, the error FiniteMetricSpace names): one case per check,
+# then matrices that fail several, which name the earliest check in the order
+# square, finite, symmetric, self-distances, positive, triangle
+METRIC_FAULTS = [
+    ([[0.0, 1.0], [1.0 + 1e-4, 0.0]], "distance matrix must be symmetric"),
+    ([[0.0, 1.0, 2.0], [1.0, 1e-11, 1.0], [2.0, 1.0, 0.0]], "self-distances must be zero"),
+    ([[0.0, 1.0, 2.0], [1.0, -1e-11, 1.0], [2.0, 1.0, 0.0]], "self-distances must be zero"),
+    ([[0.0, 0.0], [0.0, 0.0]], "distances between distinct points must be positive"),
+    ([[0.0, -0.0], [-0.0, 0.0]], "distances between distinct points must be positive"),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "distances between distinct points must be positive"),
+    ([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]], "distances between distinct points must be positive"),
+    ([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "triangle inequality fails on (0, 1, 2)"),
+    # asymmetric, a nonzero self-distance, a negative distance and a failing triangle
+    ([[0.5, -1.0, 9.0], [2.0, 0.0, 1.0], [9.0, 1.0, 0.0]], "distance matrix must be symmetric"),
+    # a nonzero self-distance, a zero distance and a failing triangle
+    ([[0.0, 0.0, 9.0], [0.0, 0.5, 1.0], [9.0, 1.0, 0.0]], "self-distances must be zero"),
+    # a zero distance and a failing triangle
+    ([[0.0, 0.0, 9.0], [0.0, 0.0, 1.0], [9.0, 1.0, 0.0]], "distances between distinct points must be positive"),
+]
+
+
+class TestMetricChecks:
+    """FiniteMetricSpace's checks, each with its own message, the earliest failing one named."""
+
+    @pytest.mark.parametrize("d, message", METRIC_FAULTS)
+    def test_each_fault_is_named(self, d, message):
+        for order in ("C", "F"):
+            with pytest.raises(MetricInputError) as err:
+                FiniteMetricSpace(np.array(d, order=order))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("self_distance", [1e-13, -1e-13, 1e-12, -0.0])
+    def test_self_distances_within_tolerance_are_accepted(self, self_distance):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, self_distance, 1.0], [2.0, 1.0, 0.0]])
+        space = FiniteMetricSpace(d)
+        assert space.dist.tobytes() == d.tobytes()
+        assert not space.dist.flags.writeable
+
+    def test_the_input_is_not_written(self):
+        d = np.asfortranarray([[0.0, 1.0], [1.0, 0.0]])
+        space = FiniteMetricSpace(d)
+        assert np.array_equal(d, [[0.0, 1.0], [1.0, 0.0]]) and np.array_equal(space.dist, d)
+        assert space.dist is not d
+
+    def test_one_point(self):
+        assert FiniteMetricSpace(np.zeros((1, 1))).n == 1
+        with pytest.raises(MetricInputError, match="^self-distances must be zero$"):
+            FiniteMetricSpace(np.full((1, 1), 1e-11))
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetric import (
+    AlgebraElement,
     AlgebraShape,
     BiElement,
     FiniteMetricSpace,
     MetricCandidate,
+    MetricInputError,
     SearchConfig,
     SearchOutcome,
     State,
@@ -39,6 +42,7 @@ from qmetric.exchange import (
 from qmetric.cli import main
 
 import oracles
+from test_construct import METRIC_FAULTS
 
 
 class TestElementRoundTrip:
@@ -335,10 +339,48 @@ class TestZeroPairReader:
             # the data list nested one level down, and a document that ends before its closing brace
             '{"x": {"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}',
             '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]',
+            # zero pairs as the last entries, the file ending within 13 bytes of a `[`
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}',
+            '{"shape": [1], "order": 1, "rows": 1, "cols": 1, "data": [[0.0, 0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]} ',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0,0.0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0]]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], []]}',
+            # cut short: within 13 bytes of a zero pair's `[`, right after a whole `[0.0, 0.0], [`, and inside it
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], ',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0',
+            '{"shape": [1], "order": 1, "rows": 1, "cols": 1, "data": [[',
+            # the same with a "trace" field after the list, as a state document has
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": 1.0}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": 1.0}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": [0.0, 0.0]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": [0.0, 0.0]}',
+            '{"shape": [2], "order": 1, "rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": [',
         ],
     )
     def test_hostile_documents_load_like_the_reference(self, tmp_path, text):
         _assert_reads_like_reference(tmp_path / "x.json", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["[0.0, 0.0], ", "[0.0, 0.0]", "[1.0, 0.0], ", "[", "]", "]}", ", ", "0.0", " ", '"trace": 1.0']),
+            max_size=12,
+        )
+    )
+    def test_entries_read_as_on_a_padded_copy(self, parts):
+        # the bytes of any document the scan meets: a first entry, then any run of fragments
+        raw = ('{"shape": [1], "data": [' + "".join(parts)).encode()
+        start = raw.find(b'"data": [') + len('"data": [') - 1
+        opens, zero = exchange._entries(raw, start)
+        # the reading of raw padded with zero bytes, in which every word lies
+        padded = raw + bytes(13)
+        want = [k for k in range(start, len(raw)) if raw[k] == ord("[")]
+        assert opens.tolist() == want
+        assert zero.tolist() == [padded[k : k + 13] == b"[0.0, 0.0], [" for k in want]
 
     @pytest.mark.parametrize("shape", [[0, 0], [], [2, -1]])
     def test_invalid_shape_is_an_exchange_error(self, tmp_path, shape):
@@ -494,6 +536,100 @@ class TestReportDocument:
         assert exchange._report_text(report, None) == json.dumps(report.to_dict())
 
 
+class TestByteReader:
+    """Documents are read with os calls, to the bytes and errors open(path, "rb").read() gives."""
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            return read(path)
+        except Exception as exc:  # noqa: BLE001 - the error itself is compared
+            return type(exc), str(exc), getattr(exc, "filename", None)
+
+    def test_reads_and_errors_are_those_of_open(self, tmp_path):
+        def reference(path):
+            with open(path, "rb") as f:
+                return f.read()
+
+        (tmp_path / "empty.json").write_bytes(b"")
+        (tmp_path / "big.json").write_bytes(bytes(range(256)) * 1000)
+        (tmp_path / "dir").mkdir()
+        for name in ["empty.json", "big.json", "dir", "missing.json", "big.json/x"]:
+            for path in (str(tmp_path / name), tmp_path / name, os.fsencode(str(tmp_path / name))):
+                assert self._outcome(exchange._read, path) == self._outcome(reference, path)
+        # a NUL byte in a str path; in a bytes path os.open words the ValueError its own way
+        for path in (str(tmp_path / "a\0b"), tmp_path / "a\0b"):
+            assert self._outcome(exchange._read, path) == self._outcome(reference, path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_file_of_no_stated_size_is_read_to_its_end(self):
+        text = json.dumps(element_to_dict(random_element((2, 1), 2, np.random.default_rng(2)))).encode()
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as f:
+                f.write(text)
+            assert exchange._read(f"/dev/fd/{read_end}") == text
+        finally:
+            os.close(read_end)
+
+    def test_unreadable_documents_name_the_path(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        for name in ("dir", "missing.json"):
+            path = tmp_path / name
+            with pytest.raises(ExchangeError) as err:
+                load_element(path)
+            assert str(err.value) == f"cannot read matrix document {path}: {self._outcome(open, path)[1]}"
+            with pytest.raises(ExchangeError) as err:
+                load_state(str(path))
+            assert str(err.value) == f"cannot read state document {path}: {self._outcome(open, path)[1]}"
+
+
+class TestStateDocumentErrors:
+    """A state document's faults are named by the first failing block in block order, as State names them."""
+
+    @staticmethod
+    def _document(tmp_path, blocks, densities):
+        # the document of the block diagonal element, whose constructor does not check a state
+        dense = np.zeros((sum(blocks), sum(blocks)), dtype=complex)
+        at = np.cumsum((0,) + blocks)
+        for a, b, dens in zip(at, at[1:], densities):
+            dense[a:b, a:b] = dens
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**element_to_dict(AlgebraElement(blocks, dense)), "trace": 1.0}))
+        return path
+
+    @pytest.mark.parametrize(
+        "blocks, densities, message",
+        [
+            # cells come grouped by size, (2, 1)'s 1x1 block first; block 0 still names the error
+            ((2, 1), [[[0.5, 0.1], [0.3, 0.5]], [[-0.5]]], "block densities must be self-adjoint"),
+            ((2, 1), [[[1.5, 0.0], [0.0, -0.5]], [[1e-8j]]], "block densities must be positive semidefinite"),
+            ((1, 2), [[[-0.1]], [[0.5, 1.0], [0.0, 0.5]]], "block densities must be positive semidefinite"),
+            ((1, 2), [[[0.5 + 1e-8j]], [[0.25, 0.0], [0.0, -0.25]]], "block densities must be self-adjoint"),
+            # 1x1 blocks alone, a block both non-self-adjoint and not PSD, and one past a PSD failure
+            ((1, 1, 1), [[[0.5]], [[-1e-8]], [[0.5 + 1e-8j]]], "block densities must be positive semidefinite"),
+            ((1, 1, 1), [[[0.5]], [[-1e-8 + 1e-8j]], [[-1.0]]], "block densities must be self-adjoint"),
+            # a 1x1 block's self-adjointness is relative to its size above 1
+            ((1,), [[[3.0 + 1.2e-9j]]], "total trace must be 1, got 3.0"),
+            ((1,), [[[3.0 - 1.6e-9j]]], "block densities must be self-adjoint"),
+            ((1, 1), [[[0.4]], [[0.5]]], "total trace must be 1, got 0.9"),
+            ((2, 1), [[[0.4, 0.1j], [-0.1j, 0.4]], [[0.3]]], "total trace must be 1, got 1.1"),
+        ],
+    )
+    def test_each_fault_is_named(self, tmp_path, blocks, densities, message):
+        densities = [np.array(d, dtype=complex) for d in densities]
+        path = self._document(tmp_path, blocks, densities)
+        with pytest.raises(ExchangeError) as err:
+            load_state(path)
+        assert str(err.value) == message
+        with pytest.raises(ExchangeError) as err:
+            exchange.dict_to_state(json.loads(path.read_text()))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            State(AlgebraShape(blocks), tuple(densities))
+        assert str(err.value) == message
+
+
 class TestStateRoundTrip:
     def test_classical(self, tmp_path):
         s = State.classical([0.25, 0.75])
@@ -642,6 +778,44 @@ class TestMetricSpaceLoading:
         path.write_text(json.dumps({"n": 2, "d": [0, -1, -1, 0]}))
         with pytest.raises(ExchangeError):
             load_metric_space(path)
+
+    @pytest.mark.parametrize("d, message", METRIC_FAULTS)
+    def test_metric_faults_are_named_as_the_space_names_them(self, tmp_path, d, message):
+        d = np.array(d)
+        with pytest.raises(MetricInputError, match=f"^{re.escape(message)}$"):
+            FiniteMetricSpace(d)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": len(d), "d": d.ravel().tolist()}))
+        with pytest.raises(ExchangeError) as err:
+            load_metric_space(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("self_distance", [1e-13, -1e-13])
+    def test_self_distances_within_tolerance_load(self, tmp_path, self_distance):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n": 2, "d": [0.0, 1.0, 1.0, self_distance]}))
+        assert load_metric_space(path).dist[1, 1] == self_distance
+
+    @pytest.mark.parametrize("name", ["s.json", "s.JSON", "..json", ".json", "s.txt", "json"])
+    def test_json_is_told_by_the_text_then_by_the_suffix(self, tmp_path, name):
+        # a `.json` name reads as JSON even when its text does not start with `{`;
+        # a name that is all suffix, `.json`, has none, as pathlib tells it
+        path = tmp_path / name
+        path.write_text("1.0\n")
+        try:
+            got = load_metric_space(str(path)).dist.tolist()
+        except ExchangeError as exc:
+            got = str(exc)
+        suffix = Path(name).suffix.lower() == ".json"
+        assert got == ("malformed metric-space document: 'float' object is not subscriptable" if suffix else [[0.0, 1.0], [1.0, 0.0]])
+        path.write_text(' {"n": 2, "d": [0, 1, 1, 0]}')
+        assert load_metric_space(path).dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_a_path_that_is_not_a_string_is_read_as_a_path(self, tmp_path):
+        save_metric_space(FiniteMetricSpace(np.array([[0.0, 2.0], [2.0, 0.0]])), tmp_path / "s.json")
+        assert load_metric_space(tmp_path / "s.json").dist[0, 1] == 2.0
+        with pytest.raises(TypeError):
+            load_metric_space(os.fsencode(tmp_path / "s.json"))
 
 
 _HISTORY_FLOATS = st.one_of(st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]), st.floats())

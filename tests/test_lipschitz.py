@@ -34,9 +34,10 @@ from qmetric import (
     verify,
 )
 
-from qmetric.algebra import random_element
+from qmetric.algebra import adjoints, cells, matrix_norms, random_element
 from qmetric.exchange import load_element, load_state, save_state
 from qmetric.lipschitz import (
+    STATE_TOL,
     NegativeCycleError,
     _mk_upper_bound,
     _shortest_paths,
@@ -55,6 +56,29 @@ from oracles import (
     transport_lp_dual,
     transport_lp_primal,
 )
+
+
+def _reference_density_fault(blocks, dens):
+    """The fault a state's checks name: a stacked pass per cell size, each block checked as a matrix."""
+    elem = AlgebraElement._from_cells(
+        blocks, [np.stack([dens[k] for k in g.labels[:, 0]]) for g in cells(blocks, 1)]
+    )
+    not_herm, not_psd, traces = (np.zeros(len(blocks), dtype=dtype) for dtype in (bool, bool, float))
+    for g, (_, stack) in zip(cells(blocks, 1), elem.cells):
+        where = g.labels[:, 0]
+        adj = adjoints(stack)
+        not_herm[where] = matrix_norms(stack - adj) > STATE_TOL * np.maximum(1.0, matrix_norms(stack))
+        herm = (stack + adj) / 2.0
+        lowest = herm[:, 0, 0].real if herm.shape[-1] == 1 else np.linalg.eigvalsh(herm)[:, 0]
+        not_psd[where] = lowest < -STATE_TOL
+        traces[where] = np.trace(stack, axis1=1, axis2=2).real
+    for k in range(len(blocks)):
+        if not_herm[k]:
+            return "block densities must be self-adjoint"
+        if not_psd[k]:
+            return "block densities must be positive semidefinite"
+    total = sum(traces.tolist(), 0.0)
+    return f"total trace must be 1, got {total}" if abs(total - 1.0) > STATE_TOL else None
 
 
 def classical_candidate(d):
@@ -118,6 +142,28 @@ class TestStates:
             State(shape, (np.array([[0.6]]), negative, np.array([[1e-8j]])))
         for small in (1e-10j, -1e-10):
             State(shape, (np.array([[0.4]]), half, np.array([[small]])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_checks_decide_as_the_stacked_reference(self, data):
+        # 1x1 densities near every threshold, larger ones near the PSD edge
+        blocks = data.draw(st.sampled_from([(1,), (1, 1, 1), (2, 1), (1, 2, 1), (3, 1, 1), (2, 2), (1, 1)]))
+        parts = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, -1e-9, -9.9e-10, -1.1e-9, 4.9e-10, 5e-10, 5.1e-10, 1.5e-9, -1.5e-9])
+        dens = []
+        for n in blocks:
+            if n == 1:
+                dens.append(np.array([[complex(data.draw(parts), data.draw(parts))]]))
+            else:
+                d = np.diag([data.draw(parts) for _ in range(n)]).astype(complex)
+                d[0, -1] = complex(data.draw(parts), data.draw(parts))
+                d[-1, 0] = np.conj(d[0, -1]) if data.draw(st.booleans()) else data.draw(parts)
+                dens.append(d)
+        try:
+            State(AlgebraShape(blocks), tuple(dens))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _reference_density_fault(blocks, dens)
 
     def test_densities_are_read_only_copies(self):
         d = np.array([[0.25]], dtype=complex)
