@@ -80,8 +80,6 @@ _ZERO_PAIR = "0.0, 0.0"
 _FIRST_ENTRY = b'"data": [['
 _ZERO_ENTRY = f"[{_ZERO_PAIR}], [".encode()
 _ZERO_HEAD, _ZERO_TAIL = (int.from_bytes(w, "little") for w in (_ZERO_ENTRY[:8], _ZERO_ENTRY[-8:]))
-# the bytes asked of each os.read after the first, which asks for a file's size and one more
-_READ_SIZE = 1 << 16
 
 
 def _write(path, text: str) -> None:
@@ -119,7 +117,8 @@ def _write(path, text: str) -> None:
 def _read(path) -> bytes:
     """The bytes of the file at path, as open(path, "rb").read() gives them, with no file object.
 
-    os.read calls go until one returns nothing, as FileIO.readall's do.  A
+    The first os.read asks for the file's size and one byte more, and
+    reads go on until one returns nothing, as FileIO.readall's do.  A
     directory is refused with the IsADirectoryError open() raises, since
     os.open opens one.  path is a str, bytes or os.PathLike: unlike
     open(), this takes no file number.
@@ -131,7 +130,7 @@ def _read(path) -> bytes:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         parts = [os.read(fd, info.st_size + 1)]
         while parts[-1]:
-            parts.append(os.read(fd, _READ_SIZE))
+            parts.append(os.read(fd, 1 << 16))
         return b"".join(parts)
     finally:
         os.close(fd)

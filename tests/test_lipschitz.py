@@ -34,7 +34,8 @@ from qmetric import (
     verify,
 )
 
-from qmetric.algebra import adjoints, cells, matrix_norms, random_element
+from qmetric.algebra import adjoints, cells, matrix_norms
+from qmetric.algebra import random_element
 from qmetric.exchange import load_element, load_state, save_state
 from qmetric.lipschitz import (
     STATE_TOL,
