@@ -422,6 +422,71 @@ def complex_pairs(arr) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The exchange documents, built entry by entry from public attributes only,
+# so that a writer's text, and each to_dict, is checked against an encoder
+# and a builder that share nothing with the package's own.
+# ---------------------------------------------------------------------------
+
+
+def _clipped(v: float) -> float:
+    return 0.0 if abs(v) < 1e-14 else v
+
+
+def matrix_doc(x, **after) -> dict:
+    """The matrix document of x, from x.data, each part below 1e-14 in magnitude an exact zero; after's fields last."""
+    d = len(x.data)
+    data = [[_clipped(re), _clipped(im)] for re, im in complex_pairs(x.data)]
+    return {"shape": list(x.shape.blocks), "order": x.order, "rows": d, "cols": d, "data": data, **after}
+
+
+def state_doc(state) -> dict:
+    """The state document: its matrix document with the densities' summed trace."""
+    return matrix_doc(state.as_element(), trace=sum(float(np.trace(w).real) for w in state.densities))
+
+
+def record_doc(rec) -> dict:
+    out = {"axiom": rec.axiom, "passed": bool(rec.passed), "margin": None if math.isnan(rec.margin) else float(rec.margin)}
+    if rec.witness is not None:
+        out["witness"] = complex_pairs(rec.witness)
+    if rec.indeterminate:
+        out["indeterminate"] = True
+    if rec.note:
+        out["note"] = rec.note
+    return out
+
+
+def report_doc(report) -> dict:
+    return {
+        "mode": report.mode,
+        "shape": list(report.shape.blocks),
+        "passed": all(bool(r.passed) for r in report.records),
+        "records": [record_doc(r) for r in report.records],
+        "tolerances": report.config.to_dict(),
+        "seed": report.config.seed,
+    }
+
+
+def outcome_doc(outcome) -> dict:
+    """The search outcome document; a history of n > 1000 rows keeps rows round(k (n - 1) / 999), k < 1000."""
+    hist = np.asarray(outcome.residual_history, dtype=float)
+    n = len(hist)
+    picks = [round(k * (n - 1) / 999) for k in range(1000)] if hist.size and n > 1000 else range(n)
+    cand = outcome.candidate
+    return {
+        "status": outcome.status,
+        "best_residual": float(outcome.best_residual),
+        "seed_used": int(outcome.seed_used),
+        "iterations_run": int(outcome.iterations_run),
+        "restarts_run": int(outcome.restarts_run),
+        "mode": outcome.mode,
+        "config": outcome.config.to_dict(),
+        "residual_history": [[float(v) for v in hist[k]] for k in picks],
+        "candidate": None if cand is None else matrix_doc(cand.rho),
+        "report": None if cand is None or cand.report is None else report_doc(cand.report),
+    }
+
+
+# ---------------------------------------------------------------------------
 # The algebraic nondegeneracy axiom iii_alg quantifies over the test
 # elements nu: positive, flip symmetric, with m(nu) = 1.  The package decides
 # it exactly on cells; these oracles probe that decision from both sides, a

@@ -21,6 +21,7 @@ from qmetric.exchange import load_element, save_element, save_metric_space, save
 from qmetric.construct import FiniteMetricSpace, from_finite_metric
 from qmetric.lipschitz import mk_distance
 
+import oracles
 from oracles import random_metric
 
 
@@ -1019,3 +1020,129 @@ class TestNoPurePythonEncoder:
                 assert stdout == json.dumps(json.loads(stdout)) + "\n"
         assert sum(out.exists() for out, _ in written) == 6
         assert sum(bool(stdout) for _, stdout in written) == 5
+
+
+def _returns(monkeypatch, name: str) -> list:
+    """Wrap qmetric.cli's `name` and list each call's (args, result)."""
+    calls = []
+    real = getattr(qmetric.cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qmetric.cli, name, spy)
+    return calls
+
+
+def _distance_doc(result) -> dict:
+    return {
+        "lower": None if np.isinf(result.lower) else float(result.lower),
+        "upper": None if np.isinf(result.upper) else float(result.upper),
+        "converged": bool(result.converged),
+        "iterations": int(result.iterations),
+        "unbounded": bool(result.unbounded),
+    }
+
+
+class TestJsonPayloadBytes:
+    """Each --json payload is json.dumps of a document built entry by entry from the command's own results."""
+
+    @pytest.fixture
+    def docs(self, path3, m2_file, tmp_path):
+        rho = tmp_path / "rho.json"
+        assert main(["construct", "from-metric", path3, "--out", str(rho), "--quiet"]) == 0
+        save_state(State.classical([1.0, 0.0, 0.0]), tmp_path / "p.json")
+        save_state(State.classical([0.0, 0.5, 0.5]), tmp_path / "q.json")
+        a = tmp_path / "a.json"
+        save_element(AlgebraElement(AlgebraShape((1, 1, 1)), np.diag([0.0, 1.0, 3.0]).astype(complex)), a)
+        return {"path3": path3, "m2": m2_file, "rho": str(rho), "a": str(a), "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("shape", ["2", "1,1", "2,1"])
+    def test_pdelta(self, capsys, shape):
+        assert main(["pdelta", "--shape", shape, "--json"]) == 0
+        p = qmetric.diag_projector(AlgebraShape(tuple(int(n) for n in shape.split(","))))
+        assert capsys.readouterr().out == json.dumps(oracles.matrix_doc(p)) + "\n"
+
+    @pytest.mark.parametrize("mode", ["representation", "algebraic"])
+    def test_verify(self, docs, monkeypatch, capsys, mode):
+        reports = _returns(monkeypatch, "verify")
+        assert main(["verify", docs["m2"], "--mode", mode, "--json"]) == 1
+        assert capsys.readouterr().out == json.dumps(oracles.report_doc(reports[0][1])) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["from-metric", "{path3}"],
+            ["conic", "{rho}", "{rho}", "--r", "2.5"],
+            ["direct-sum", "{rho}", "{m2}", "--r", "3"],
+            ["tensor", "{rho}", "{m2}"],
+            ["tensor", "{rho}", "{m2}", "--mode", "algebraic"],
+        ],
+    )
+    def test_construct(self, docs, monkeypatch, capsys, argv):
+        verified = _returns(monkeypatch, "verify")
+        assert main(["construct", *(a.format(**docs) for a in argv), "--json"]) in (0, 1)
+        [((rho, *_), report)] = verified
+        want = {"candidate": oracles.matrix_doc(rho), "report": oracles.report_doc(report)}
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--shape", "1,1", "--max-iter", "300", "--restarts", "1"], 0),
+            (["--shape", "2", "--max-iter", "50", "--restarts", "1"], 1),
+        ],
+    )
+    def test_search(self, monkeypatch, capsys, argv, code):
+        searched = _returns(monkeypatch, "feasibility_search")
+        assert main(["search", *argv, "--json"]) == code
+        [(_, outcome)] = searched
+        assert (outcome.candidate is not None) == (code == 0)
+        assert capsys.readouterr().out == json.dumps(oracles.outcome_doc(outcome)) + "\n"
+
+    def test_classical_distance(self, docs, monkeypatch, capsys):
+        exact = _returns(monkeypatch, "exact_distance")
+        assert main(["distance", "--classical", docs["path3"], "--phi", "0", "--psi", "2", "--json"]) == 0
+        [(_, value)] = exact
+        want = {"lower": value, "upper": value, "converged": True, "iterations": 0, "unbounded": False}
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rho", "{rho}", "--phi", "{dir}/p.json", "--psi", "{dir}/q.json"],
+            ["--classical", "{path3}", "--phi", "0", "--psi", "1", "--method", "ascent"],
+        ],
+    )
+    def test_distance(self, docs, monkeypatch, capsys, argv):
+        results = _returns(monkeypatch, "mk_distance")
+        assert main(["distance", *(a.format(**docs) for a in argv), "--json"]) == 0
+        [(_, result)] = results
+        assert capsys.readouterr().out == json.dumps(_distance_doc(result)) + "\n"
+
+    def test_lipschitz(self, docs, monkeypatch, capsys):
+        values = _returns(monkeypatch, "lip_seminorm")
+        assert main(["lipschitz", "--rho", docs["rho"], "--element", docs["a"], "--json"]) == 0
+        [(_, value)] = values
+        assert capsys.readouterr().out == json.dumps({"lip_seminorm": float(value)}) + "\n"
+
+    def test_nogo_m2(self, monkeypatch, capsys):
+        defects = _returns(monkeypatch, "triangle_defect")
+        reports = _returns(monkeypatch, "verify")
+        assert main(["nogo-m2", "--samples", "20", "--json"]) == 0
+        w = qmetric.axioms.M2_NOGO_WITNESS
+        results = [
+            {
+                "lambda": lam,
+                "defect_matches": True,
+                "identity_holds": True,
+                "witness_value": float(w @ defect.data.real @ w),
+                "witness_matches": True,
+                "fails_exactly_at_v": True,
+                "triangle_margin": float(report.record("v").margin),
+            }
+            for lam, (_, defect), (_, report) in zip([0.1, 1.0, 10.0], defects, reports, strict=True)
+        ]
+        want = {"ok": True, "projector_matches": True, "results": results}
+        assert capsys.readouterr().out == json.dumps(want) + "\n"

@@ -533,7 +533,7 @@ class TestReportDocument:
         assert text == json.dumps(report.to_dict(), indent=2)
         assert text == json.dumps(expected, indent=2)
         # the compact layout of the verify --json payload splices the same witnesses
-        assert exchange._report_text(report, None) == json.dumps(report.to_dict())
+        assert exchange._layout(exchange._report_node(report), None) == json.dumps(oracles.report_doc(report))
 
 
 class TestByteReader:
@@ -868,6 +868,66 @@ class TestOutcomeDocument:
         assert path.read_text() == json.dumps(outcome_to_dict(outcome), indent=2)
 
 
+class TestOracleDocuments:
+    """Every writer's text, and every to_dict, is json.dumps of the entry-by-entry documents of tests/oracles.py."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REPORTS)
+    @example(_FIXED_REPORT)
+    @example(verify(_RANDOM_RHO))
+    @example(verify(_RANDOM_RHO, mode="algebraic"))
+    @example(verify(BiElement.zeros((2, 2)), mode="algebraic"))
+    @example(_SPLICE_REPORT)
+    def test_report(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        save_report(report, path)
+        want = oracles.report_doc(report)
+        assert path.read_text() == json.dumps(want, indent=2)
+        assert json.dumps(report.to_dict()) == json.dumps(want)
+        for rec, doc in zip(report.records, want["records"], strict=True):
+            assert json.dumps(rec.to_dict()) == json.dumps(doc)
+
+    @pytest.mark.parametrize("blocks,order", _SHAPED_ORDERS)
+    def test_element(self, tmp_path, blocks, order):
+        rng = np.random.default_rng(len(blocks) + 10 * order)
+        data = np.array(random_element(blocks, order, rng).data)
+        support = np.flatnonzero(data)
+        # entries that clip to zero, signed zeros and exact zeros inside the cells
+        data.flat[support[::3]] = complex(-3e-15, 4e-15)
+        data.flat[support[1::5]] = complex(-0.0, -0.0)
+        data.flat[support[2::7]] = complex(1.5, -9e-15)
+        x = element_type(order)(blocks, data)
+        save_element(x, tmp_path / "x.json")
+        want = json.dumps(oracles.matrix_doc(x))
+        assert (tmp_path / "x.json").read_text() == want
+        assert json.dumps(element_to_dict(x)) == want
+
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1, 1), (2, 1), (3,)])
+    def test_state(self, tmp_path, blocks):
+        rng = np.random.default_rng(sum(blocks))
+        densities = []
+        for n in blocks:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            densities.append(g @ g.conj().T)
+        densities[0][0, -1] += 4e-15j
+        densities[0][-1, 0] -= 4e-15j
+        total = sum(np.trace(w).real for w in densities)
+        s = State(AlgebraShape(blocks), tuple(w / total for w in densities))
+        save_state(s, tmp_path / "s.json")
+        want = json.dumps(oracles.state_doc(s))
+        assert (tmp_path / "s.json").read_text() == want
+        assert json.dumps(state_to_dict(s)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(_outcomes())
+    def test_outcome(self, tmp_path_factory, outcome):
+        path = tmp_path_factory.mktemp("outcome") / "outcome.json"
+        save_outcome(outcome, path)
+        want = oracles.outcome_doc(outcome)
+        assert path.read_text() == json.dumps(want, indent=2)
+        assert json.dumps(outcome_to_dict(outcome)) == json.dumps(want)
+
+
 def _outcome(candidate, rows: int) -> SearchOutcome:
     return SearchOutcome(
         "no_convergence", candidate, np.ones((rows, 3)), 0.5, 0, rows, 1, "representation",
@@ -905,6 +965,23 @@ _WRITERS = {
         lambda o: json.dumps(outcome_to_dict(o), indent=2),
     ),
 }
+
+
+# the text each writer must write, from the oracle documents
+_ORACLE_TEXTS = {
+    "element": lambda x: json.dumps(oracles.matrix_doc(x)),
+    "state": lambda s: json.dumps(oracles.state_doc(s)),
+    "report": lambda r: json.dumps(oracles.report_doc(r), indent=2),
+    "outcome": lambda o: json.dumps(oracles.outcome_doc(o), indent=2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ORACLE_TEXTS))
+def test_writers_write_the_oracle_text(tmp_path, kind):
+    write, longer, shorter, _ = _WRITERS[kind]
+    for obj in (longer, shorter):
+        write(obj, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == _ORACLE_TEXTS[kind](obj)
 
 
 @pytest.mark.parametrize("kind", list(_WRITERS))
