@@ -51,7 +51,6 @@ from .algebra import (
     cells,
     cellwise_eigh,
     cellwise_norm,
-    complex_pairs,
     diag_projector,
     flip_cells,
     hermitian_defect,
@@ -125,18 +124,10 @@ class AxiomRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "axiom": self.axiom,
-            "passed": bool(self.passed),
-            "margin": None if np.isnan(self.margin) else float(self.margin),
-        }
-        if self.witness is not None:
-            out["witness"] = complex_pairs(self.witness)
-        if self.indeterminate:
-            out["indeterminate"] = True
-        if self.note:
-            out["note"] = self.note
-        return out
+        """The record's document, parsed from the text its writer lays out."""
+        from . import exchange  # which imports this module, through construct
+
+        return exchange._plain(exchange._record_node(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +154,10 @@ class AxiomReport:
         return tuple(r.axiom for r in self.records if not r.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "shape": list(self.shape.blocks),
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-            "tolerances": self.config.to_dict(),
-            "seed": self.config.seed,
-        }
+        """The report's document, parsed from the text `save_report` and `verify --json` lay out."""
+        from . import exchange  # which imports this module, through construct
+
+        return exchange._plain(exchange._report_node(self))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from collections.abc import Callable
 from functools import lru_cache
@@ -77,9 +76,9 @@ def _say(args, text) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    """Print payload(), a dict, as JSON under --json; otherwise build nothing."""
+    """Under --json print payload(), a document's field texts, in their compact layout; otherwise build nothing."""
     if getattr(args, "json", False):
-        print(json.dumps(payload()))
+        print(exchange._layout(payload(), None))
 
 
 def _report_table(report) -> str:
@@ -104,7 +103,7 @@ def cmd_pdelta(args) -> int:
     if args.out:
         exchange.save_element(p, args.out)
     _say(args, lambda: _matrix_table(p.data))
-    _emit_json(args, lambda: exchange.element_to_dict(p))
+    _emit_json(args, lambda: exchange._matrix_node(p))
     return 0
 
 
@@ -148,7 +147,7 @@ def cmd_construct(args) -> int:
     _say(args, lambda: _report_table(report))
     _emit_json(
         args,
-        lambda: {"candidate": exchange.element_to_dict(candidate.rho), "report": report.to_dict()},
+        lambda: {"candidate": exchange._matrix_node(candidate.rho), "report": exchange._report_node(report)},
     )
     return 0 if report.passed else 1
 
@@ -179,7 +178,7 @@ def cmd_search(args) -> int:
         return text
 
     _say(args, summary)
-    _emit_json(args, lambda: exchange.outcome_to_dict(outcome))
+    _emit_json(args, lambda: exchange._outcome_node(outcome))
     return 0 if outcome.found else 1
 
 
@@ -188,7 +187,7 @@ def cmd_lipschitz(args) -> int:
     elem = exchange.load_element(args.element, expect_order=1)
     value = lip_seminorm(elem, rho)
     _say(args, lambda: f"{value:.12g}")
-    _emit_json(args, lambda: {"lip_seminorm": value})
+    _emit_json(args, lambda: exchange._node({"lip_seminorm": value}))
     return 0
 
 
@@ -230,7 +229,7 @@ def cmd_distance(args) -> int:
         lambda: f"lower: {result.lower:.12g}\nupper: {result.upper:.12g}\n"
         f"converged: {result.converged}\niterations: {result.iterations}",
     )
-    _emit_json(args, result.to_dict)
+    _emit_json(args, lambda: exchange._node(result.to_dict()))
     return 0
 
 
@@ -281,7 +280,7 @@ def cmd_nogo_m2(args) -> int:
         return "\n".join(lines + ["no-go reproduction: " + ("ok" if ok else "MISMATCH")])
 
     _say(args, summary)
-    _emit_json(args, lambda: {"ok": ok, "projector_matches": proj_ok, "results": results})
+    _emit_json(args, lambda: exchange._node({"ok": ok, "projector_matches": proj_ok, "results": results}))
     return 0 if ok else 1
 
 

@@ -32,11 +32,12 @@ entries of its flat cell vector, taken in row-major order through one
 table per shape, with no dense matrix.  Only the nonzero entries are
 formatted, by repr; a run of exact zeros between them is one repeat of the
 `[0.0, 0.0]` template.  `_layout` then lays those texts out in
-json.dumps's compact or indented layout.  A matrix document is the compact
-text of element_to_dict; a report document the indented text of
-report.to_dict(), and the `verify --json` payload its compact text, both
-from one set of field texts; a search outcome the indented text of
-outcome_to_dict.
+json.dumps's compact or indented layout.  Each document is defined once,
+as field texts: `_matrix_node` for a matrix or state document (compact),
+`_report_node` for a report and `_outcome_node` for a search outcome (both
+indented).  Every `--json` payload is the compact layout of field texts,
+and every dict (element_to_dict, state_to_dict, outcome_to_dict and the
+records' and reports' to_dict) is `_plain` of them: json.loads of that text.
 
 Readers check a document's layout; its values meet `algebra.require_finite`
 in the constructors, whose NaN, infinity or 2**1000 bound error a reader
@@ -63,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import as_shape, complex_pairs, element_type, storage_coordinates, zero_clip
+from .algebra import as_shape, element_type, storage_coordinates, zero_clip
 from .construct import FiniteMetricSpace
 from .lipschitz import State
 
@@ -238,6 +239,14 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     return start + pad + ("," + pad).join(items) + pad[: len(pad) - indent] + end
 
 
+def _plain(node):
+    """The JSON value whose field texts node holds, read back from their compact layout.
+
+    repr round-trips floats; NaN, infinities, -0.0, big integers and escaped strings read back unchanged.
+    """
+    return json.loads(_layout(node, None))
+
+
 def _texts(values: np.ndarray, scalar=_scalar) -> list[str]:
     """The text between the brackets of each entry's [re, im] pair, scalar(part) for each part.
 
@@ -247,21 +256,8 @@ def _texts(values: np.ndarray, scalar=_scalar) -> list[str]:
     return list(map(", ".join, zip(parts, parts)))
 
 
-def _vector_texts(arr) -> _Pairs:
-    """Each entry of arr, row-major, as an [re, im] pair; only those that are not exact +0.0 + 0.0j are formatted."""
-    flat = np.asarray(arr, dtype=complex).ravel()
-    keep = ((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag)).nonzero()[0]
-    return _Pairs(flat.size, keep.tolist(), _texts(flat[keep]))
-
-
-def _matrix_fields(x) -> dict:
-    """Every field of the matrix document of x but `data`."""
-    d = x.shape.dim**x.order
-    return {"shape": list(x.shape.blocks), "order": x.order, "rows": d, "cols": d}
-
-
 def element_to_dict(x) -> dict:
-    return {**_matrix_fields(x), "data": complex_pairs(zero_clip(np.asarray(x.data)))}
+    return _plain(_matrix_node(x))
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +273,9 @@ def _row_major(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndar
 
 
 def _matrix_node(x, **after) -> dict:
-    """The field texts of {**element_to_dict(x), **after}, from the flat cell vector of x.
+    """The field texts of the matrix document of x, then those of after, from the flat cell vector of x.
 
+    `data` holds the dense matrix's entries in row-major order, each part below 1e-14 an exact zero.
     Every entry outside the cells is zero, and zero_clip leaves no signed
     zero, so only the cells' entries that stay nonzero are formatted, each
     by repr: an element's entries are finite.
@@ -288,7 +285,8 @@ def _matrix_node(x, **after) -> dict:
     values = zero_clip(x._flat[ranked])
     keep = values.nonzero()[0]
     data = _Pairs(n * n, at[keep].tolist(), _texts(values[keep], float.__repr__))
-    return {**_node(_matrix_fields(x)), "data": data, **_node(after)}
+    head = {"shape": list(x.shape.blocks), "order": x.order, "rows": n, "cols": n}
+    return {**_node(head), "data": data, **_node(after)}
 
 
 def _real(value) -> float | None:
@@ -353,11 +351,7 @@ def _integers(values, field: str) -> tuple[int, ...]:
     return tuple(_integral(v, field) for v in values)
 
 
-def dict_to_element(doc: dict):
-    return _to_element(doc)
-
-
-def _to_element(doc: dict, at: np.ndarray | None = None, entries: int | None = None):
+def dict_to_element(doc: dict, at: np.ndarray | None = None, entries: int | None = None):
     """The element of a matrix document, its entries put straight into its cells.
 
     at and entries, when given, are the row-major index of each entry in
@@ -461,7 +455,7 @@ def _scan(raw: bytes):
         doc = json.loads(text.decode("ascii"))
         if len(doc["data"]) != len(entries):
             return None
-        return _to_element(doc, at, opens.size)
+        return dict_to_element(doc, at, opens.size)
     except Exception:  # the reference path raises the fault with its own message
         return None
 
@@ -504,7 +498,7 @@ def _trace(state) -> float:
 
 
 def state_to_dict(state) -> dict:
-    return {**element_to_dict(state.as_element()), "trace": _trace(state)}
+    return _plain(_matrix_node(state.as_element(), trace=_trace(state)))
 
 
 def dict_to_state(doc: dict):
@@ -529,7 +523,7 @@ def load_state(path):
 
 
 def _record_node(rec) -> dict:
-    """The field texts of rec.to_dict(), its witness's [re, im] lists never built."""
+    """The field texts of an axiom record's document, its witness's [re, im] lists never built."""
     margin = float(rec.margin)
     node = {
         "axiom": encode_basestring_ascii(rec.axiom),
@@ -537,7 +531,10 @@ def _record_node(rec) -> dict:
         "margin": "null" if math.isnan(margin) else _scalar(margin),
     }
     if rec.witness is not None:
-        node["witness"] = _vector_texts(rec.witness)
+        # row-major; only the entries that are not exact +0.0 + 0.0j are formatted
+        flat = np.asarray(rec.witness, dtype=complex).ravel()
+        keep = ((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag)).nonzero()[0]
+        node["witness"] = _Pairs(flat.size, keep.tolist(), _texts(flat[keep]))
     if rec.indeterminate:
         node["indeterminate"] = "true"
     if rec.note:
@@ -546,7 +543,7 @@ def _record_node(rec) -> dict:
 
 
 def _report_node(report) -> dict:
-    """The field texts of report.to_dict(), which both of its layouts share."""
+    """The field texts of a report's document, which both of its layouts share."""
     return {
         "mode": encode_basestring_ascii(report.mode),
         "shape": _node(list(report.shape.blocks)),
@@ -557,14 +554,9 @@ def _report_node(report) -> dict:
     }
 
 
-def _report_text(report, indent: int | None) -> str:
-    """json.dumps(report.to_dict(), indent=indent), byte for byte, for indent 2 or None."""
-    return _layout(_report_node(report), indent)
-
-
 def save_report(report, path) -> None:
     """Write report.to_dict() to path as json.dumps(indent=2) lays it out."""
-    _write(path, _report_text(report, 2))
+    _write(path, _layout(_report_node(report), 2))
 
 
 def load_metric_space(path) -> FiniteMetricSpace:
@@ -624,18 +616,15 @@ def save_metric_space(space: FiniteMetricSpace, path) -> None:
     _write(path, json.dumps(doc))
 
 
-def _history(outcome) -> np.ndarray:
-    """The residual history of outcome, downsampled to at most 1000 rows."""
+def _outcome_node(outcome) -> dict:
+    """The field texts of a search outcome's document, its residual history downsampled to at most 1000 rows."""
     hist = np.asarray(outcome.residual_history, dtype=float)
     if hist.size and hist.shape[0] > 1000:
-        idx = np.linspace(0, hist.shape[0] - 1, 1000).round().astype(int)
-        hist = hist[idx]
-    return hist
-
-
-def _outcome_head(outcome) -> dict:
-    """The fields of outcome_to_dict(outcome) before `residual_history`."""
-    return {
+        hist = hist[np.linspace(0, hist.shape[0] - 1, 1000).round().astype(int)]
+    rows = hist.tolist()
+    # a `_Rows` holds no empty row
+    history = _Rows([", ".join(map(_scalar, row)) for row in rows]) if all(rows) else _node(rows)
+    head = {
         "status": outcome.status,
         "best_residual": float(outcome.best_residual),
         "seed_used": int(outcome.seed_used),
@@ -644,34 +633,17 @@ def _outcome_head(outcome) -> dict:
         "mode": outcome.mode,
         "config": outcome.config.to_dict(),
     }
-
-
-def outcome_to_dict(outcome) -> dict:
-    """Serialize a search outcome, downsampling the residual history."""
-    doc = {
-        **_outcome_head(outcome),
-        "residual_history": [[float(v) for v in row] for row in _history(outcome)],
-        "candidate": None,
-        "report": None,
-    }
-    if outcome.candidate is not None:
-        doc["candidate"] = element_to_dict(outcome.candidate.rho)
-        if outcome.candidate.report is not None:
-            doc["report"] = outcome.candidate.report.to_dict()
-    return doc
-
-
-def _outcome_node(outcome) -> dict:
-    """The field texts of outcome_to_dict(outcome)."""
-    rows = _history(outcome).tolist()
-    # a `_Rows` holds no empty row
-    history = _Rows([", ".join(map(_scalar, row)) for row in rows]) if all(rows) else _node(rows)
-    node = {**_node(_outcome_head(outcome)), "residual_history": history, "candidate": "null", "report": "null"}
+    node = {**_node(head), "residual_history": history, "candidate": "null", "report": "null"}
     if outcome.candidate is not None:
         node["candidate"] = _matrix_node(outcome.candidate.rho)
         if outcome.candidate.report is not None:
             node["report"] = _report_node(outcome.candidate.report)
     return node
+
+
+def outcome_to_dict(outcome) -> dict:
+    """Serialize a search outcome, downsampling the residual history."""
+    return _plain(_outcome_node(outcome))
 
 
 def save_outcome(outcome, path) -> None:

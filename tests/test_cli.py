@@ -1146,3 +1146,19 @@ class TestJsonPayloadBytes:
         ]
         want = {"ok": True, "projector_matches": True, "results": results}
         assert capsys.readouterr().out == json.dumps(want) + "\n"
+
+
+def test_quiet_builds_no_document_fields(path3, monkeypatch, capsys):
+    """Without --json and --out no command formats a document's field texts."""
+
+    def refuse(*_, **__):
+        raise AssertionError("document fields were built without --json or --out")
+
+    for name in ("_matrix_node", "_report_node", "_outcome_node", "_node", "_layout"):
+        monkeypatch.setattr(exchange, name, refuse)
+    assert main(["construct", "from-metric", path3, "--quiet"]) == 0
+    assert main(["pdelta", "--shape", "2", "--quiet"]) == 0
+    assert main(["search", "--shape", "1,1", "--max-iter", "50", "--restarts", "1", "--quiet"]) in (0, 1)
+    assert main(["distance", "--classical", path3, "--phi", "0", "--psi", "2", "--quiet"]) == 0
+    assert main(["nogo-m2", "--samples", "20", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""

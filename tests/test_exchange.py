@@ -404,11 +404,12 @@ class TestZeroPairReader:
             fast.append(int(np.count_nonzero(zero)))
             return opens, zero
 
-        def refuse(doc):
+        def refuse(raw):
             raise AssertionError("the reference path was taken")
 
         monkeypatch.setattr(exchange, "_entries", spy)
-        monkeypatch.setattr(exchange, "dict_to_element", refuse)
+        # only the reference path decodes the text; both paths convert through dict_to_element
+        monkeypatch.setattr(exchange, "_text", refuse)
         assert np.array_equal(load_element(tmp_path / "x.json").data, x.data)
         assert np.array_equal(load_state(tmp_path / "s.json").densities[1], s.densities[1])
         assert fast == [np.count_nonzero(x.data == 0), 6]
