@@ -968,23 +968,6 @@ _WRITERS = {
 }
 
 
-# the text each writer must write, from the oracle documents
-_ORACLE_TEXTS = {
-    "element": lambda x: json.dumps(oracles.matrix_doc(x)),
-    "state": lambda s: json.dumps(oracles.state_doc(s)),
-    "report": lambda r: json.dumps(oracles.report_doc(r), indent=2),
-    "outcome": lambda o: json.dumps(oracles.outcome_doc(o), indent=2),
-}
-
-
-@pytest.mark.parametrize("kind", list(_ORACLE_TEXTS))
-def test_writers_write_the_oracle_text(tmp_path, kind):
-    write, longer, shorter, _ = _WRITERS[kind]
-    for obj in (longer, shorter):
-        write(obj, tmp_path / "doc.json")
-        assert (tmp_path / "doc.json").read_text() == _ORACLE_TEXTS[kind](obj)
-
-
 @pytest.mark.parametrize("kind", list(_WRITERS))
 class TestWriters:
     def test_shorter_document_leaves_no_old_tail(self, tmp_path, kind):
