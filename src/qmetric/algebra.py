@@ -792,9 +792,3 @@ def zero_clip(arr: np.ndarray) -> np.ndarray:
     """Copy of arr with real and imaginary parts below 1e-14 in magnitude set to exact zero."""
     parts = np.ascontiguousarray(arr, dtype=complex).view(float)
     return np.where(np.abs(parts) < 1e-14, 0.0, parts).view(complex)
-
-
-def complex_pairs(arr) -> list:
-    """The entries of arr in row-major order as [re, im] pairs of floats."""
-    flat = np.asarray(arr, dtype=complex).ravel()
-    return np.stack([flat.real, flat.imag], axis=1).tolist()

@@ -14,11 +14,10 @@ so every option keeps one definition.  It reads exact option strings,
 values and positionals in one run, and declines everything else: a
 `--opt=value` form, an abbreviation, `--`, `-h`, an argument or value
 starting with "-", a value its type or choices refuse, a missing argument,
-positionals split by options.  A declined command goes to the subcommand's
-parser, and the full parser runs only for help and for errors it reports
-itself, so every message is the one it prints.  `verify` formats its
-report's fields once and lays them out for both the report file and the
-`--json` payload.
+positionals split by options.  A declined command goes to the full parser,
+so its namespace, help, usage and error messages are the ones that parser
+gives.  `verify` formats its report's fields once and lays them out for
+both the report file and the `--json` payload.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,13 +69,13 @@ def _tolerance_config(args) -> ToleranceConfig:
 
 def _say(args, text) -> None:
     """Print text(), a str, unless --quiet or --json; otherwise build nothing."""
-    if not getattr(args, "quiet", False) and not getattr(args, "json", False):
+    if not args.quiet and not args.json:
         print(text())
 
 
 def _emit_json(args, payload) -> None:
     """Under --json print payload(), a document's field texts, in their compact layout; otherwise build nothing."""
-    if getattr(args, "json", False):
+    if args.json:
         print(exchange._layout(payload(), None))
 
 
@@ -116,8 +114,7 @@ def cmd_verify(args) -> int:
     if args.report:
         exchange._write(args.report, exchange._layout(fields, 2))
     _say(args, lambda: _report_table(report))
-    if args.json:
-        print(exchange._layout(fields, None))
+    _emit_json(args, lambda: fields)
     return 0 if report.passed else 1
 
 
@@ -395,14 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process and reused by every `main` call.
+    """The full parser, built once per process and reused by every `main` call.
 
     Building it costs about twenty parses, which is a large share of a
     small query run in-process.  `main` reads a well-formed command from
     `_table`, compiled from this parser's children and read in a few
-    microseconds, where argparse takes 50-80; it parses with the
-    subcommand's own parser where the table declines, and comes here only
-    for help and errors the top level reports.
+    microseconds, where argparse takes 50-80; every command the table
+    declines is parsed here.
     """
     return build_parser()
 
@@ -420,8 +416,6 @@ class _Table(NamedTuple):
     options: dict[str, argparse.Action]
     positionals: tuple[argparse.Action, ...]
     required: tuple[argparse.Action, ...]
-    str_defaults: tuple[argparse.Action, ...]
-    types: dict[argparse.Action, Callable[[str], object]]
     defaults: dict[str, object]
 
 
@@ -432,13 +426,12 @@ def _table(command: str) -> _Table | None:
     The table keeps the parser's own actions: each `store` (`nargs=None`)
     and `store_true` action under each of its exact option strings, the
     positionals in order (`nargs=None`, or "+" for the last), the required
-    options, the actions with a str default, each action's type function
-    as `_get_value` looks it up in the parser's registry, and the namespace
-    before any argument is read, laid out from the action defaults and
-    `set_defaults` as `parse_known_args` lays it out.  Help actions stay
-    out of the table, so `-h` and `--help` decline.  Any other action
-    class, a mutually exclusive group or `fromfile_prefix_chars` leaves no
-    table at all.
+    options, and the namespace before any argument is read, laid out from
+    the action defaults and `set_defaults` as argparse lays it out.  Help
+    actions stay out of the table, so `-h` and `--help` decline.  Any
+    other action class, an action with both a type and a str default
+    (argparse converts such a default; no parser here has one), a mutually
+    exclusive group or `fromfile_prefix_chars` leaves no table at all.
     """
     parser = _commands()[command]
     if parser.prefix_chars != "-" or parser.fromfile_prefix_chars or parser._mutually_exclusive_groups:
@@ -452,7 +445,7 @@ def _table(command: str) -> _Table | None:
                 return None
         elif kind is not argparse._StoreTrueAction:
             return None
-        if action.dest == argparse.SUPPRESS:
+        if action.dest == argparse.SUPPRESS or action.type is not None and isinstance(action.default, str):
             return None
         if action.option_strings:
             options.update(dict.fromkeys(action.option_strings, action))
@@ -464,30 +457,24 @@ def _table(command: str) -> _Table | None:
         return None
     for dest, value in parser._defaults.items():
         defaults.setdefault(dest, value)
-    return _Table(
-        options,
-        tuple(positionals),
-        tuple(a for a in actions if a.required and a.option_strings),
-        tuple(a for a in actions if isinstance(a.default, str)),
-        {a: parser._registry_get("type", a.type, a.type) for a in actions},
-        defaults,
-    )
+    required = tuple(a for a in actions if a.required and a.option_strings)
+    return _Table(options, tuple(positionals), required, defaults)
 
 
 class _Declined(Exception):
-    """Raised where `_match` leaves a command to argparse."""
+    """Raised where `_match` leaves a command to the full parser."""
 
 
-def _value(table: _Table, action: argparse.Action, text: str, check: bool = True):
-    """text through the action's type as `_get_value` converts it, then checked as `_check_value` checks it.
+def _value(action: argparse.Action, text: str):
+    """text through the action's type, str where it has none, then checked against its choices.
 
     Where argparse would report an error, this declines instead.
     """
     try:
-        value = table.types[action](text)
+        value = (action.type or str)(text)
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         raise _Declined from None
-    if check and action.choices is not None and value not in action.choices:
+    if action.choices is not None and value not in action.choices:
         raise _Declined
     return value
 
@@ -496,14 +483,15 @@ def _match(command: str, args: list[str]) -> argparse.Namespace | None:
     """The namespace `_parser().parse_args([command, *args])` gives, read from `_table`; None to decline.
 
     It declines wherever it cannot decide exactly as argparse would, and
-    argparse then runs unchanged, so help, usage and error text stay its
-    own: on an argument starting with "-" that is not an exact option
-    string of the table (a `--opt=value` form, an abbreviation, `--`,
-    `-h`, a negative number), on an option value starting with "-", on a
-    type that refuses a value or a value outside the choices, on a missing
-    positional or required option, and on positionals that options split.
-    Types are called as argparse calls them; the parsers here use only int
-    and float, which have no side effects.
+    `_parse` then hands the command to the full parser, so help, usage and
+    error text stay that parser's own: on an argument starting with "-"
+    that is not an exact option string of the table (a `--opt=value` form,
+    an abbreviation, `--`, `-h`, a negative number), on an option value
+    starting with "-", on a type that refuses a value or a value outside
+    the choices, on a missing positional or required option, and on
+    positionals that options split.
+    Each value goes through its action's type as argparse converts it; the
+    parsers here use only int and float, which have no side effects.
     """
     table = _table(command)
     if table is None:
@@ -528,7 +516,7 @@ def _match(command: str, args: list[str]) -> argparse.Namespace | None:
                 i += 1
             elif i + 1 < n and args[i + 1][:1] != "-":
                 seen.add(action)
-                values[action.dest] = _value(table, action, args[i + 1])
+                values[action.dest] = _value(action, args[i + 1])
                 i += 2
             else:
                 return None
@@ -538,15 +526,11 @@ def _match(command: str, args: list[str]) -> argparse.Namespace | None:
             return None
         for k, action in enumerate(positionals):
             if action.nargs:
-                values[action.dest] = [_value(table, action, t) for t in run[k:]]
+                values[action.dest] = [_value(action, t) for t in run[k:]]
             else:
-                values[action.dest] = _value(table, action, run[k])
+                values[action.dest] = _value(action, run[k])
         if not seen.issuperset(table.required):
             return None
-        # an unread action's str default goes through its type, unchecked against its choices
-        for action in table.str_defaults:
-            if action not in seen and action.dest in values and values[action.dest] is action.default:
-                values[action.dest] = _value(table, action, action.default, check=False)
     except _Declined:
         return None
     # the top-level parser sets `command`, then copies in the subcommand's namespace
@@ -556,27 +540,15 @@ def _match(command: str, args: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """_parser().parse_args(argv), from `_match` or the subcommand's parser alone where that gives the same.
+    """_parser().parse_args(argv): read by `_match` where it reads the command, else by the full parser.
 
     `_match` reads a well-formed command from the subcommand's table and
-    declines everything else.  The top-level parser hands every argument
-    after a subcommand's name to that subcommand's parser and adds only
-    `command`; it prints help or errors itself only where no subcommand is
-    named, or where the subcommand's parser leaves arguments over.  Those
-    cases go to it, so they print what they always printed.  Parsing twice
-    changes nothing: a parse has no side effects, and one that exits does
-    so in the same subcommand parser either way.
+    declines everything else.  A declined command, or one that names no
+    subcommand, goes to the full parser, which prints its own help, usage
+    and errors.
     """
-    sub = _commands().get(argv[0]) if argv else None
-    if sub is not None:
-        args = _match(argv[0], argv[1:])
-        if args is not None:
-            return args
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _parser().parse_args(argv)
+    args = _match(argv[0], argv[1:]) if argv and argv[0] in _commands() else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -178,6 +178,9 @@ def _scalar(value: float) -> str:
 
 def _node(value):
     """The field texts of a JSON value: containers kept, each scalar as the text json.dumps gives it."""
+    # floats first: they are most of a payload's scalars, and no other JSON type is a float
+    if isinstance(value, float):
+        return _scalar(value)
     if isinstance(value, dict):
         return {key: _node(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -190,8 +193,6 @@ def _node(value):
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _scalar(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

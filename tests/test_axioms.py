@@ -27,7 +27,7 @@ from qmetric import (
     triangle_defect,
     verify,
 )
-from qmetric.algebra import complex_pairs, random_element
+from qmetric.algebra import random_element
 from qmetric.axioms import (
     M2_DIAG_PROJECTOR,
     M2_NOGO_WITNESS,
@@ -377,7 +377,7 @@ class TestRecordsAndCandidates:
         report = verify(m2_admissible(1.0))
         doc = report.record("v").to_dict()
         assert doc == report.to_dict()["records"][4]
-        assert doc["witness"] == complex_pairs(report.record("v").witness)
+        assert doc["witness"] == oracles.complex_pairs(report.record("v").witness)
 
     def test_unknown_axiom_is_a_key_error(self):
         with pytest.raises(KeyError, match="ii_alg"):

@@ -515,28 +515,6 @@ _SPLICE_REPORT = AxiomReport(
 )
 
 
-class TestReportDocument:
-    @settings(max_examples=200, deadline=None)
-    @given(_REPORTS)
-    @example(_FIXED_REPORT)
-    @example(verify(_RANDOM_RHO))
-    @example(verify(_RANDOM_RHO, mode="algebraic"))
-    @example(verify(BiElement.zeros((2, 2)), mode="algebraic"))
-    @example(_SPLICE_REPORT)
-    def test_witness_pairs_match_entrywise_writer(self, tmp_path_factory, report):
-        path = tmp_path_factory.mktemp("report") / "report.json"
-        save_report(report, path)
-        expected = report.to_dict()
-        for rec, out in zip(report.records, expected["records"]):
-            if rec.witness is not None:
-                out["witness"] = oracles.complex_pairs(rec.witness)
-        text = path.read_text()
-        assert text == json.dumps(report.to_dict(), indent=2)
-        assert text == json.dumps(expected, indent=2)
-        # the compact layout of the verify --json payload splices the same witnesses
-        assert exchange._layout(exchange._report_node(report), None) == json.dumps(oracles.report_doc(report))
-
-
 class TestByteReader:
     """Documents are read with os calls, to the bytes and errors open(path, "rb").read() gives."""
 
@@ -860,19 +838,38 @@ def _outcomes(draw):
     )
 
 
-class TestOutcomeDocument:
-    @settings(max_examples=60, deadline=None)
-    @given(_outcomes())
-    def test_written_text_is_json_dumps(self, tmp_path_factory, outcome):
-        path = tmp_path_factory.mktemp("outcome") / "outcome.json"
-        save_outcome(outcome, path)
-        assert path.read_text() == json.dumps(outcome_to_dict(outcome), indent=2)
+def _outcome(candidate, rows: int) -> SearchOutcome:
+    """An outcome whose history rows all differ, so a wrong downsampling pick shows."""
+    history = np.arange(3 * rows, dtype=float).reshape(rows, 3)
+    return SearchOutcome(
+        "no_convergence", candidate, history, 0.5, 0, rows, 1, "representation", SearchConfig((2,)),
+    )
+
+
+_BIG_RHO = from_finite_metric(FiniteMetricSpace(np.ones((4, 4)) - np.eye(4)))
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, failing at the first line that differs.
+
+    pytest reports a failed == of two texts with a difflib diff, which takes
+    minutes on a 5000-line outcome document and reruns on every shrink step.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        if a != b:
+            col = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            lo = max(0, col - 40)
+            raise AssertionError(f"line {number}, column {col + 1}: {a[lo:col + 40]!r} != {b[lo:col + 40]!r}")
+    raise AssertionError(f"{len(got_lines)} lines != {len(want_lines)} lines")
 
 
 class TestOracleDocuments:
     """Every writer's text, and every to_dict, is json.dumps of the entry-by-entry documents of tests/oracles.py."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_REPORTS)
     @example(_FIXED_REPORT)
     @example(verify(_RANDOM_RHO))
@@ -883,10 +880,12 @@ class TestOracleDocuments:
         path = tmp_path_factory.mktemp("report") / "report.json"
         save_report(report, path)
         want = oracles.report_doc(report)
-        assert path.read_text() == json.dumps(want, indent=2)
-        assert json.dumps(report.to_dict()) == json.dumps(want)
+        _assert_same_text(path.read_text(), json.dumps(want, indent=2))
+        _assert_same_text(json.dumps(report.to_dict()), json.dumps(want))
+        # the compact layout of the verify --json payload splices the same witnesses
+        _assert_same_text(exchange._layout(exchange._report_node(report), None), json.dumps(want))
         for rec, doc in zip(report.records, want["records"], strict=True):
-            assert json.dumps(rec.to_dict()) == json.dumps(doc)
+            _assert_same_text(json.dumps(rec.to_dict()), json.dumps(doc))
 
     @pytest.mark.parametrize("blocks,order", _SHAPED_ORDERS)
     def test_element(self, tmp_path, blocks, order):
@@ -919,24 +918,17 @@ class TestOracleDocuments:
         assert (tmp_path / "s.json").read_text() == want
         assert json.dumps(state_to_dict(s)) == want
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(_outcomes())
+    @example(_outcome(None, 1001))
+    @example(_outcome(_BIG_RHO, 2500))
     def test_outcome(self, tmp_path_factory, outcome):
         path = tmp_path_factory.mktemp("outcome") / "outcome.json"
         save_outcome(outcome, path)
         want = oracles.outcome_doc(outcome)
-        assert path.read_text() == json.dumps(want, indent=2)
-        assert json.dumps(outcome_to_dict(outcome)) == json.dumps(want)
+        _assert_same_text(path.read_text(), json.dumps(want, indent=2))
+        _assert_same_text(json.dumps(outcome_to_dict(outcome)), json.dumps(want))
 
-
-def _outcome(candidate, rows: int) -> SearchOutcome:
-    return SearchOutcome(
-        "no_convergence", candidate, np.ones((rows, 3)), 0.5, 0, rows, 1, "representation",
-        SearchConfig((2,)),
-    )
-
-
-_BIG_RHO = from_finite_metric(FiniteMetricSpace(np.ones((4, 4)) - np.eye(4)))
 
 # each writer with a longer and a shorter object, and the text it must write
 _WRITERS = {
