@@ -515,6 +515,26 @@ _SPLICE_REPORT = AxiomReport(
 )
 
 
+class TestReportDocument:
+    @settings(max_examples=200, deadline=None)
+    @given(_REPORTS)
+    @example(_FIXED_REPORT)
+    @example(verify(_RANDOM_RHO))
+    @example(verify(_RANDOM_RHO, mode="algebraic"))
+    @example(verify(BiElement.zeros((2, 2)), mode="algebraic"))
+    @example(_SPLICE_REPORT)
+    def test_witness_pairs_match_entrywise_writer(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        save_report(report, path)
+        expected = report.to_dict()
+        for rec, out in zip(report.records, expected["records"]):
+            if rec.witness is not None:
+                out["witness"] = oracles.complex_pairs(rec.witness)
+        text = path.read_text()
+        _assert_same_text(text, json.dumps(report.to_dict(), indent=2))
+        _assert_same_text(text, json.dumps(expected, indent=2))
+
+
 class TestByteReader:
     """Documents are read with os calls, to the bytes and errors open(path, "rb").read() gives."""
 
@@ -866,10 +886,19 @@ def _assert_same_text(got: str, want: str) -> None:
     raise AssertionError(f"{len(got_lines)} lines != {len(want_lines)} lines")
 
 
+class TestOutcomeDocument:
+    @settings(max_examples=60, deadline=None)
+    @given(_outcomes())
+    def test_written_text_is_json_dumps(self, tmp_path_factory, outcome):
+        path = tmp_path_factory.mktemp("outcome") / "outcome.json"
+        save_outcome(outcome, path)
+        _assert_same_text(path.read_text(), json.dumps(outcome_to_dict(outcome), indent=2))
+
+
 class TestOracleDocuments:
     """Every writer's text, and every to_dict, is json.dumps of the entry-by-entry documents of tests/oracles.py."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_REPORTS)
     @example(_FIXED_REPORT)
     @example(verify(_RANDOM_RHO))
@@ -918,7 +947,7 @@ class TestOracleDocuments:
         assert (tmp_path / "s.json").read_text() == want
         assert json.dumps(state_to_dict(s)) == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(_outcomes())
     @example(_outcome(None, 1001))
     @example(_outcome(_BIG_RHO, 2500))
