@@ -332,38 +332,55 @@ def cellwise_norm(stacks: CellStacks) -> float:
     return max([0.0] + [float(matrix_norms(mats).max()) for _, mats in stacks])
 
 
-def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def cellwise_eigh(stacks: CellStacks) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Eigen-decomposition of the hermitian part of every cell.
 
     Returns (index, vals, vecs) triples, one per cell size, with vals[c]
-    ascending and vecs[c][:, j] the unit eigenvector of vals[c][j].
+    ascending and vecs[c][:, j] the unit eigenvector of vals[c][j].  A cell
+    of size one has the eigenvalue Re z of its entry z and the eigenvector
+    1, so a stack of them needs no LAPACK call and gets no eigenvector
+    stack: its vecs is None.
     """
     out = []
     for index, mats in stacks:
         if mats.shape[1] == 1:
-            vals, vecs = mats[:, :, 0].real.copy(), np.ones(mats.shape, mats.dtype)
+            out.append((index, mats[:, :, 0].real.copy(), None))
         else:
-            vals, vecs = np.linalg.eigh((mats + adjoints(mats)) / 2.0)
-        out.append((index, vals, vecs))
+            out.append((index, *np.linalg.eigh((mats + adjoints(mats)) / 2.0)))
+    return out
+
+
+def lowest_eigenvalue(eighs) -> tuple[float, tuple[int, int]]:
+    """Smallest eigenvalue of a `cellwise_eigh` result, read from the values alone, and where it lies.
+
+    Where is (the cell size's place in eighs, the cell's place in its
+    stack), which `lowest_eigenvector` reads; a check asks for the vector
+    only when it fails.
+    """
+    best, at = np.inf, None
+    for k, (_, vals, _) in enumerate(eighs):
+        c = int(vals[:, 0].argmin())
+        if at is None or vals[c, 0] < best:
+            best, at = float(vals[c, 0]), (k, c)
+    return best, at
+
+
+def lowest_eigenvector(eighs, at: tuple[int, int]) -> np.ndarray:
+    """The unit eigenvector of the lowest eigenvalue of the cell at, embedded into the full coordinates.
+
+    The cells partition the coordinates, and the vector is zero outside its cell.
+    """
+    k, c = at
+    index, _, vecs = eighs[k]
+    out = np.zeros(sum(index.size for index, _, _ in eighs), dtype=complex)
+    out[index[c]] = 1.0 if vecs is None else vecs[c, :, 0]
     return out
 
 
 def lowest_eigenpair(eighs) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a `cellwise_eigh` result, with a unit eigenvector.
-
-    The vector is its cell's, embedded into the full coordinates, which the
-    cells partition.
-    """
-    best, where, vec = np.inf, None, None
-    dim = 0
-    for index, vals, vecs in eighs:
-        dim += index.size
-        c = int(vals[:, 0].argmin())
-        if where is None or vals[c, 0] < best:
-            best, where, vec = float(vals[c, 0]), index[c], vecs[c, :, 0]
-    out = np.zeros(dim, dtype=complex)
-    out[where] = vec
-    return best, out
+    """Smallest eigenvalue of a `cellwise_eigh` result, with a unit eigenvector: the values first, then the vector."""
+    value, at = lowest_eigenvalue(eighs)
+    return value, lowest_eigenvector(eighs, at)
 
 
 def hermitian_defect(stacks: CellStacks) -> float:

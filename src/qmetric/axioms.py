@@ -26,6 +26,10 @@ the flat cell vector and never forms the D^3 x D^3 slack.
 against.  The feasibility search lifts its whole structure basis, held in
 flat cell vectors, through `triangle_slack_cells` in one call.
 
+The spectral checks (i, iii, iii_alg, v) read the lowest eigenvalue of
+their cells first and embed a witness, that cell's eigenvector in the full
+coordinates, only when they fail.
+
 Checks iii and iii_alg share one kernel, lambda_min(rho + shift) minus the
 floor over the cells: the shift is the diagonal projector for iii, and for
 iii_alg its part on the 1x1 diagonal cells, both scaled by the candidate
@@ -42,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    ENTRY_BOUND,
     AlgebraShape,
     BiElement,
     CellStacks,
@@ -54,7 +59,8 @@ from .algebra import (
     diag_projector,
     flip_cells,
     hermitian_defect,
-    lowest_eigenpair,
+    lowest_eigenvalue,
+    lowest_eigenvector,
     mult_cells,
     op_norm,
     permute_legs,
@@ -89,8 +95,10 @@ class ToleranceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        floor = [] if self.strict_floor is None else [self.strict_floor]
-        require_finite(np.asarray([self.eq_tol, self.psd_tol, *floor], dtype=float), "tolerances")
+        values = (self.eq_tol, self.psd_tol) + (() if self.strict_floor is None else (self.strict_floor,))
+        # a float within the bound passes require_finite; anything else goes through it, for its error
+        if not all(type(v) is float and -ENTRY_BOUND <= v <= ENTRY_BOUND for v in values):
+            require_finite(np.asarray(values, dtype=float), "tolerances")
         if self.eq_tol < 0 or self.psd_tol < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.strict_floor is not None and self.strict_floor <= 0:
@@ -104,7 +112,10 @@ class ToleranceConfig:
         return DEFAULT_FLOOR_REL * scale if scale > 0 else DEFAULT_FLOOR_REL
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _TOLERANCE_FIELDS}
+
+
+_TOLERANCE_FIELDS = tuple(f.name for f in fields(ToleranceConfig))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +205,10 @@ def _positive(rho: BiElement, cfg: ToleranceConfig | None, scale: float):
     stacks = rho.cells
     herm_defect = hermitian_defect(stacks)
     eighs = cellwise_eigh(stacks)
-    margin, vec = lowest_eigenpair(eighs)
+    margin, at = lowest_eigenvalue(eighs)
     selfadj = herm_defect <= cfg.eq_tol * scale
     passed = selfadj and margin >= -cfg.psd_tol * scale
-    witness = None if passed else vec
+    witness = None if passed else lowest_eigenvector(eighs, at)
     note = "" if selfadj else f"self-adjointness defect {herm_defect:.3e}"
     return AxiomRecord("i", passed, margin, witness=witness, note=note), eighs
 
@@ -258,9 +269,10 @@ def _nondegenerate(
     if not prerequisites_ok:
         return AxiomRecord(axiom, False, float("nan"), indeterminate=True, note=note)
     shifted = [(i, r + scale * q) for (i, r), (_, q) in zip(rho.cells, shift)]
-    lam, vec = lowest_eigenpair(cellwise_eigh(shifted))
+    eighs = cellwise_eigh(shifted)
+    lam, at = lowest_eigenvalue(eighs)
     margin = lam - floor
-    witness = None if margin >= 0 else vec
+    witness = None if margin >= 0 else lowest_eigenvector(eighs, at)
     return AxiomRecord(axiom, margin >= 0, margin, witness=witness)
 
 
@@ -319,9 +331,10 @@ def triangle_slack_cells(flat: np.ndarray, blocks: tuple[int, ...]) -> CellStack
 def check_triangle(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:
     """Triangle inequality: the triangle slack operator is positive."""
     cfg = _cfg(cfg)
-    lam, vec = lowest_eigenpair(cellwise_eigh(triangle_slack_cells(rho._flat, rho.shape.blocks)))
+    eighs = cellwise_eigh(triangle_slack_cells(rho._flat, rho.shape.blocks))
+    lam, at = lowest_eigenvalue(eighs)
     passed = lam >= -cfg.psd_tol * scale
-    return AxiomRecord("v", passed, lam, witness=None if passed else vec)
+    return AxiomRecord("v", passed, lam, witness=None if passed else lowest_eigenvector(eighs, at))
 
 
 def check_alg_diag(rho: BiElement, cfg: ToleranceConfig | None = None, scale: float = 1.0) -> AxiomRecord:

@@ -16,8 +16,9 @@ values and positionals in one run, and declines everything else: a
 starting with "-", a value its type or choices refuse, a missing argument,
 positionals split by options.  A declined command goes to the full parser,
 so its namespace, help, usage and error messages are the ones that parser
-gives.  `verify` formats its report's fields once and lays them out for
-both the report file and the `--json` payload.
+gives.  `verify` formats its report's fields once and, from one walk of
+them, fills both the report file's template and the `--json` payload's
+(see `exchange._layouts`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _say(args, text) -> None:
 def _emit_json(args, payload) -> None:
     """Under --json print payload(), a document's field texts, in their compact layout; otherwise build nothing."""
     if args.json:
-        print(exchange._layout(payload(), None))
+        print(*exchange._layouts(payload(), None))
 
 
 def _report_table(report) -> str:
@@ -109,12 +110,14 @@ def cmd_verify(args) -> int:
     rho = exchange.load_element(args.path, expect_order=2)
     cfg = _tolerance_config(args)
     report = verify(rho, cfg, mode=args.mode)
-    # the report's field texts, formatted once for the file and the payload
-    fields = exchange._report_node(report) if args.report or args.json else None
+    # the report file's text, the payload's or both, from one walk of the report's field texts
+    indents = [2] * bool(args.report) + [None] * bool(args.json)
+    texts = exchange._layouts(exchange._report_node(report), *indents) if indents else []
     if args.report:
-        exchange._write(args.report, exchange._layout(fields, 2))
+        exchange._write(args.report, texts[0])
     _say(args, lambda: _report_table(report))
-    _emit_json(args, lambda: fields)
+    if args.json:
+        print(texts[-1])
     return 0 if report.passed else 1
 
 

@@ -31,13 +31,23 @@ strings by json's C encoder, and each array of [re, im] pairs as a
 entries of its flat cell vector, taken in row-major order through one
 table per shape, with no dense matrix.  Only the nonzero entries are
 formatted, by repr; a run of exact zeros between them is one repeat of the
-`[0.0, 0.0]` template.  `_layout` then lays those texts out in
-json.dumps's compact or indented layout.  Each document is defined once,
-as field texts: `_matrix_node` for a matrix or state document (compact),
-`_report_node` for a report and `_outcome_node` for a search outcome (both
-indented).  Every `--json` payload is the compact layout of field texts,
-and every dict (element_to_dict, state_to_dict, outcome_to_dict and the
-records' and reports' to_dict) is `_plain` of them: json.loads of that text.
+zero entry's template, in either layout: the indented one's holds the line
+breaks and indentation of the array's depth.
+
+`_layout` is the one definition of json.dumps's compact and indented
+layouts, but no document is laid out by it directly.  `_layouts` walks a
+document's field texts once, collecting its skeleton (keys, nesting and
+list lengths, each scalar text and each array a hole) and its leaves in
+order, and fills, for each indent asked for, the skeleton's template:
+`_layout` of the skeleton with a placeholder in every hole, compiled once
+per (skeleton, indent) into a bounded cache.  A fill is one `%` format of
+the leaf texts, each array laid out at its depth.  Each document is
+defined once, as field texts: `_matrix_node` for a matrix or state
+document (compact), `_report_node` for a report and `_outcome_node` for a
+search outcome (both indented).  Every `--json` payload is the compact
+layout of field texts, and every dict (element_to_dict, state_to_dict,
+outcome_to_dict and the records' and reports' to_dict) is `_plain` of
+them: json.loads of that text.
 
 Readers check a document's layout; its values meet `algebra.require_finite`
 in the constructors, whose NaN, infinity or 2**1000 bound error a reader
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import errno
 import io
+import itertools
 import json
 import math
 import numbers
@@ -153,22 +164,29 @@ class _Pairs(NamedTuple):
     at: list[int]
     texts: list[str]
 
-    def rows(self) -> _Rows:
-        out = [_ZERO_PAIR] * self.size
-        for k, text in zip(self.at, self.texts):
-            out[k] = text
-        return _Rows(out)
+    def layout(self, indent: int | None = None, depth: int = 0) -> str:
+        """json.dumps's text of the array, placed at depth: each run of zero entries is one repeat of a template.
 
-    def compact(self) -> str:
-        """json.dumps's compact text of the array: each run of zero entries is one repeat of a template."""
+        The compact layout when indent is None, else the indented one, which
+        puts each entry and each part on its own line; a text's one ", " is
+        the separator between its parts.
+        """
         if not self.size:
             return "[]"
-        zero, parts, done = f"[{_ZERO_PAIR}], ", [], 0
+        if indent is None:
+            start = end = ""
+            between, opened, split, closed = ", ", "[", ", ", "]"
+        else:
+            outer, row, item = ("\n" + " " * (indent * (depth + k)) for k in range(3))
+            start, end = row, outer
+            between, opened, split, closed = "," + row, "[" + item, "," + item, row + "]"
+        zero = opened + _ZERO_PAIR.replace(", ", split) + closed + between
+        parts, done = [], 0
         for k, text in zip(self.at, self.texts):
-            parts += (zero * (k - done), "[", text, "], ")
+            parts += (zero * (k - done), opened, text if indent is None else text.replace(", ", split), closed, between)
             done = k + 1
         parts.append(zero * (self.size - done))
-        return "[" + "".join(parts)[:-2] + "]"
+        return "[" + start + "".join(parts)[: -len(between)] + end + "]"
 
 
 def _scalar(value: float) -> str:
@@ -210,9 +228,7 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     if isinstance(node, str):
         return node
     if isinstance(node, _Pairs):
-        if indent is None:
-            return node.compact()
-        node = node.rows()
+        return node.layout(indent, depth)
     if isinstance(node, _Rows):
         rows = node.texts
         if not rows:
@@ -240,12 +256,93 @@ def _layout(node, indent: int | None, depth: int = 0) -> str:
     return start + pad + ("," + pad).join(items) + pad[: len(pad) - indent] + end
 
 
+# stands for a leaf in a template's text: json escapes every control character, so no field text or key holds one
+_HOLE = "\0"
+# the skeletons of a scalar's text and of an array laid out by itself
+_LEAF, _ARRAY = 0, 1
+
+
+def _walk(node, leaves: list):
+    """The skeleton of node, its leaves appended to leaves in document order.
+
+    A scalar's text and a `_Pairs` or `_Rows` array is a leaf, whose
+    skeleton is `_LEAF` or `_ARRAY`; a dict's skeleton is its keys and
+    then its items' skeletons, a list's None and then its items'.
+    """
+    if type(node) is str:
+        leaves.append(node)
+        return _LEAF
+    if isinstance(node, dict):
+        keys, items = tuple(node), node.values()
+    elif isinstance(node, list):
+        keys, items = None, node
+    else:
+        leaves.append(node)
+        return _ARRAY
+    skeleton = [keys]
+    # a scalar's text is taken in place, with no call
+    for v in items:
+        if type(v) is str:
+            leaves.append(v)
+            skeleton.append(_LEAF)
+        else:
+            skeleton.append(_walk(v, leaves))
+    return tuple(skeleton)
+
+
+class _Template(NamedTuple):
+    """A skeleton's layout: text with a %s per leaf, and the leaf number and depth of each array."""
+
+    text: str
+    arrays: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=256)
+def _template(skeleton, indent: int | None) -> _Template:
+    """The skeleton laid out by `_layout` with each leaf a hole, which `_layouts` fills."""
+    arrays, holes = [], itertools.count()
+
+    def node(sk, depth):
+        if sk in (_LEAF, _ARRAY):
+            k = next(holes)
+            if sk == _ARRAY:
+                arrays.append((k, depth))
+            return _HOLE
+        keys, *items = sk
+        items = [node(v, depth + 1) for v in items]
+        return items if keys is None else dict(zip(keys, items))
+
+    text = _layout(node(skeleton, 0), indent)
+    return _Template(text.replace("%", "%%").replace(_HOLE, "%s"), tuple(arrays))
+
+
+def _layouts(node, *indents: int | None) -> list[str]:
+    """`_layout(node, indent)` for each of indents, from one walk of node.
+
+    The walk collects node's skeleton and leaves; each layout fills the
+    skeleton's template for its indent, compiled once, with the leaves,
+    each array laid out at its depth.
+    """
+    leaves = []
+    skeleton = _walk(node, leaves)
+    out = []
+    for indent in indents:
+        template = _template(skeleton, indent)
+        texts = leaves
+        if template.arrays:
+            texts = list(leaves)
+            for k, depth in template.arrays:
+                texts[k] = _layout(leaves[k], indent, depth)
+        out.append(template.text % tuple(texts))
+    return out
+
+
 def _plain(node):
     """The JSON value whose field texts node holds, read back from their compact layout.
 
     repr round-trips floats; NaN, infinities, -0.0, big integers and escaped strings read back unchanged.
     """
-    return json.loads(_layout(node, None))
+    return json.loads(*_layouts(node, None))
 
 
 def _texts(values: np.ndarray, scalar=_scalar) -> list[str]:
@@ -394,7 +491,7 @@ def dict_to_element(doc: dict, at: np.ndarray | None = None, entries: int | None
 
 
 def save_element(x, path) -> None:
-    _write(path, _layout(_matrix_node(x), None))
+    _write(path, *_layouts(_matrix_node(x), None))
 
 
 def _text(raw: bytes) -> str:
@@ -516,7 +613,7 @@ def _element_to_state(elem):
 
 
 def save_state(state, path) -> None:
-    _write(path, _layout(_matrix_node(state.as_element(), trace=_trace(state)), None))
+    _write(path, *_layouts(_matrix_node(state.as_element(), trace=_trace(state)), None))
 
 
 def load_state(path):
@@ -532,9 +629,10 @@ def _record_node(rec) -> dict:
         "margin": "null" if math.isnan(margin) else _scalar(margin),
     }
     if rec.witness is not None:
-        # row-major; only the entries that are not exact +0.0 + 0.0j are formatted
+        # row-major; only the entries that are not exact +0.0 + 0.0j, whose parts' bits are all 0, are formatted
         flat = np.asarray(rec.witness, dtype=complex).ravel()
-        keep = ((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag)).nonzero()[0]
+        bits = flat.view(np.uint64)
+        keep = (bits[0::2] | bits[1::2]).nonzero()[0]
         node["witness"] = _Pairs(flat.size, keep.tolist(), _texts(flat[keep]))
     if rec.indeterminate:
         node["indeterminate"] = "true"
@@ -557,7 +655,7 @@ def _report_node(report) -> dict:
 
 def save_report(report, path) -> None:
     """Write report.to_dict() to path as json.dumps(indent=2) lays it out."""
-    _write(path, _layout(_report_node(report), 2))
+    _write(path, *_layouts(_report_node(report), 2))
 
 
 def load_metric_space(path) -> FiniteMetricSpace:
@@ -649,4 +747,4 @@ def outcome_to_dict(outcome) -> dict:
 
 def save_outcome(outcome, path) -> None:
     """Write outcome_to_dict(outcome) to path as json.dumps(indent=2) lays it out."""
-    _write(path, _layout(_outcome_node(outcome), 2))
+    _write(path, *_layouts(_outcome_node(outcome), 2))

@@ -111,9 +111,13 @@ def _densities(elem: AlgebraElement) -> tuple[np.ndarray, ...]:
             defect, norm, lowest, trace = 2.0 * np.abs(z.imag), np.abs(z), z.real, z.real
         else:
             adj = adjoints(stack)
-            defect, norm = matrix_norms(stack - adj), matrix_norms(stack)
+            defect = matrix_norms(stack - adj)
             lowest = np.linalg.eigvalsh((stack + adj) / 2.0)[:, 0]
             trace = np.trace(stack, axis1=1, axis2=2).real
+            # the bound STATE_TOL * max(1, norm) is at least STATE_TOL, so only a defect above that needs the norm
+            norm = np.ones(defect.shape)
+            over = defect > STATE_TOL
+            norm[over] = matrix_norms(stack[over])
         fails[where, 0] = defect > STATE_TOL * np.maximum(1.0, norm)
         fails[where, 1] = lowest < -STATE_TOL
         traces[where] = trace
@@ -276,7 +280,8 @@ def metric_pseudo_inverse(candidate, cfg: ToleranceConfig | None = None) -> BiEl
     parts = []
     for _, vals, vecs in eighs:
         inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-        parts.append((vecs * inv[:, None, :]) @ adjoints(vecs))
+        # a 1x1 cell's eigenvector is 1, so its cell is the inverse itself
+        parts.append(inv[:, :, None] if vecs is None else (vecs * inv[:, None, :]) @ adjoints(vecs))
     return BiElement._from_cells(rho.shape, parts)
 
 
@@ -557,7 +562,9 @@ def _eigen_frame(state: State) -> tuple[np.ndarray, np.ndarray]:
     weights = np.zeros(state.shape.dim)
     for index, vals, _ in eighs:
         weights[index] = vals
-    return weights, assemble([(index, vecs) for index, _, vecs in eighs], state.shape.dim)
+    # a 1x1 cell's eigenvector is 1
+    frame = [(index, np.ones(vals.shape + (1,)) if vecs is None else vecs) for index, vals, vecs in eighs]
+    return weights, assemble(frame, state.shape.dim)
 
 
 def _mk_upper_bound(phi: State, psi: State, rho: BiElement) -> float:

@@ -41,11 +41,14 @@ from qmetric import (
 from qmetric.algebra import (
     _diag_projector_cached,
     _multiply,
+    adjoints,
     assemble,
     cell_stacks,
     cells,
     cellwise_min_eig,
     element_type,
+    flatten_cells,
+    lowest_eigenpair,
     matrix_norms,
     op_norm_array,
     permute_legs,
@@ -54,7 +57,7 @@ from qmetric.algebra import (
 )
 from qmetric.axioms import check_alg_nondegenerate_sampled, m2_admissible, triangle_slack_cells
 from qmetric.construct import FiniteMetricSpace, _grouping_permutation, direct_sum
-from qmetric.lipschitz import _seminorm_cells
+from qmetric.lipschitz import State, _eigen_frame, _seminorm_cells
 from qmetric.search import _cone_groups
 
 import oracles
@@ -519,6 +522,84 @@ def test_nondegenerate_witness():
     assert np.linalg.norm(rec.witness) == pytest.approx(1.0)
     quad = np.vdot(rec.witness, shifted @ rec.witness).real
     assert quad == pytest.approx(rec.margin + ToleranceConfig().resolved_floor(0.0), abs=1e-12)
+
+
+def full_eigh(stacks) -> list:
+    """`cellwise_eigh` as LAPACK gives it on every cell size, 1x1 cells with their eigenvector stack too."""
+    return [(index, *np.linalg.eigh((mats + adjoints(mats)) / 2.0)) for index, mats in stacks]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+WITNESS_SHAPES = [(1, 1, 1), (2,), (2, 1), (2, 2), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("blocks", WITNESS_SHAPES)
+def test_witnesses_on_demand_are_the_dense_reference(blocks):
+    """Each spectral check's margin and witness are, bit for bit, the lowest eigenpair of the full eigh.
+
+    A check finds its lowest eigenvalue first and embeds its witness only
+    when it fails; the reference embeds it always, from LAPACK's eigenpairs
+    of every cell, 1x1 cells included.
+    """
+    rng = np.random.default_rng(7 * len(blocks) + sum(blocks))
+    cfg = ToleranceConfig()
+    seen = set()
+    for _ in range(3):
+        g = random_element(blocks, 2, rng)
+        for rho in [*candidates(blocks, rng), g @ g.adjoint, g @ g.adjoint * 1e-3 + diag_projector(blocks)]:
+            scale = op_norm(rho) or 1.0
+            floor = cfg.resolved_floor(scale)
+            shift = diag_projector(blocks).cells
+            exempt = [(i, q if q.shape[-1] == 1 else 0.0) for i, q in shift]
+            checks = [
+                (check_positive(rho, cfg, scale), rho.cells, 0.0),
+                (
+                    check_nondegenerate(rho, cfg, scale, prerequisites_ok=True),
+                    [(i, r + scale * q) for (i, r), (_, q) in zip(rho.cells, shift)],
+                    floor,
+                ),
+                (
+                    check_alg_nondegenerate_sampled(rho, cfg, scale, prerequisites_ok=True),
+                    [(i, r + scale * q) for (i, r), (_, q) in zip(rho.cells, exempt)],
+                    floor,
+                ),
+                (check_triangle(rho, cfg, scale), triangle_slack_cells(rho._flat, rho.shape.blocks), 0.0),
+            ]
+            for rec, stacks, offset in checks:
+                lam, vec = lowest_eigenpair(full_eigh(stacks))
+                assert rec.margin == lam - offset
+                assert (rec.witness is None) == rec.passed
+                if not rec.passed:
+                    assert same_bits(rec.witness, vec)
+                seen.add((rec.axiom, rec.passed))
+    # each of the four checks both passes and fails
+    assert len(seen) == 8
+
+
+@pytest.mark.parametrize("blocks", WITNESS_SHAPES)
+def test_pseudo_inverse_and_eigen_frame_are_the_full_eigh_reference(blocks):
+    """Bit for bit: each pseudo-inverse cell is (vecs * inv) @ vecs*, and a state's frame is its eigenvectors."""
+    rng = np.random.default_rng(len(blocks) + 11)
+    cfg = ToleranceConfig()
+    for rho in (metric_like(blocks, rng), metric_like(blocks, rng)):
+        cutoff = cfg.resolved_floor(op_norm(rho) or 1.0) / 2.0
+        parts = []
+        for _, vals, vecs in full_eigh(rho.cells):
+            inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+            parts.append((vecs * inv[:, None, :]) @ adjoints(vecs))
+        assert same_bits(metric_pseudo_inverse(rho, cfg)._flat, flatten_cells(parts))
+    dens = [g @ g.conj().T for g in (rng.standard_normal((n, n)) for n in blocks)]
+    state = State(blocks, [d / sum(np.trace(d) for d in dens) for d in dens])
+    weights, frame = _eigen_frame(state)
+    eighs = full_eigh(state.as_element().cells)
+    assert same_bits(frame, assemble([(index, vecs) for index, _, vecs in eighs], sum(blocks)))
+    want = np.zeros(sum(blocks))
+    for index, vals, _ in eighs:
+        want[index] = vals
+    assert same_bits(weights, want)
 
 
 @pytest.mark.parametrize("blocks", [(2,), (1, 2), (2, 2), (1, 1, 1)])

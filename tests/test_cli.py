@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmetric
-from qmetric import AlgebraElement, AlgebraShape, BiElement, State, exchange, m2_admissible
+from qmetric import AlgebraElement, AlgebraShape, BiElement, MetricCandidate, State, exchange, m2_admissible
 from qmetric.axioms import M2_DIAG_PROJECTOR, AxiomReport
 from qmetric.cli import main
 from qmetric.exchange import load_element, save_element, save_metric_space, save_state
-from qmetric.construct import FiniteMetricSpace, from_finite_metric
+from qmetric.construct import FiniteMetricSpace, direct_sum, from_finite_metric
 from qmetric.lipschitz import mk_distance
 
 import oracles
@@ -1154,7 +1154,7 @@ def test_quiet_builds_no_document_fields(path3, monkeypatch, capsys):
     def refuse(*_, **__):
         raise AssertionError("document fields were built without --json or --out")
 
-    for name in ("_matrix_node", "_report_node", "_outcome_node", "_node", "_layout"):
+    for name in ("_matrix_node", "_report_node", "_outcome_node", "_node", "_layout", "_layouts", "_template"):
         monkeypatch.setattr(exchange, name, refuse)
     assert main(["construct", "from-metric", path3, "--quiet"]) == 0
     assert main(["pdelta", "--shape", "2", "--quiet"]) == 0
@@ -1162,3 +1162,29 @@ def test_quiet_builds_no_document_fields(path3, monkeypatch, capsys):
     assert main(["distance", "--classical", path3, "--phi", "0", "--psi", "2", "--quiet"]) == 0
     assert main(["nogo-m2", "--samples", "20", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _failing_documents():
+    """Failing candidates on (2, 1, 1) and (2, 2, 2), holding the two-level block, and on four points, one triangle broken."""
+    rng = np.random.default_rng(31)
+    m2 = MetricCandidate(m2_admissible(1.5))
+    two = from_finite_metric(FiniteMetricSpace(random_metric(rng, 2)))
+    return {
+        "211": direct_sum(m2, two, 10.0).rho,
+        "222": direct_sum(direct_sum(m2, m2, 10.0), m2, 30.0).rho,
+        "classical4": oracles.embed_distance_matrix(oracles.plant_triangle_violation(rng, random_metric(rng, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", ["211", "222", "classical4"])
+def test_one_verify_writes_the_report_and_prints_the_payload(name, tmp_path, monkeypatch, capsys):
+    """--report and --json in one call: the file is json.dumps(doc, indent=2) and stdout json.dumps(doc) of the one report."""
+    path, out = tmp_path / "rho.json", tmp_path / "r.json"
+    save_element(_failing_documents()[name], path)
+    reports = _returns(monkeypatch, "verify")
+    assert main(["verify", str(path), "--report", str(out), "--json"]) == 1
+    [(_, report)] = reports
+    doc = oracles.report_doc(report)
+    assert any("witness" in r for r in doc["records"])
+    assert out.read_text() == json.dumps(doc, indent=2)
+    assert capsys.readouterr().out == json.dumps(doc) + "\n"

@@ -895,6 +895,75 @@ class TestOutcomeDocument:
         _assert_same_text(path.read_text(), json.dumps(outcome_to_dict(outcome), indent=2))
 
 
+# the parts of the [re, im] pairs and rows below: signed zeros, non-finite values, and repr's two notations
+_PARTS = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 3e16, float("inf"), float("-inf"), float("nan")])
+
+
+@st.composite
+def _pairs_nodes(draw):
+    """A `_Pairs` and its plain value: empty, all zero, or with entries kept, signed zeros and explicit zeros among them."""
+    size = draw(st.integers(0, 6))
+    at = sorted(draw(st.sets(st.integers(0, size - 1)))) if size else []
+    kept = [[draw(_PARTS), draw(_PARTS)] for _ in at]
+    value = [[0.0, 0.0] for _ in range(size)]
+    for k, pair in zip(at, kept):
+        value[k] = pair
+    return exchange._Pairs(size, at, [", ".join(map(exchange._scalar, pair)) for pair in kept]), value
+
+
+def _rows_node(rows):
+    return exchange._Rows([", ".join(map(exchange._scalar, row)) for row in rows]), rows
+
+
+_SCALAR_NODES = st.one_of(
+    st.floats(), st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.text(max_size=4)
+).map(lambda v: (exchange._node(v), v))
+_LAYOUT_NODES = st.recursive(
+    st.one_of(_SCALAR_NODES, _pairs_nodes(), st.lists(st.lists(_PARTS, min_size=1, max_size=3), max_size=3).map(_rows_node)),
+    lambda items: st.one_of(
+        st.lists(items, max_size=4).map(lambda xs: ([n for n, _ in xs], [v for _, v in xs])),
+        st.dictionaries(st.text(max_size=4), items, max_size=4).map(
+            lambda d: ({k: n for k, (n, _) in d.items()}, {k: v for k, (_, v) in d.items()})
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+class TestLayoutEngine:
+    """Each layout of field texts, one at a time or both from one walk, is json.dumps of the plain value."""
+
+    @staticmethod
+    def _check(node, value):
+        indented, compact = json.dumps(value, indent=2), json.dumps(value)
+        assert exchange._layout(node, 2) == indented
+        assert exchange._layout(node, None) == compact
+        assert exchange._layouts(node, 2, None) == [indented, compact]
+        assert exchange._layouts(node, None, 2) == [compact, indented]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_LAYOUT_NODES)
+    def test_layouts_are_json_dumps(self, doc):
+        self._check(*doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairs_nodes(), st.lists(st.one_of(st.none(), st.text(max_size=3)), max_size=3))
+    def test_pairs_at_depths_0_to_3(self, pairs, wraps):
+        """A `_Pairs` wrapped in up to three lists (None) or one-key dicts, so laid out at depth 0 to 3."""
+        node, value = pairs
+        for key in wraps:
+            node, value = ([node], [value]) if key is None else ({key: node}, {key: value})
+        self._check(node, value)
+
+    def test_templates_are_compiled_once_per_skeleton_and_indent(self):
+        exchange._template.cache_clear()
+        for k in range(3):
+            node = {"a": [exchange._node(float(k)), exchange._Pairs(k + 1, [k], ["1.0, -0.0"])], "b%s": "null"}
+            exchange._layouts(node, 2, None)
+        info = exchange._template.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+
 class TestOracleDocuments:
     """Every writer's text, and every to_dict, is json.dumps of the entry-by-entry documents of tests/oracles.py."""
 

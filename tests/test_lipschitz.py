@@ -144,6 +144,14 @@ class TestStates:
         for small in (1e-10j, -1e-10):
             State(shape, (np.array([[0.4]]), half, np.array([[small]])))
 
+    def test_defect_within_the_norm_relative_bound_is_not_refused_as_non_self_adjoint(self):
+        # the defect 1.2e-9 is above STATE_TOL but within STATE_TOL * 1.5, the norm's share of the bound
+        dens = np.array([[1.5, 1.2e-9], [0.0, -0.5]], dtype=complex)
+        assert STATE_TOL < np.linalg.norm(dens - dens.conj().T, 2) <= STATE_TOL * np.linalg.norm(dens, 2)
+        assert _reference_density_fault((2,), [dens]) == "block densities must be positive semidefinite"
+        with pytest.raises(ValueError, match="^block densities must be positive semidefinite$"):
+            State(AlgebraShape((2,)), (dens,))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_checks_decide_as_the_stacked_reference(self, data):
