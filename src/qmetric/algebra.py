@@ -26,12 +26,14 @@ at all.  The dense maps (`mid_embed`, `tensor2`, `_multiply`,
 `cells` and `AlgebraShape.block_labels` are the only code that knows where
 a block's coordinates sit; no dense support mask exists.  `_places` derives
 from `cells` where each entry sits in the flat cell vector, in tables of at
-most D^m entries.  Element validation, random draws, the diagonal
-projector, the search's structure basis, the direct sum and the
-tensor-product regrouping are built from them.  An element built from a
-dense matrix gathers its cells once, to count the nonzeros inside the
-support, and keeps the validated copy as its `data`; a document reader
-puts its entries straight into the flat cell vector.
+most D^m entries, and `dense_positions` from those the place of every entry
+of the dense matrix, -1 outside the cells, for readers.  Element
+validation, random draws, the diagonal projector, the search's structure
+basis, the direct sum and the tensor-product regrouping are built from
+them.  An element built from a dense matrix gathers its cells once, to
+count the nonzeros inside the support, and keeps the validated copy as its
+`data`; a document reader puts its entries straight into the flat cell
+vector.
 
 `require_finite`, the one numeric guard, refuses NaN, infinities and finite
 parts beyond ENTRY_BOUND in every element, state, metric space and
@@ -260,6 +262,20 @@ def storage_position(blocks: tuple[int, ...], order: int, rows, cols) -> np.ndar
     return places.base[rows] + places.row[cols]
 
 
+@lru_cache(maxsize=64)
+def dense_positions(blocks: tuple[int, ...], order: int) -> np.ndarray:
+    """The flat cell vector position of each entry of the dense matrix, in row-major order; -1 outside the cells.
+
+    One entry per dense entry, as many as a matrix document holds, so
+    unlike `_places` a table is not small and the cache is bounded.
+    """
+    places = _places(blocks, order)
+    inside = places.cell[:, None] == places.cell[None, :]
+    out = np.where(inside, places.base[:, None] + places.row[None, :], -1).ravel()
+    out.setflags(write=False)
+    return out
+
+
 def storage_coordinates(blocks: tuple[int, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense row and column of each entry of the flat cell vector."""
     views = _places(blocks, order).views
@@ -479,24 +495,25 @@ class _Element:
         return cls._from_flat(shape, flatten_cells(mats))
 
     @classmethod
-    def _from_entries(cls, shape: AlgebraShape, at: np.ndarray, values: np.ndarray):
+    def _from_entries(cls, shape: AlgebraShape, at, values: np.ndarray):
         """The element whose dense matrix holds values at the ascending row-major indices at, zero elsewhere.
 
         Refuses what the dense constructor refuses, with its messages: a
         value that `require_finite` refuses, named by its dense index, then
-        a nonzero value outside the cells.
+        a nonzero value outside the cells.  Past the bound test, it is one
+        gather of each entry's place in the flat cell vector
+        (`dense_positions`), one test that every place is in a cell, and
+        one scatter; only an entry outside the cells is looked at again.
         """
-        blocks, n = shape.blocks, shape.dim**cls.order
         require_finite(values, "matrix data", lambda k: f"entry {at[k]}")
-        places = _places(blocks, cls.order)
-        rows, cols = np.divmod(at, n)
-        inside = places.cell[rows] == places.cell[cols]
-        if not inside.all():
+        where = dense_positions(shape.blocks, cls.order)[at]
+        if np.minimum.reduce(where, initial=0) < 0:
+            inside = where >= 0
             if values[~inside].any():
                 raise _support_error(cls.order, np.abs(values[~inside]))
-            rows, cols, values = rows[inside], cols[inside], values[inside]
-        flat = np.zeros(places.total, dtype=complex)
-        flat[places.base[rows] + places.row[cols]] = values
+            where, values = where[inside], values[inside]
+        flat = np.zeros(storage_size(shape.blocks, cls.order), dtype=complex)
+        flat[where] = values
         out = cls.__new__(cls)
         out._set(shape, flat, None)
         return out

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
+    ENTRY_BOUND,
     AlgebraShape,
     BiElement,
     ShapeMismatchError,
@@ -38,28 +39,11 @@ class FiniteMetricSpace:
     dist: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float, order="C")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricInputError("distance matrix must be square")
-        n = d.shape[0]
-        require_finite(d, "distance matrix", lambda k: f"distance {k} (d({k // n}, {k % n}))")
-        # np.allclose(d, d.T, atol=1e-12) without its handling of infinities, which d cannot hold
-        if not (np.abs(d - d.T) <= 1e-12 + 1e-5 * np.abs(d.T)).all():
-            raise MetricInputError("distance matrix must be symmetric")
-        if (np.abs(d.diagonal()) > 1e-12).any():
-            raise MetricInputError("self-distances must be zero")
-        # d <= 0 off the diagonal: the diagonal of this mask is cleared, whatever d's memory order
-        nonpositive = d <= 0
-        nonpositive.flat[:: n + 1] = False
-        if nonpositive.any():
-            raise MetricInputError("distances between distinct points must be positive")
-        # fails[i, j, k]: d(i, j) > d(i, k) + d(k, j); the first in (i, j, k)
-        # order names the error
-        fails = d[:, :, None] > d[:, None, :] + d.T[None, :, :] + 1e-12
-        if fails.any():
-            i, j, k = np.unravel_index(np.argmax(fails), fails.shape)
-            raise MetricInputError(f"triangle inequality fails on ({i}, {j}, {k})")
-        d = d.copy()
+        if not _plainly_metric(d):
+            _require_metric(d)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
 
@@ -70,6 +54,55 @@ class FiniteMetricSpace:
     @property
     def shape(self) -> AlgebraShape:
         return AlgebraShape((1,) * self.n)
+
+
+# the bits of ENTRY_BOUND; read as unsigned integers, those of the doubles from +0.0 up to it are the ones up to these
+_BOUND_BITS = np.float64(ENTRY_BOUND).view(np.uint64)
+
+
+def _plainly_metric(d: np.ndarray) -> bool:
+    """Whether d, square and C-ordered, passes `_require_metric` by a test that is enough for it, in a few array calls.
+
+    d must be within [+0.0, ENTRY_BOUND] (so finite, no sign bit), zero on
+    the diagonal and nonzero off it, and have d(i, k) + d(j, k) - d(i, j)
+    >= 0 for every (i, j, k).  At k = i that is d(j, i) >= d(i, j), so d
+    is symmetric, bit for bit since no distance is a zero; then it keeps
+    d(i, j) within the triangle test's d(i, k) + d(k, j) + 1e-12.  A
+    metric that misses this test only by a signed zero, an asymmetry or a
+    self-distance within the tolerances, or a triangle met only through
+    the 1e-12, is accepted by `_require_metric`, which names every fault.
+    """
+    n = d.shape[0]
+    if np.maximum.reduce(d.view(np.uint64), None, initial=0) > _BOUND_BITS:
+        return False
+    if np.count_nonzero(d.diagonal()) or np.count_nonzero(d) != n * n - n:
+        return False
+    # slack[i, j, k] = d(i, k) + d(j, k) - d(i, j)
+    slack = d[:, None, :] + d
+    slack -= d[:, :, None]
+    return np.minimum.reduce(slack, None, initial=0.0) >= 0.0
+
+
+def _require_metric(d: np.ndarray) -> None:
+    """Raise the first fault of d, square, in the order: finiteness, symmetry, diagonal, positivity, triangle."""
+    n = d.shape[0]
+    require_finite(d, "distance matrix", lambda k: f"distance {k} (d({k // n}, {k % n}))")
+    # np.allclose(d, d.T, atol=1e-12) without its handling of infinities, which d cannot hold
+    if not (np.abs(d - d.T) <= 1e-12 + 1e-5 * np.abs(d.T)).all():
+        raise MetricInputError("distance matrix must be symmetric")
+    if (np.abs(d.diagonal()) > 1e-12).any():
+        raise MetricInputError("self-distances must be zero")
+    # d <= 0 off the diagonal: the diagonal of this mask is cleared
+    nonpositive = d <= 0
+    nonpositive.flat[:: n + 1] = False
+    if nonpositive.any():
+        raise MetricInputError("distances between distinct points must be positive")
+    # fails[i, j, k]: d(i, j) > d(i, k) + d(k, j); the first in (i, j, k)
+    # order names the error
+    fails = d[:, :, None] > d[:, None, :] + d.T[None, :, :] + 1e-12
+    if fails.any():
+        i, j, k = np.unravel_index(np.argmax(fails), fails.shape)
+        raise MetricInputError(f"triangle inequality fails on ({i}, {j}, {k})")
 
 
 def from_finite_metric(space: FiniteMetricSpace) -> MetricCandidate:

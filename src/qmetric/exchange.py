@@ -10,18 +10,24 @@ plain-text lower triangle.
 
 Most entries of a dense matrix document are exact zeros, which writers
 emit as the text `[0.0, 0.0]` from one template.  Readers take a file's
-bytes once, in os.read calls with no file object, and find its entries by
-a numpy scan of them: the offset of every `[` from the first entry on,
-and whether the 13 bytes from it are `[0.0, 0.0], [`, read as two words
-through a view of the bytes themselves, with no copy.  The indices of the
-entries kept are found once and serve both to cut the text and as the
-entries' row-major indices.  Only the header fields and the kept entries
-reach json.loads, in one call, and their values go straight into the
-element's flat cell vector (`algebra.cells`), with no dense matrix.  Any
+bytes once, in os.read calls with no file object, and cut those entries
+out (`_cut`): each `[` from the first entry on opens an entry, and an
+entry whose 13 bytes from its `[` are `[0.0, 0.0], [` is an exact zero.  A
+document of at most `_SPLIT_BYTES` bytes from its first entry on is cut at
+the bytes level, split at each `[` (`_split`); a longer one by a numpy
+scan of the bytes (`_sieve`), whose cost per byte is lower.  The two cut
+alike; the size picks one.  The indices of the entries kept are their
+row-major indices.  Only the header fields and the kept entries reach
+json.loads, in one call, and their values go straight into the element's
+flat cell vector (`algebra.cells`) through a table, cached per shape and
+order, from each dense index to its place in that vector: one gather, one
+test that each place is in a cell, one scatter, and no dense matrix.  Any
 other valid JSON spacing or encoding still reads, through the reference
-path `dict_to_element(json.loads(text))` on the file's text as a
-text-mode open() decodes it, and reads to the same element, with the same
-errors.
+path `dict_to_element(json.loads(text))` on the file's text as a text-mode
+open() decodes it, and reads to the same element, with the same errors.
+What is read is then admitted by a fused test that accepts a valid metric
+space or classical state in a few array calls; the checks one by one run
+only when it does not, to accept or to name the fault.
 
 Every document is the text json.dumps gives it, byte for byte, but none
 runs json.dumps with an indent, which always takes json's pure-Python
@@ -66,6 +72,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import stat
 from functools import lru_cache
@@ -76,6 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import as_shape, element_type, storage_coordinates, zero_clip
+from .axioms import _TOLERANCE_FIELDS
 from .construct import FiniteMetricSpace
 from .lipschitz import State
 
@@ -92,6 +100,12 @@ _ZERO_PAIR = "0.0, 0.0"
 _FIRST_ENTRY = b'"data": [['
 _ZERO_ENTRY = f"[{_ZERO_PAIR}], [".encode()
 _ZERO_HEAD, _ZERO_TAIL = (int.from_bytes(w, "little") for w in (_ZERO_ENTRY[:8], _ZERO_ENTRY[-8:]))
+# an exact-zero entry's text between its `[` and the next
+_ZERO_PART = _ZERO_ENTRY[1:-1]
+# the longest document, in bytes from its first entry on, that `_split` cuts
+_SPLIT_BYTES = 2048
+# the decoder json.loads uses, with its defaults
+_DECODER = json.JSONDecoder()
 
 
 def _write(path, text: str) -> None:
@@ -449,7 +463,7 @@ def _integers(values, field: str) -> tuple[int, ...]:
     return tuple(_integral(v, field) for v in values)
 
 
-def dict_to_element(doc: dict, at: np.ndarray | None = None, entries: int | None = None):
+def dict_to_element(doc: dict, at: list[int] | np.ndarray | None = None, entries: int | None = None):
     """The element of a matrix document, its entries put straight into its cells.
 
     at and entries, when given, are the row-major index of each entry in
@@ -518,14 +532,52 @@ def _entries(raw: bytes, start: int) -> tuple[np.ndarray, np.ndarray]:
     return opens, zero
 
 
+def _sieve(raw: bytes, start: int) -> tuple[np.ndarray, int, bytes]:
+    """`_cut` by a numpy scan of the bytes (`_entries`), whose cost per byte is lowest."""
+    opens, zero = _entries(raw, start)
+    at = (~zero).nonzero()[0]
+    # each entry kept runs to the next `[`; the last one, which has no next
+    # `[` to match, is always kept and runs to the end
+    ends = opens[at[:-1] + 1].tolist()
+    ends.append(len(raw))
+    entries = [raw[a:b] for a, b in zip(opens[at].tolist(), ends)]
+    return at, opens.size, b"".join([raw[:start], *entries])
+
+
+def _split(raw: bytes, start: int) -> tuple[list[int], int, bytes]:
+    """`_cut` by a split of the bytes at each `[`, whose fixed cost is lowest.
+
+    Each part is the text of one entry after its `[`; an exact zero is
+    the part `0.0, 0.0], ` with a part after it.
+    """
+    parts = raw[start + 1 :].split(b"[")
+    keep = list(map(_ZERO_PART.__ne__, parts))
+    keep[-1] = True
+    at = list(itertools.compress(range(len(parts)), keep))
+    return at, len(parts), raw[: start + 1] + b"[".join(itertools.compress(parts, keep))
+
+
+def _cut(raw: bytes, start: int) -> tuple[list[int] | np.ndarray, int, bytes]:
+    """The indices of the entries kept, the count of all entries, and the text with the others cut out.
+
+    Each `[` from start on opens an entry, which runs to the next `[` or
+    the end; every exact-zero entry (`_entries`) is cut out.  A document
+    of at most `_SPLIT_BYTES` bytes from start on is cut by `_split`,
+    a longer one by `_sieve`: the two cut alike, and the size picks the
+    cheaper.
+    """
+    return (_split if len(raw) - start <= _SPLIT_BYTES else _sieve)(raw, start)
+
+
 def _scan(raw: bytes):
     """The element of a matrix document's bytes, or None where the reference path must read them.
 
     Each `[` from the first entry of the `data` list on is taken to open an
-    entry.  The exact-zero entries, each up to the next `[`, are cut out,
-    and what is left, header fields and other entries, goes to json.loads
-    in one call; their values go straight into the element's cells, the
-    index of each kept entry among all of them being its row-major index.
+    entry.  The exact-zero entries, each up to the next `[`, are cut out
+    (`_cut`), and what is left, header fields and other entries, goes to
+    json.loads in one call; their values go straight into the element's
+    cells, the index of each kept entry among all of them being its
+    row-major index.
     That is the reference reading when the parsed `data` is the list
     scanned and holds one [re, im] pair per `[` left.  A pair holds no
     bracket, so then every `[` left opens an entry, no entry nests one,
@@ -538,22 +590,18 @@ def _scan(raw: bytes):
     first = raw.find(_FIRST_ENTRY)
     if first < 0 or b"\\" in raw:
         return None
-    opens, zero = _entries(raw, first + len(_FIRST_ENTRY) - 1)
-    # each entry kept runs to the next `[`; the last one, which has no next
-    # `[` to match, is always kept and runs to the end
-    at = (~zero).nonzero()[0]
-    ends = opens[at[:-1] + 1].tolist()
-    ends.append(len(raw))
-    entries = [raw[a:b] for a, b in zip(opens[at].tolist(), ends)]
-    text = b"".join([raw[: opens[0]], *entries])
+    at, entries, text = _cut(raw, first + len(_FIRST_ENTRY) - 1)
     # a cut holds no `"`, so the text holds every `"data"` the document does
     if text.count(b'"data"') != 1:
         return None
     try:
-        doc = json.loads(text.decode("ascii"))
-        if len(doc["data"]) != len(entries):
+        # json.loads(text) without its scans for white space: a document with
+        # some before it goes to the reference path, and only some may follow it
+        text = text.decode("ascii")
+        doc, end = _DECODER.raw_decode(text)
+        if text[end:].strip(" \t\n\r") or len(doc["data"]) != len(at):
             return None
-        return dict_to_element(doc, at, opens.size)
+        return dict_to_element(doc, at, entries)
     except Exception:  # the reference path raises the fault with its own message
         return None
 
@@ -643,14 +691,41 @@ def _record_node(rec) -> dict:
 
 def _report_node(report) -> dict:
     """The field texts of a report's document, which both of its layouts share."""
+    tolerances = _config_node(report.config)
     return {
         "mode": encode_basestring_ascii(report.mode),
         "shape": _node(list(report.shape.blocks)),
         "passed": _node(report.passed),
         "records": [_record_node(r) for r in report.records],
-        "tolerances": _node(report.config.to_dict()),
-        "seed": _node(report.config.seed),
+        "tolerances": tolerances,
+        "seed": tolerances["seed"],
     }
+
+
+# the fields of a tolerance config, in its document's order, and the exact types of those whose texts `_config_node` keeps
+_config_fields = operator.attrgetter(*_TOLERANCE_FIELDS)
+_PLAIN_FIELD_TYPES = frozenset({float, int, type(None)})
+
+
+def _config_node(config) -> dict:
+    """`_node(config.to_dict())`, formatted once per distinct value of config's fields; the caller must not change it.
+
+    The cache is keyed on the fields' values, their types and their signs:
+    -0.0 equals 0.0 and hashes alike but is written "-0.0", and 1 equals
+    1.0 but is written "1".  A config with a field of any other type, such
+    as a bool, is formatted each time.
+    """
+    values = _config_fields(config)
+    types = tuple(map(type, values))
+    if not _PLAIN_FIELD_TYPES.issuperset(types):
+        return _node(config.to_dict())
+    signs = tuple(math.copysign(1.0, v) for v in values if v is not None)
+    return _plain_config_node(values, types, signs)
+
+
+@lru_cache(maxsize=64)
+def _plain_config_node(values: tuple, types: tuple, signs: tuple) -> dict:
+    return _node(dict(zip(_TOLERANCE_FIELDS, values)))
 
 
 def save_report(report, path) -> None:

@@ -97,8 +97,27 @@ def _densities(elem: AlgebraElement) -> tuple[np.ndarray, ...]:
 
     A 1x1 density z is checked by arithmetic on its entry, which gives what
     the stacked checks give: its defect ||z - z*|| is |2i Im z| = 2 |Im z|,
-    and its hermitian part, its eigenvalue and its trace are Re z.
+    and its hermitian part, its eigenvalue and its trace are Re z.  When
+    every block is 1x1, the flat cell vector lists the densities in block
+    order, and one that is real with no entry below -STATE_TOL passes both
+    checks without them.
     """
+    flat = elem._flat
+    classical = flat.size == elem.shape.num_blocks
+    if classical and not np.count_nonzero(flat.imag) and np.minimum.reduce(flat.real) >= -STATE_TOL:
+        # the cells of an element whose cells are all 1x1: its flat cell vector, one entry each
+        dens, traces = tuple(flat.reshape(-1, 1, 1)), flat.real.tolist()
+    else:
+        dens, traces = _checked_densities(elem)
+    # added up in block order, whatever the grouping by size
+    total = sum(traces, 0.0)
+    if abs(total - 1.0) > STATE_TOL:
+        raise ValueError(f"total trace must be 1, got {total}")
+    return dens
+
+
+def _checked_densities(elem: AlgebraElement) -> tuple[tuple[np.ndarray, ...], list[float]]:
+    """The block densities of elem and their traces, in block order, each density checked one stacked pass per cell size."""
     num_blocks = elem.shape.num_blocks
     dens = [None] * num_blocks
     # fails[k]: whether block k is not self-adjoint, and whether it is not PSD
@@ -127,11 +146,7 @@ def _densities(elem: AlgebraElement) -> tuple[np.ndarray, ...]:
     _, fault = fails.nonzero()
     if fault.size:
         raise ValueError(_DENSITY_FAULTS[fault[0]])
-    # added up in block order, whatever the grouping by size
-    total = sum(traces.tolist(), 0.0)
-    if abs(total - 1.0) > STATE_TOL:
-        raise ValueError(f"total trace must be 1, got {total}")
-    return tuple(dens)
+    return tuple(dens), traces.tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,6 +51,95 @@ def classical_axioms(d: np.ndarray, tol: float = 1e-12) -> dict:
     }
 
 
+def ulps(value: float, steps: int) -> float:
+    """value moved steps representable doubles up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+_BOUND = 2.0**1000
+
+
+def _bound_fault(values: list, what: str, entry) -> str | None:
+    """The error require_finite raises for a row-major list of floats, in plain loops, or None.
+
+    A NaN anywhere, or an infinity with no finite value above 2**1000,
+    gives the count of NaN and infinite values; else the first finite
+    value above the bound is named by entry(k).
+    """
+    over = [k for k, v in enumerate(values) if math.isfinite(v) and abs(v) > _BOUND]
+    if over and not any(math.isnan(v) for v in values):
+        k = over[0]
+        return f"{entry(k)} has magnitude {abs(values[k]):.6g}; finite values above 2**1000 (about 1.07e301) are rejected"
+    bad = sum(not math.isfinite(v) for v in values)
+    if bad:
+        return f"{what} must be finite; found {bad} NaN or infinite entries"
+    return None
+
+
+def metric_space_fault(d) -> str | None:
+    """The message FiniteMetricSpace(d) raises for a square d, or None when it accepts d.
+
+    Checked entry by entry in plain loops, in the order the space checks:
+    finiteness and the 2**1000 bound, symmetry (|d(i, j) - d(j, i)| <=
+    1e-12 + 1e-5 |d(j, i)|), self-distances within 1e-12, positivity off
+    the diagonal, then the first (i, j, k) with d(i, j) > d(i, k) + d(k, j)
+    + 1e-12.
+    """
+    rows = [[float(v) for v in row] for row in np.asarray(d, dtype=float)]
+    n = len(rows)
+    fault = _bound_fault(
+        [v for row in rows for v in row], "distance matrix", lambda k: f"distance {k} (d({k // n}, {k % n}))"
+    )
+    if fault:
+        return fault
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if any(not abs(rows[i][j] - rows[j][i]) <= 1e-12 + 1e-5 * abs(rows[j][i]) for i, j in pairs):
+        return "distance matrix must be symmetric"
+    if any(abs(rows[i][i]) > 1e-12 for i in range(n)):
+        return "self-distances must be zero"
+    if any(i != j and rows[i][j] <= 0 for i, j in pairs):
+        return "distances between distinct points must be positive"
+    for i, j in pairs:
+        for k in range(n):
+            if rows[i][j] > rows[i][k] + rows[k][j] + 1e-12:
+                return f"triangle inequality fails on ({i}, {j}, {k})"
+    return None
+
+
+def state_fault(densities) -> str | None:
+    """The message State raises for finite block densities of the right shapes, or None when it accepts them.
+
+    Block by block in block order, self-adjointness before positivity:
+    ||z - z*|| <= STATE_TOL max(1, ||z||) and the lowest eigenvalue of
+    (z + z*) / 2 at least -STATE_TOL, a 1x1 block z by arithmetic on its
+    entry (defect 2 |Im z|, norm |z|, eigenvalue Re z), a larger one by
+    dense LAPACK calls on it alone; then the traces, added up in block
+    order, within STATE_TOL of one.
+    """
+    tol = 1e-9
+    total = 0.0
+    for z in densities:
+        z = np.asarray(z, dtype=complex)
+        if z.shape == (1, 1):
+            w = complex(z[0, 0])
+            defect, norm, lowest, trace = 2.0 * abs(w.imag), abs(w), w.real, w.real
+        else:
+            defect = float(np.linalg.norm(z - z.conj().T, 2))
+            norm = float(np.linalg.norm(z, 2))
+            lowest = float(np.linalg.eigvalsh((z + z.conj().T) / 2.0)[0])
+            trace = sum(float(z[i, i].real) for i in range(len(z)))
+        if defect > tol * max(1.0, norm):
+            return "block densities must be self-adjoint"
+        if lowest < -tol:
+            return "block densities must be positive semidefinite"
+        total += trace
+    if abs(total - 1.0) > tol:
+        return f"total trace must be 1, got {total}"
+    return None
+
+
 def embed_distance_matrix(d: np.ndarray) -> BiElement:
     """Diagonal embedding of an arbitrary square matrix, without validation."""
     d = np.asarray(d, dtype=float)

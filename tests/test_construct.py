@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric import (
     FiniteMetricSpace,
@@ -17,7 +19,7 @@ from qmetric import (
     verify,
 )
 
-from oracles import classical_axioms, random_metric
+from oracles import classical_axioms, metric_space_fault, random_metric, ulps
 
 
 def two_point(d=1.0):
@@ -130,6 +132,62 @@ class TestMetricChecks:
         assert FiniteMetricSpace(np.zeros((1, 1))).n == 1
         with pytest.raises(MetricInputError, match="^self-distances must be zero$"):
             FiniteMetricSpace(np.full((1, 1), 1e-11))
+
+
+@st.composite
+def near_boundary_distances(draw) -> np.ndarray:
+    """A distance matrix at one of the checks' edges, a few doubles either side.
+
+    Points on a line meet the triangle inequality with equality; one edit
+    then puts an asymmetry at 1e-12 + 1e-5 |d|, a self-distance at +-1e-12,
+    a triangle's slack at +-1e-12, a signed or plain zero, a negative
+    distance, a NaN, an infinity or a distance at 2**1000.
+    """
+    n = draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0, 3.0, 7.5, 1e3]), min_size=n, max_size=n, unique=True)))
+    d = np.abs(np.subtract.outer(x, x))
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    steps = draw(st.integers(-2, 2))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    edit = draw(st.sampled_from(["none", "asymmetry", "self", "slack", "slack one side", "zero", "negative", "nan", "inf", "bound"]))
+    if edit == "asymmetry":
+        d[i, j] = ulps(d[j, i] + sign * (1e-12 + 1e-5 * abs(d[j, i])), steps)
+    elif edit == "self":
+        d[i, i] = ulps(sign * 1e-12, steps)
+    elif edit.startswith("slack"):
+        d[i, j] = ulps(d[i, k] + d[k, j] + sign * 1e-12, steps)
+        if edit == "slack":
+            d[j, i] = d[i, j]
+    elif edit == "zero":
+        d[i, j] = d[j, i] = sign * 0.0
+    elif edit == "negative":
+        d[i, j] = d[j, i] = -d[i, j]
+    elif edit in ("nan", "inf"):
+        d[i, j] = sign * float(edit)
+    elif edit == "bound":
+        d[i, j] = d[j, i] = ulps(2.0**1000, steps)
+    return d
+
+
+class TestMetricAdmission:
+    """FiniteMetricSpace accepts exactly what the plain-loop oracle accepts, and names the same fault."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(near_boundary_distances())
+    def test_accepts_what_the_oracle_accepts(self, d):
+        want = metric_space_fault(d)
+        if want is None:
+            space = FiniteMetricSpace(d)
+            assert space.dist.tobytes() == d.tobytes() and not space.dist.flags.writeable
+            return
+        expected = NonFiniteError if "2**1000" in want or "must be finite" in want else MetricInputError
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace(d)
+        assert type(err.value) is expected and str(err.value) == want
+
+    @pytest.mark.parametrize("d, message", METRIC_FAULTS)
+    def test_oracle_names_the_listed_faults(self, d, message):
+        assert metric_space_fault(np.array(d)) == message
 
 
 @pytest.mark.parametrize(

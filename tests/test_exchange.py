@@ -169,6 +169,78 @@ def _assert_reads_like_reference(path, text):
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
+def _assert_cuts_agree(raw: bytes, start: int) -> None:
+    """Both cuts of raw from the entry at start give the same kept indices, entry count and text."""
+    at, entries, text = exchange._split(raw, start)
+    want = exchange._sieve(raw, start)
+    assert (at, entries, text) == (want[0].tolist(), want[1], want[2])
+
+
+def _padded(text: str, body: int) -> str:
+    """text with spaces after it, so that body bytes run from its first entry's `[` to its end."""
+    start = text.index('"data": [[') + len('"data": [')
+    assert len(text) - start <= body
+    return text + " " * (body - (len(text) - start))
+
+
+def _boundary_documents() -> dict:
+    """Documents a little under the size selection's boundary, written ones and edits of them, by name.
+
+    A written classical state on 12 points (144 entries) and a written
+    classical rho on 3 points (81 entries), then the same edits of each:
+    entries that are zero but not the zero text, inside the cells and out;
+    a NaN, a part beyond the float range and one above 2**1000; a nonzero
+    entry outside the cells; a zero last entry; and a `"trace": [` that
+    ends the document after the list.
+    """
+    state = State.classical(np.arange(1.0, 13.0) / 78.0)
+    points = np.array([0.0, 1.0, 2.5])
+    rho = from_finite_metric(FiniteMetricSpace(np.abs(np.subtract.outer(points, points)))).rho
+    docs = {}
+    for kind, doc in (("state", state_to_dict(state)), ("matrix", element_to_dict(rho))):
+        text = json.dumps(doc)
+        head, tail = text[: text.index('"data": [') + len('"data": [')], text[text.index("]]") + 2 :]
+        entries = [json.dumps(pair) for pair in doc["data"]]
+        # diagonal entries are inside the cells of a classical shape, 1 and 5 outside them
+        n, step = len(entries), doc["rows"] + 1
+
+        def edited(edits: dict, after: str = tail) -> str:
+            return head + ", ".join(edits.get(k, e) for k, e in enumerate(entries)) + "]" + after
+
+        docs.update({
+            f"{kind}: written": text,
+            f"{kind}: signed zero": edited({1: "[-0.0, 0.0]", step: "[0.0, -0.0]"}),
+            f"{kind}: integer zero": edited({2: "[0, 0]", 2 * step: "[0, 0]"}),
+            f"{kind}: boolean": edited({3: "[true, 0]", step: "[true, 0]"}),
+            f"{kind}: nan": edited({3 * step: "[NaN, 0.0]"}),
+            f"{kind}: beyond the float range": edited({4 * step: "[1e400, 0.0]"}),
+            f"{kind}: above 2**1000": edited({5 * step: "[0.0, 2e301]"}),
+            f"{kind}: outside the cells": edited({5: "[0.5, 0.0]"}),
+            f"{kind}: zero last entry": edited({n - 1: "[0.0, 0.0]"}),
+            f"{kind}: trace list after the data": edited({}, ', "trace": ['),
+        })
+    return docs
+
+
+def _assert_state_reads_like_reference(path, text: str) -> None:
+    """load_state(path) gives what dict_to_state(json.loads(text)) gives: the densities bit for bit, or the same error."""
+    try:
+        want = exchange.dict_to_state(json.loads(text))
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ExchangeError, match="cannot read state document") as got:
+            load_state(path)
+        assert str(got.value).endswith(str(exc))
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_state(path)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = load_state(path)
+    assert got.shape == want.shape
+    assert [d.tobytes() for d in got.densities] == [d.tobytes() for d in want.densities]
+
+
 # (blocks, order) pairs up to 729 x 729
 _SHAPED_ORDERS = [
     ((1,), 1), ((2,), 1), ((1, 2), 1), ((3, 1), 1),
@@ -382,6 +454,30 @@ class TestZeroPairReader:
         assert opens.tolist() == want
         assert zero.tolist() == [padded[k : k + 13] == b"[0.0, 0.0], [" for k in want]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["[0.0, 0.0], ", "[0.0, 0.0]", "[1.0, 0.0], ", "[", "]", "]}", ", ", "0.0", " ", '"trace": 1.0']),
+            max_size=12,
+        )
+    )
+    def test_both_cuts_agree(self, parts):
+        raw = ('{"shape": [1], "data": [' + "".join(parts)).encode()
+        _assert_cuts_agree(raw, raw.find(b'"data": [') + len('"data": [') - 1)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2000])
+    @pytest.mark.parametrize("name", list(_boundary_documents()))
+    def test_documents_at_the_size_boundary_load_like_the_reference(self, tmp_path, name, offset):
+        # below, at and above the longest body `_split` cuts, and far above it
+        text = _padded(_boundary_documents()[name], exchange._SPLIT_BYTES + offset)
+        raw = text.encode()
+        start = raw.index(b'"data": [[') + len('"data": [')
+        assert len(raw) - start == exchange._SPLIT_BYTES + offset
+        _assert_cuts_agree(raw, start)
+        _assert_reads_like_reference(tmp_path / "x.json", text)
+        if name.startswith("state"):
+            _assert_state_reads_like_reference(tmp_path / "x.json", text)
+
     @pytest.mark.parametrize("shape", [[0, 0], [], [2, -1]])
     def test_invalid_shape_is_an_exchange_error(self, tmp_path, shape):
         doc = {"shape": shape, "order": 1, "rows": 0, "cols": 0, "data": []}
@@ -394,25 +490,38 @@ class TestZeroPairReader:
         # a writer whose zeros stop matching the scan's pattern would lose the gain silently
         x = random_element((1, 2), 2, np.random.default_rng(3))
         s = State(AlgebraShape((1, 2)), (np.array([[0.5]]), np.diag([0.25, 0.25])))
+        # a classical n=8 rho, 4096 entries: on the large side of the size selection
+        points = np.cumsum(np.linspace(1.0, 2.0, 8))
+        rho = from_finite_metric(FiniteMetricSpace(np.abs(np.subtract.outer(points, points)))).rho
         save_element(x, tmp_path / "x.json")
         save_state(s, tmp_path / "s.json")
+        save_element(rho, tmp_path / "rho.json")
         fast = []
-        entries = exchange._entries
 
-        def spy(raw, start):
-            opens, zero = entries(raw, start)
-            fast.append(int(np.count_nonzero(zero)))
-            return opens, zero
+        def spy(name):
+            cut = getattr(exchange, name)
+
+            def spied(raw, start):
+                at, entries, text = cut(raw, start)
+                fast.append((name, entries - len(at)))
+                return at, entries, text
+
+            return spied
 
         def refuse(raw):
             raise AssertionError("the reference path was taken")
 
-        monkeypatch.setattr(exchange, "_entries", spy)
+        for name in ("_split", "_sieve"):
+            monkeypatch.setattr(exchange, name, spy(name))
         # only the reference path decodes the text; both paths convert through dict_to_element
         monkeypatch.setattr(exchange, "_text", refuse)
         assert np.array_equal(load_element(tmp_path / "x.json").data, x.data)
         assert np.array_equal(load_state(tmp_path / "s.json").densities[1], s.densities[1])
-        assert fast == [np.count_nonzero(x.data == 0), 6]
+        assert load_element(tmp_path / "rho.json")._flat.tobytes() == rho._flat.tobytes()
+        # the number of exact-zero entries each cut cut out: all but the last entry, which is always kept
+        zeros = [np.count_nonzero(a.ravel()[:-1] == 0) for a in (x.data, s.as_element().data, rho.data)]
+        assert zeros[1] == 6 and zeros[2] == 4096 - 57
+        assert fast == [("_split", zeros[0]), ("_split", zeros[1]), ("_sieve", zeros[2])]
 
     @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1, 1), (2, 1), (3,)])
     def test_state_documents_match_the_reference_writer(self, tmp_path, blocks):
@@ -533,6 +642,46 @@ class TestReportDocument:
         text = path.read_text()
         _assert_same_text(text, json.dumps(report.to_dict(), indent=2))
         _assert_same_text(text, json.dumps(expected, indent=2))
+
+
+class TestToleranceTexts:
+    """A report's tolerance texts are formatted once per config value, and never taken from an equal one."""
+
+    # in this order each config follows one that equals it but is written otherwise
+    _CONFIGS = [
+        {"eq_tol": 0.0},
+        {"eq_tol": -0.0},
+        {"eq_tol": 0},
+        {"eq_tol": False},
+        {"eq_tol": 0.0},
+        {"psd_tol": 1.0},
+        {"psd_tol": 1},
+        {"psd_tol": True},
+        {"strict_floor": 2.0},
+        {"strict_floor": 2},
+        {"seed": 0.0},
+        {"seed": -0.0},
+        {"seed": 0},
+        {"seed": [1, -0.0]},
+        {"seed": 2**70},
+        {"sample_count": 3.0},
+        {"sample_count": 3},
+    ]
+
+    def test_each_config_is_written_as_its_own_fields(self):
+        rho = BiElement.zeros((1, 1))
+        for kwargs in self._CONFIGS * 2:
+            cfg = ToleranceConfig(**kwargs)
+            assert exchange._config_node(cfg) == exchange._node(cfg.to_dict())
+            report = verify(rho, cfg)
+            text = exchange._layouts(exchange._report_node(report), None)[0]
+            _assert_same_text(text, json.dumps(oracles.report_doc(report)))
+
+    def test_a_negative_zero_tolerance_is_printed_after_a_plain_one(self, tmp_path, capsys):
+        save_element(from_finite_metric(FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))).rho, tmp_path / "r.json")
+        for flag in ("0.0", "-0.0", "0.0"):
+            main(["verify", str(tmp_path / "r.json"), "--eq-tol", flag, "--json"])
+            assert json.dumps({"eq_tol": float(flag)})[1:-1] in capsys.readouterr().out
 
 
 class TestByteReader:

@@ -54,8 +54,10 @@ from oracles import (
     pure_state_upper_bound,
     random_metric,
     seminorm_kernel,
+    state_fault,
     transport_lp_dual,
     transport_lp_primal,
+    ulps,
 )
 
 
@@ -173,6 +175,50 @@ class TestStates:
         except ValueError as exc:
             got = str(exc)
         assert got == _reference_density_fault(blocks, dens)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_admits_what_the_oracle_admits(self, data):
+        # a valid state, then one 1x1 density or the total trace moved to a check's edge, a few doubles either side
+        blocks = data.draw(st.sampled_from([(1,), (1, 1), (1, 1, 1, 1), (1,) * 7, (2, 1), (1, 2, 1), (2, 2)]))
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=len(blocks), max_size=len(blocks))))
+        weights /= weights.sum()
+        dens = []
+        for n, w in zip(blocks, weights):
+            d = np.diag(np.full(n, w / n)).astype(complex)
+            if n > 1:
+                d[0, 1], d[1, 0] = w / (8 * n) * (1 + 1j), w / (8 * n) * (1 - 1j)
+            dens.append(d)
+        ones = [k for k, n in enumerate(blocks) if n == 1]
+        edit = data.draw(st.sampled_from(["none", "trace", "negative", "imaginary"] if ones else ["none", "trace"]))
+        steps = data.draw(st.integers(-2, 2))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        if edit == "trace":
+            dens[-1][0, 0] += ulps(sign * STATE_TOL, steps)
+        elif edit == "negative":
+            dens[data.draw(st.sampled_from(ones))][0, 0] = ulps(-STATE_TOL, steps)
+        elif edit == "imaginary":
+            k = data.draw(st.sampled_from(ones))
+            z = dens[k][0, 0]
+            dens[k][0, 0] = complex(z.real, sign * ulps(STATE_TOL * max(1.0, abs(z)) / 2, steps))
+        want = state_fault(dens)
+        try:
+            state = State(AlgebraShape(blocks), tuple(dens))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        if got is None:
+            for a, b in zip(state.densities, dens):
+                assert a.tobytes() == b.tobytes()
+        if set(blocks) == {1} and not edit == "imaginary":
+            # the same weights through the classical constructor
+            try:
+                State.classical([d[0, 0].real for d in dens])
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
 
     def test_densities_are_read_only_copies(self):
         d = np.array([[0.25]], dtype=complex)
